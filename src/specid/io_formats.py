@@ -96,12 +96,13 @@ def parse_envi_header(text: str) -> EnviHeader:
             raise ParseError("ENVI header is missing required key %r" % key)
         return fields[key]
 
-    def need_int(key):
+    def need_int(key, default=None):
+        text = need(key) if default is None else (fields.get(key) or default)
         try:
-            return int(need(key))
+            return int(text)
         except ValueError:
             raise ParseError("ENVI key %r must be an integer, got %r"
-                             % (key, fields[key])) from None
+                             % (key, text)) from None
 
     raw_wl = _number_list(need("wavelength"), "wavelength")
     units = fields.get("wavelength units", "").strip().lower()
@@ -134,7 +135,7 @@ def parse_envi_header(text: str) -> EnviHeader:
         wavelength_units=units,
         bbl=bbl,
         reflectance_scale_factor=factor,
-        header_offset=int(fields.get("header offset", "0") or 0),
+        header_offset=need_int("header offset", default="0"),
     )
 
 
@@ -411,6 +412,14 @@ def read_rois_json(path: str) -> list:
     if not isinstance(payload, list):
         raise ParseError("ROI file %r must hold a JSON list" % path)
     for entry in payload:
-        if "pixels" not in entry:
+        if not isinstance(entry, dict) or "pixels" not in entry:
             raise ParseError("ROI entry without pixel coordinates in %r" % path)
+        pixels = entry["pixels"]
+        if not isinstance(pixels, list) or not all(map(_is_pixel, pixels)):
+            raise ParseError("ROI pixels must be [row, col] integer pairs in %r" % path)
     return payload
+
+
+def _is_pixel(coords) -> bool:
+    return (isinstance(coords, list) and len(coords) == 2
+            and all(type(v) is int for v in coords))

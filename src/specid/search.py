@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import SpectralLibrary, Spectrum
 from .errors import AlignmentError, InputError, SearchError
-from .regression import ModelPrior, RegressionModel, Workspace
+from .regression import RSS_FLOOR, ModelPrior, RegressionModel, Workspace
 
 STRATEGIES = ("exhaustive", "occam", "mc3")
 
@@ -174,31 +174,115 @@ def filter_window(models: ModelSet, window: float) -> tuple:
     return tuple(m for m in models.models if m.bic - best <= window)
 
 
+# Occam screen: a child's BIC is first scored from its parent's factor in one
+# batched solve; only children that may enter the window are fitted exactly.
+_SCREEN_CHUNK = 4096    # (parent, candidate) pairs per batched solve
+_SCREEN_TOL = 1e-12     # rounding allowed per factor row and unit of parent condition
+_SCREEN_MARGIN = 1e-3   # BIC units added to the window before a child is skipped
+_PIVOT_TOL = 1e-14      # Workspace.extend's dependence test
+
+
+def _first_parents(survivors: list, p: int) -> tuple:
+    """The distinct children of one level, each with its first generating parent.
+
+    Parent i extended by column j yields the child sel(i) + {j}; a child
+    reached from several parents belongs to the first in survivor order.
+    Returns the parent and column index arrays of the distinct children.
+    """
+    sel = np.array([m._state.sel for m in survivors], dtype=np.intp)
+    member = np.zeros((len(survivors), p), dtype=bool)
+    member[np.arange(len(survivors))[:, None], sel] = True
+    parent, col = np.nonzero(~member)  # parent-major, columns ascending
+    child = np.column_stack([sel[parent], col])
+    child.sort(axis=1)
+    order = np.lexsort(child.T[::-1])  # stable: the first parent leads each run
+    ranked = child[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    keep = order[first]
+    return parent[keep], col[keep]
+
+
+def _screen(ws: Workspace, survivors: list, parent, col) -> np.ndarray:
+    """Lower bounds on the BIC that Workspace.extend gives each (parent, col).
+
+    The child's factor row is one batched forward substitution against the
+    parent's Cholesky factor. The bound allows for rounding that grows with
+    the parent's condition and the new pivot's cancellation, so an exactly
+    fitted child never scores below it; pairs that extend's dependence test
+    may send to fit_subset get -inf, so they are always fitted exactly.
+    """
+    off = 1 if ws.with_intercept else 0
+    m = survivors[0]._state.chol.shape[0]
+    n = ws.n_obs
+    penalty = (m + 2) * math.log(n)  # the parent's terms, the new one, the variance
+    chols = np.stack([s._state.chol for s in survivors])
+    zvecs = np.stack([s._state.zvec for s in survivors])
+    rows = np.array([(0,) * off + tuple(j + off for j in s._state.sel)
+                     for s in survivors], dtype=np.intp)
+    rss = np.array([s.rss for s in survivors])
+    # allowed relative rounding of w: a triangular solve's forward error grows
+    # with the factor's size and condition
+    rho = _SCREEN_TOL * (m + 1) * np.array([s.condition for s in survivors])
+    gdiag = np.diagonal(ws.gram)
+    out = np.empty(parent.size)
+    for lo in range(0, parent.size, _SCREEN_CHUNK):
+        pi = parent[lo:lo + _SCREEN_CHUNK]
+        dj = col[lo:lo + _SCREEN_CHUNK] + off
+        chol = chols[pi]
+        cross = ws.gram[rows[pi], dj[:, None]]
+        w = np.empty_like(cross)
+        for r in range(m):
+            dot = np.einsum("ij,ij->i", chol[:, r, :r], w[:, :r])
+            w[:, r] = (cross[:, r] - dot) / chol[:, r, r]
+        gjj = gdiag[dj]
+        pivot = gjj - np.einsum("ij,ij->i", w, w)
+        # |w|^2 <= G_jj, |x_j'y| <= sqrt(G_jj y'y) and |z_S|^2 <= y'y bound the
+        # rounding of the pivot (err) and of the new z entry (dz)
+        err = 3.0 * rho[pi] * gjj
+        clear = pivot > _PIVOT_TOL * gjj + err
+        with np.errstate(invalid="ignore", divide="ignore"):
+            piv_lo = pivot - err
+            z = (ws.xty[dj] - np.einsum("ij,ij->i", w, zvecs[pi])) / np.sqrt(pivot)
+            dz = (2.0 * rho[pi] * np.sqrt(gjj * ws.yty / piv_lo)
+                  + np.abs(z) * err / piv_lo)
+            rss_lo = rss[pi] - z * z - dz * (2.0 * np.abs(z) + dz)
+            bic_lo = n * np.log(np.maximum(rss_lo, RSS_FLOOR) / n) + penalty
+        out[lo:lo + pi.size] = np.where(clear & ~np.isnan(bic_lo), bic_lo, -np.inf)
+    return out
+
+
 def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
     """Level-wise beam under a BIC window of 2*ln(window_ratio).
 
     Fit all single-regressor models, keep those within the window of the best
     BIC seen so far, extend every survivor by every absent candidate
-    (deduplicated by regressor set), re-prune against the running best, and
-    repeat up to max_size. A final prune against the global best is applied;
-    with submodel_exclusion, retained models beaten by one of their own
-    retained sub-models are then dropped.
+    (deduplicated by regressor set, each child taken from the first survivor
+    in (bic, key) order that generates it), re-prune against the running
+    best, and repeat up to max_size. A final prune against the global best is
+    applied; with submodel_exclusion, retained models beaten by one of their
+    own retained sub-models are then dropped.
+
+    Each level is screened before it is fitted: a batched solve bounds every
+    child's BIC from below, and Workspace.extend runs only on children whose
+    bound lies inside the window of the level's best exact BIC, repeated
+    until no unfitted child can enter it. The result equals fitting every
+    child. `fits` counts the distinct models scored, `exact_fits` the
+    fit_subset/extend calls made.
     """
     config = config or SearchConfig(strategy="occam")
     ws = make_workspace(y, library)
     limit = _checked(ws, config)
     p = ws.n_candidates
     window = config.window
-    fits = 0
+    fits = exact_fits = p
     capped = False
     best = math.inf
     pool = {}
 
-    name_index = {name: j for j, name in enumerate(ws.names)}
     level = []
     for j in range(p):
         model = ws.fit_subset((j,))
-        fits += 1
         if model.condition_flag:
             continue
         best = min(best, model.bic)
@@ -208,29 +292,37 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
     survivors = [m for m in level if m.bic - best <= window]
     pool.update({m.key(): m for m in survivors})
 
-    for _size in range(2, limit + 1):
+    for size in range(2, limit + 1):
         survivors.sort(key=lambda m: (m.bic, m.key()))
         if len(survivors) > config.beam_cap:
             survivors = survivors[:config.beam_cap]
             capped = True
-        candidates = {}
-        for parent in survivors:
-            inside = {name_index[n] for n in parent.regressors}
-            for j in range(p):
-                if j in inside:
-                    continue
-                ckey = tuple(sorted(parent.regressors + (ws.names[j],)))
-                if ckey not in candidates:
-                    candidates[ckey] = (parent, j)
-        level = []
-        for ckey in sorted(candidates):
-            parent, j = candidates[ckey]
-            child = ws.extend(parent, j)
-            fits += 1
-            if child.condition_flag:
-                continue
-            best = min(best, child.bic)
-            level.append(child)
+        # extend refuses models too large for the data; so must a level whose
+        # screen rules out every child
+        ws._check_size(size)
+        parent, col = _first_parents(survivors, p)
+        fits += parent.size
+        bound = _screen(ws, survivors, parent, col)
+        order = np.argsort(bound)
+        bound = bound[order]
+        # fit, lowest bound first, every child that can still enter the window;
+        # the first pass guesses the level's best from the bounds, later passes
+        # take it from the exact unflagged fits, until nothing more can enter
+        lowest = np.min(bound, where=np.isfinite(bound), initial=math.inf)
+        threshold = min(best, lowest) + window
+        level, done = [], 0
+        while True:
+            stop = int(np.searchsorted(bound, threshold + _SCREEN_MARGIN, side="right"))
+            if stop <= done:
+                break
+            for i in order[done:stop]:
+                child = ws.extend(survivors[parent[i]], col[i])
+                if not child.condition_flag:
+                    best = min(best, child.bic)
+                    level.append(child)
+            exact_fits += stop - done
+            done = stop
+            threshold = best + window
         survivors = [m for m in level if m.bic - best <= window]
         pool.update({m.key(): m for m in survivors})
         if not survivors:
@@ -250,8 +342,8 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
             else:
                 keep[key] = retained[key]
         retained = keep
-    meta = {"fits": fits, "beam_capped": capped, "window": window,
-            "submodel_excluded": dropped}
+    meta = {"fits": fits, "exact_fits": exact_fits, "beam_capped": capped,
+            "window": window, "submodel_excluded": dropped}
     return _finish(retained, ws, "occam", meta)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,15 @@ def write_library_csv(dirpath, library, stem="library"):
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump({s.name: list(s.class_path) for s in library.spectra}, fh)
     return csv_path, json_path
+
+
+def pytest_configure(config):
+    # tests that start `python -m specid` need the source tree the in-process
+    # tests import; pytest's pythonpath setting reaches sys.path only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    if src not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join([src] + paths)
 
 
 def pytest_terminal_summary(terminalreporter):

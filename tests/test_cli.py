@@ -217,9 +217,12 @@ class TestIdentify:
         (["--background-removal"], "--target"),
         (["--background-removal", "--target", "ldpe_1",
           "--backgrounds", "4"], "coordinate"),
+        (["--roi", "{tmp}/bad_rois.json"], "integer pairs"),
     ])
     def test_input_errors_exit_2(self, scene, detect_dir, tmp_path, capsys,
                                  extra, fragment):
+        (tmp_path / "bad_rois.json").write_text('[{"pixels": [[1]]}]')
+        extra = [arg.format(tmp=tmp_path) for arg in extra]
         rc = main(["--output-dir", str(tmp_path), "identify",
                    "--cube", scene.hdr, "--roi", str(detect_dir / "rois.json"),
                    "--library", scene.lib_csv] + extra)

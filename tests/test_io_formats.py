@@ -95,6 +95,8 @@ class TestHeaderParsing:
             parse_envi_header(HEADER + "bbl = {1, 0, 1}\n")
         with pytest.raises(ParseError, match="scale factor"):
             parse_envi_header(HEADER + "reflectance scale factor = lots\n")
+        with pytest.raises(ParseError, match="header offset"):
+            parse_envi_header(HEADER + "header offset = abc\n")
 
     @pytest.mark.parametrize("old,new,message", [
         ("interleave = bsq", "interleave = weird", "interleave"),
@@ -442,6 +444,9 @@ class TestResultWriters:
         ("{broken", "not valid JSON"),
         ('{"pixels": []}', "JSON list"),
         ('[{"peak_score": 1.0}]', "pixel coordinates"),
+        ('[5]', "pixel coordinates"),
+        ('[{"pixels": [["a", 1]]}]', "integer pairs"),
+        ('[{"pixels": [[1]]}]', "integer pairs"),
     ])
     def test_rois_rejects(self, tmp_path, payload, message):
         path = tmp_path / "rois.json"

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specid.aggregate import inclusion_probability, normalize
 from specid.core import BandGrid, Spectrum, SpectralLibrary
 from specid.errors import AlignmentError, InputError, SearchError
 from specid.regression import ModelPrior, Workspace
-from specid.search import (ModelSet, SearchConfig, exhaustive_search,
+from specid.search import (ModelSet, SearchConfig, _checked, _finish,
+                           _first_parents, _screen, exhaustive_search,
                            filter_window, make_workspace, mc3_search,
                            occam_search, run_search)
 from synth import make_table_instance
@@ -177,6 +180,7 @@ class TestOccam:
             meta = out.strategy_metadata
             assert meta["window"] == pytest.approx(self.config.window)
             assert meta["fits"] > 0 and meta["beam_capped"] is False
+            assert len(out.candidates) <= meta["exact_fits"] <= meta["fits"]
             assert meta["submodel_excluded"] == 0
 
     def test_matches_filtered_exhaustive(self):
@@ -228,6 +232,200 @@ class TestOccam:
             for small, small_bic in kept.items():
                 if set(small) < set(big):
                     assert small_bic >= big_bic
+
+
+def reference_occam(y, library, config):
+    """Occam search fitting every child exactly, one extend call per child.
+
+    The level loop occam_search had before it screened levels; the screened
+    search must reproduce it bit for bit.
+    """
+    ws = make_workspace(y, library)
+    limit = _checked(ws, config)
+    p = ws.n_candidates
+    window = config.window
+    fits = 0
+    capped = False
+    best = math.inf
+    pool = {}
+
+    name_index = {name: j for j, name in enumerate(ws.names)}
+    level = []
+    for j in range(p):
+        model = ws.fit_subset((j,))
+        fits += 1
+        if model.condition_flag:
+            continue
+        best = min(best, model.bic)
+        level.append(model)
+    if not level:
+        raise SearchError("every single-regressor model is degenerate")
+    survivors = [m for m in level if m.bic - best <= window]
+    pool.update({m.key(): m for m in survivors})
+
+    for _size in range(2, limit + 1):
+        survivors.sort(key=lambda m: (m.bic, m.key()))
+        if len(survivors) > config.beam_cap:
+            survivors = survivors[:config.beam_cap]
+            capped = True
+        candidates = {}
+        for parent in survivors:
+            inside = {name_index[n] for n in parent.regressors}
+            for j in range(p):
+                if j in inside:
+                    continue
+                ckey = tuple(sorted(parent.regressors + (ws.names[j],)))
+                if ckey not in candidates:
+                    candidates[ckey] = (parent, j)
+        level = []
+        for ckey in sorted(candidates):
+            parent, j = candidates[ckey]
+            child = ws.extend(parent, j)
+            fits += 1
+            if child.condition_flag:
+                continue
+            best = min(best, child.bic)
+            level.append(child)
+        survivors = [m for m in level if m.bic - best <= window]
+        pool.update({m.key(): m for m in survivors})
+        if not survivors:
+            break
+
+    retained = {k: m for k, m in pool.items() if m.bic - best <= window}
+    dropped = 0
+    if config.submodel_exclusion:
+        keys = sorted(retained, key=len)
+        keep = {}
+        for key in keys:
+            kset = set(key)
+            beaten = any(set(other) < kset and retained[other].bic < retained[key].bic
+                         for other in keys if len(other) < len(key))
+            if beaten:
+                dropped += 1
+            else:
+                keep[key] = retained[key]
+        retained = keep
+    meta = {"fits": fits, "beam_capped": capped, "window": window,
+            "submodel_excluded": dropped}
+    return _finish(retained, ws, "occam", meta)
+
+
+def outcome(search, ws, config):
+    try:
+        return search(None, ws, config)
+    except (InputError, SearchError) as exc:
+        return type(exc)
+
+
+def assert_same_search(ws, config):
+    got = outcome(occam_search, ws, config)
+    want = outcome(reference_occam, ws, config)
+    if not isinstance(want, ModelSet):
+        assert got is want
+        return
+    assert [m.key() for m in got.models] == [m.key() for m in want.models]
+    for a, b in zip(got.models, want.models):
+        assert a.bic == b.bic
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert a.intercept == b.intercept
+        assert a.condition == b.condition
+    meta = got.strategy_metadata
+    for name in ("fits", "beam_capped", "submodel_excluded", "window"):
+        assert meta[name] == want.strategy_metadata[name]
+    assert len(ws.names) <= meta["exact_fits"] <= meta["fits"]
+
+
+@st.composite
+def search_problems(draw):
+    """Small designs with the hazards the screen must bound: duplicated and
+    near-collinear columns, badly scaled columns, near-noiseless responses."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 30))
+    p = draw(st.integers(2, 7))
+    X = rng.normal(0.0, 1.0, (n, p))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = rng.choice(p, 2, replace=False)
+        kind = draw(st.sampled_from(["copy", "negate", "near", "scale"]))
+        if kind == "copy":
+            X[:, b] = X[:, a]
+        elif kind == "negate":
+            X[:, b] = -X[:, a]
+        elif kind == "near":
+            eps = draw(st.sampled_from([1e-2, 1e-5, 1e-7, 1e-8, 1e-10]))
+            X[:, b] = X[:, a] + eps * rng.normal(0.0, 1.0, n)
+        else:
+            X[:, b] *= draw(st.sampled_from([1e-9, 1e-6, 1e6]))
+    beta = rng.normal(0.0, 1.0, p) * (rng.random(p) < 0.5)
+    noise = draw(st.sampled_from([0.0, 1e-13, 1e-8, 1e-3, 0.1, 1.0]))
+    y = X @ beta + noise * rng.normal(0.0, 1.0, n) + draw(st.sampled_from([0.0, 3.0]))
+    ws = Workspace(y, X, with_intercept=draw(st.booleans()))
+    config = SearchConfig(max_size=draw(st.integers(1, 4)),
+                          window_ratio=draw(st.sampled_from([1.5, 20.0, 1e4])),
+                          beam_cap=draw(st.sampled_from([1, 2, 3, 50_000])),
+                          submodel_exclusion=draw(st.booleans()))
+    return ws, config
+
+
+class TestOccamScreen:
+    """The screened Occam search equals fitting every child exactly."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(search_problems())
+    def test_matches_reference_loop(self, problem):
+        assert_same_search(*problem)
+
+    def test_table_instances(self):
+        for seed in range(6):
+            assert_same_search(table_workspace(seed), SearchConfig(max_size=4))
+
+    def test_screened_out_level_still_checks_its_size(self):
+        # y is exact in three columns, so no size-4 child can enter the window
+        # and none is fitted; the level still has more parameters than n_obs
+        rng = np.random.default_rng(5)
+        X = rng.normal(0, 1, (6, 4))
+        ws = Workspace(3.0 + X[:, 1:] @ [0.9, 0.8, 0.05], X, with_intercept=True)
+        config = SearchConfig(max_size=4, window_ratio=1.5)
+        assert outcome(occam_search, ws, config) is InputError
+        assert_same_search(ws, config)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9, 0.1])
+    def test_bound_never_exceeds_the_exact_bic(self, noise):
+        # near-noiseless fits are where rounding moves the BIC most: an exact
+        # rss clamped at 0 against a screened one of 1e-30 is ~1000 BIC units
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(0, 1, (10, 6))
+            X[:, 4] = X[:, 0] + 1e-6 * rng.normal(0, 1, 10)
+            y = 3.0 + X[:, 1] - X[:, 2] + noise * rng.normal(0, 1, 10)
+            ws = Workspace(y, X, with_intercept=bool(seed % 2))
+            level = [ws.fit_subset((j,)) for j in range(6)]
+            for _ in range(3):
+                level = [m for m in level if not m.condition_flag]
+                parent, col = _first_parents(level, 6)
+                bound = _screen(ws, level, parent, col)
+                level = [ws.extend(level[i], j) for i, j in zip(parent, col)]
+                for b, child in zip(bound, level):
+                    assert child.condition_flag or b <= child.bic
+
+    def test_flagged_child_with_the_lowest_bic(self):
+        # x1 is tiny and orthogonal to x0: extend's pivot test is scale-free and
+        # passes, but the condition estimate is not, so {x0, x1} is flagged while
+        # holding by far the lowest BIC of its level; the level's window must
+        # come from the best unflagged child instead.
+        rng = np.random.default_rng(31)
+        n = 25
+        u, v = rng.normal(0, 1, n), rng.normal(0, 1, n)
+        X = np.column_stack([u, 1e-11 * v, rng.normal(0, 1, (n, 3))])
+        y = u + 0.5 * v + 1e-3 * rng.normal(0, 1, n)
+        ws = Workspace(y, X, names=("x0", "x1", "r0", "r1", "r2"))
+        x0 = ws.fit_subset((0,))
+        children = [ws.extend(x0, j) for j in range(1, 5)]
+        lowest = min(children, key=lambda m: m.bic)
+        assert lowest.key() == ("x0", "x1") and lowest.condition_flag
+        assert lowest.bic < min(m.bic for m in children if m is not lowest) - 100
+        for exclusion in (False, True):
+            assert_same_search(ws, SearchConfig(max_size=3,
+                                                submodel_exclusion=exclusion))
 
 
 class TestMC3:
