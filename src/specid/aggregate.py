@@ -5,12 +5,12 @@ in shifted-log form. A class node's probability is the summed posterior of
 every model containing at least one spectrum from the node's member set; a
 model with two members of the class still counts once. Sibling classes may
 therefore sum above their parent (one model can hit several siblings) and
-are never renormalized.
+are never renormalized. Every posterior sum selects models by an incidence
+matrix and adds their terms in model order, one at a time from +0.0.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,11 +28,17 @@ class UnknownRegressorWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class ModelPosterior:
-    """Normalized probabilities over the models of a ModelSet."""
+    """Normalized probabilities over the models of a ModelSet.
+
+    `incidence[i, j]` is True when model i holds candidate j; `_coefficients`
+    lists its True entries column by column, then each intercept (NaN: none).
+    """
 
     models: ModelSet
     probabilities: np.ndarray
     prior: ModelPrior = field(default_factory=ModelPrior.uniform)
+    incidence: np.ndarray = field(init=False, repr=False)
+    _coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=np.float64).copy()
@@ -45,6 +51,20 @@ class ModelPosterior:
             raise InputError("model probabilities sum to %r, not 1" % float(probs.sum()))
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
+        models = self.models.models
+        index = {name: j for j, name in enumerate(self.models.candidates)}
+        sizes = [len(m.regressors) for m in models]
+        # the arrays kept come first, so the heap can give the temporaries back
+        incidence = np.zeros((len(models), len(index)), dtype=bool, order="F")
+        values = np.empty(sum(sizes) + len(models))
+        cols = np.array([index[n] for m in models for n in m.regressors], np.intp)
+        incidence[np.repeat(np.arange(len(models)), sizes), cols] = True
+        incidence.flags.writeable = False
+        order = np.argsort(cols, kind="stable")
+        values[:cols.size] = np.concatenate([m.coefficients for m in models])[order]
+        values[cols.size:] = [m.intercept for m in models]
+        object.__setattr__(self, "incidence", incidence)
+        object.__setattr__(self, "_coefficients", values)
 
     def items(self):
         return zip(self.models.models, self.probabilities)
@@ -110,14 +130,17 @@ class IdentificationTree:
 def normalize(models: ModelSet, prior: ModelPrior = None) -> ModelPosterior:
     """Posterior P(M) from BIC weights and the prior, in shifted-log form."""
     prior = prior or ModelPrior.uniform()
-    bics = [m.bic for m in models.models]
-    if not all(math.isfinite(b) for b in bics):
+    bics = np.array([m.bic for m in models.models], dtype=np.float64)
+    if not np.all(np.isfinite(bics)):
         raise InputError("cannot normalize: non-finite BIC in model set")
-    logw = np.array([-b / 2.0 + prior.log_weight(m.size)
-                     for b, m in zip(bics, models.models)])
-    logw -= logw.max()
-    weights = np.exp(logw)
+    logw = -bics / 2.0 + [prior.log_weight(m.size) for m in models.models]
+    weights = np.exp(logw - logw.max())
     return ModelPosterior(models, weights / weights.sum(), prior)
+
+
+def _ordered_sum(terms) -> float:
+    """Sum in order, one addition at a time from +0.0, as a loop would add."""
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
 
 
 def inclusion_probability(posterior: ModelPosterior, regressor: str) -> float:
@@ -125,27 +148,19 @@ def inclusion_probability(posterior: ModelPosterior, regressor: str) -> float:
     if regressor not in posterior.models.candidates:
         warnings.warn("regressor %r is not in the candidate library" % regressor,
                       UnknownRegressorWarning, stacklevel=2)
-        return 0.0
-    return float(sum(p for m, p in posterior.items() if regressor in m.regressors))
+    return group_probability(posterior, [regressor])
 
 
 def averaged_coefficients(posterior: ModelPosterior) -> InclusionReport:
     """Inclusion probability and averaged coefficient for every candidate."""
-    names = posterior.models.candidates
-    index = {name: i for i, name in enumerate(names)}
-    probs = np.zeros(len(names))
-    coefs = np.zeros(len(names))
-    has_intercept = False
-    intercept = 0.0
-    for model, p in posterior.items():
-        for name, beta in zip(model.regressors, model.coefficients):
-            probs[index[name]] += p
-            coefs[index[name]] += p * beta
-        if model.intercept is not None:
-            has_intercept = True
-            intercept += p * model.intercept
-    return InclusionReport(names, probs, coefs,
-                           intercept=float(intercept) if has_intercept else None)
+    p, columns = posterior.probabilities, posterior.incidence.T
+    *values, intercepts = np.split(posterior._coefficients,
+                                   np.cumsum(np.count_nonzero(columns, axis=1)))
+    held = ~np.isnan(intercepts)
+    probs = [_ordered_sum(p[c]) for c in columns]
+    coefs = [_ordered_sum(p[c] * v) for c, v in zip(columns, values)]
+    return InclusionReport(posterior.models.candidates, probs, coefs,
+                           _ordered_sum(p[held] * intercepts[held]) if held.any() else None)
 
 
 def group_probability(posterior: ModelPosterior, names) -> float:
@@ -154,10 +169,8 @@ def group_probability(posterior: ModelPosterior, names) -> float:
     The set-membership rule: a model with several group members counts once.
     """
     group = frozenset(names)
-    if not group:
-        return 0.0
-    return float(sum(p for m, p in posterior.items()
-                     if not group.isdisjoint(m.regressors)))
+    held = posterior.incidence[:, [name in group for name in posterior.models.candidates]]
+    return _ordered_sum(posterior.probabilities[held.any(axis=1)])
 
 
 def class_probability(posterior: ModelPosterior, hierarchy: ClassHierarchy,
@@ -174,9 +187,9 @@ def member_probability_sum(posterior: ModelPosterior, hierarchy: ClassHierarchy,
     class; exceeds it (and may pass 1) when models bundle same-class spectra.
     """
     members = hierarchy.members(node)
-    return float(sum(p * len(members.intersection(m.regressors))
-                     for m, p in posterior.items()
-                     if not members.isdisjoint(m.regressors)))
+    counts = np.count_nonzero(posterior.incidence[
+        :, [name in members for name in posterior.models.candidates]], axis=1)
+    return _ordered_sum(posterior.probabilities[counts > 0] * counts[counts > 0])
 
 
 def build_tree(posterior: ModelPosterior, hierarchy: ClassHierarchy) -> IdentificationTree:

@@ -221,7 +221,7 @@ def cmd_bma_table(args) -> None:
     out = _outdir(args)
     y, X, names = read_table(args.csv, args.response)
     workspace = Workspace(y, X, names, with_intercept=True)
-    max_size = args.max_size if args.max_size > 0 else len(names)
+    max_size = args.max_size or len(names)
     config = SearchConfig(
         max_size=max_size, window_ratio=args.window_c, strategy=args.strategy,
         mc3_iterations=args.iterations, seed=args.seed,

@@ -7,6 +7,7 @@ deterministic: two writes of the same objects are byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import re
@@ -195,13 +196,8 @@ def read_library(csv_path: str, hierarchy_path: str | None = None) -> SpectralLi
     excluding the implicit library root). Names without an entry fall under
     "Unlabeled".
     """
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if len(rows) < 3:
-        raise ParseError("library CSV %r needs a header and at least 2 band rows"
-                         % csv_path)
-    header = [cell.strip() for cell in rows[0]]
+    header, table = _read_numeric_csv(
+        csv_path, 3, "library CSV %r needs a header and at least 2 band rows")
     unit_key = header[0].lower()
     if unit_key == "wavelength_um":
         scale = 1.0
@@ -213,22 +209,9 @@ def read_library(csv_path: str, hierarchy_path: str | None = None) -> SpectralLi
     names = header[1:]
     if not names:
         raise ParseError("library CSV %r has no spectrum columns" % csv_path)
-    width = len(header)
-    table = np.empty((len(rows) - 1, width))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError("row %d of %r has %d cells, expected %d"
-                             % (i, csv_path, len(row), width))
-        try:
-            table[i - 2] = [float(cell) for cell in row]
-        except ValueError:
-            bad = next(cell for cell in row if not _is_number(cell))
-            raise ParseError("non-numeric cell %r in row %d of %r"
-                             % (bad, i, csv_path)) from None
     paths = {}
     if hierarchy_path is not None:
-        with open(hierarchy_path, "r", encoding="utf-8") as fh:
-            content = fh.read().strip()
+        content = _read_text(hierarchy_path).strip()
         try:
             mapping = json.loads(content) if content else {}
         except json.JSONDecodeError as exc:
@@ -247,12 +230,35 @@ def read_library(csv_path: str, hierarchy_path: str | None = None) -> SpectralLi
     return SpectralLibrary(grid, spectra)
 
 
-def _is_number(cell: str) -> bool:
+def _read_text(path: str) -> str:
+    """The file's text, line ends as written; non-UTF-8 bytes raise a ParseError."""
     try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("%r is not UTF-8 text: byte 0x%02x, %s"
+                         % (path, exc.object[exc.start], exc.reason)) from None
+
+
+def _read_numeric_csv(path: str, min_rows: int, too_short: str):
+    """Stripped header cells and the float table below them; blank rows skipped."""
+    text = io.StringIO(_read_text(path), newline="")
+    rows = [row for row in csv.reader(text) if row and any(cell.strip() for cell in row)]
+    if len(rows) < min_rows:
+        raise ParseError(too_short % path)
+    header = [cell.strip() for cell in rows[0]]
+    table = np.empty((len(rows) - 1, len(header)))
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ParseError("row %d of %r has %d cells, expected %d"
+                             % (i, path, len(row), len(header)))
+        for j, cell in enumerate(row):
+            try:
+                table[i - 2, j] = float(cell)
+            except ValueError:
+                raise ParseError("non-numeric cell %r in row %d of %r"
+                                 % (cell, i, path)) from None
+    return header, table
 
 
 def read_spectrum_csv(path: str) -> Spectrum:
@@ -270,28 +276,13 @@ def read_table(csv_path: str, response: str):
 
     First row holds column headers; `response` names the regressand.
     """
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if len(rows) < 2:
-        raise ParseError("table CSV %r needs a header row and data rows" % csv_path)
-    header = [cell.strip() for cell in rows[0]]
+    header, table = _read_numeric_csv(
+        csv_path, 2, "table CSV %r needs a header row and data rows")
     if len(set(header)) != len(header):
         raise ParseError("duplicate column names in %r" % csv_path)
     if response not in header:
         raise ParseError("response column %r not found; columns are %r"
                          % (response, header))
-    table = np.empty((len(rows) - 1, len(header)))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError("row %d of %r has %d cells, expected %d"
-                             % (i, csv_path, len(row), len(header)))
-        try:
-            table[i - 2] = [float(cell) for cell in row]
-        except ValueError:
-            bad = next(cell for cell in row if not _is_number(cell))
-            raise ParseError("non-numeric cell %r in row %d of %r"
-                             % (bad, i, csv_path)) from None
     ridx = header.index(response)
     keep = [j for j in range(len(header)) if j != ridx]
     return table[:, ridx], table[:, keep], tuple(header[j] for j in keep)
@@ -404,11 +395,10 @@ def write_rois_json(rois, path: str) -> None:
 
 
 def read_rois_json(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("ROI file %r is not valid JSON: %s" % (path, exc)) from None
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError("ROI file %r is not valid JSON: %s" % (path, exc)) from None
     if not isinstance(payload, list):
         raise ParseError("ROI file %r must hold a JSON list" % path)
     for entry in payload:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 
 RSS_FLOOR = 1e-300
 CONDITION_LIMIT = 1e10
@@ -67,15 +67,6 @@ class RegressionModel:
     def key(self) -> tuple:
         """Order-free identity of the regressor subset."""
         return tuple(sorted(self.regressors))
-
-
-def bic(model: RegressionModel) -> float:
-    return bic_from_parts(model.rss, model.n_obs, model.size, model.intercept is not None)
-
-
-def log_likelihood(model: RegressionModel) -> float:
-    """Approximate model log likelihood: -bic / 2."""
-    return -model.bic / 2.0
 
 
 @dataclass(frozen=True)
@@ -252,36 +243,6 @@ class Workspace:
         resid = self.y - design @ beta
         return self._model(sel, beta, float(resid @ resid), math.inf, None, None)
 
-    def add_column(self, column, name=None) -> "Workspace":
-        """A new workspace whose pool has one extra trailing candidate."""
-        column = np.asarray(column, dtype=np.float64)
-        if column.shape != (self.n_obs,):
-            raise InputError("new column must have length %d" % self.n_obs)
-        if not np.all(np.isfinite(column)):
-            raise InputError("new column must be finite")
-        if name is None:
-            name = "x%d" % self.n_candidates
-        if name in self.names:
-            raise InputError("regressor name %r already in pool" % name)
-        ws = object.__new__(Workspace)
-        ws.y = self.y
-        ws.X = np.column_stack([self.X, column])
-        ws.names = self.names + (str(name),)
-        ws.with_intercept = self.with_intercept
-        ws.n_obs = self.n_obs
-        ws._off = self._off
-        aug_dot = np.concatenate([[column.sum()] if self._off else [],
-                                  self.X.T @ column, [column @ column]])
-        m = self.gram.shape[0]
-        gram = np.zeros((m + 1, m + 1))
-        gram[:m, :m] = self.gram
-        gram[m, :] = aug_dot
-        gram[:, m] = aug_dot
-        ws.gram = gram
-        ws.xty = np.append(self.xty, column @ self.y)
-        ws.yty = self.yty
-        return ws
-
 
 def _condition(chol: np.ndarray) -> float:
     """Condition estimate of the design via its Cholesky factor."""
@@ -299,19 +260,6 @@ def fit(y, X, names=None, with_intercept: bool = False) -> RegressionModel:
     """
     ws = Workspace(y, X, names, with_intercept)
     return ws.fit_subset(range(ws.n_candidates))
-
-
-def refit_extend(model: RegressionModel, new_column, name=None) -> RegressionModel:
-    """Refit with one extra regressor, reusing the parent factorization."""
-    st = model._state
-    if st is None:
-        raise InputError("model carries no fit state; refit from data instead")
-    ws = st.ws.add_column(new_column, name)
-    child = RegressionModel(model.regressors, model.coefficients, model.intercept,
-                            model.rss, model.n_obs, model.bic, model.condition,
-                            model.condition_flag,
-                            _state=_State(ws, st.sel, st.chol, st.zvec))
-    return ws.extend(child, ws.n_candidates - 1)
 
 
 def check_residual(model: RegressionModel) -> float:

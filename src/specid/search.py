@@ -81,6 +81,9 @@ class ModelSet:
         keys = [m.key() for m in self.models]
         if len(set(keys)) != len(keys):
             raise SearchError("ModelSet contains duplicate regressor sets")
+        pool = frozenset(self.candidates)
+        if not all(len(set(k)) == len(k) and pool.issuperset(k) for k in keys):
+            raise InputError("every model must hold distinct names from the candidates")
 
     def __len__(self) -> int:
         return len(self.models)

@@ -1,9 +1,12 @@
 """Posterior normalization, inclusion/group probabilities, and class trees."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specid.aggregate import (IdentificationTree, InclusionReport, ModelPosterior,
                               TreeNode, UnknownRegressorWarning,
@@ -249,3 +252,138 @@ def test_response_scaling_leaves_posterior_unchanged():
         lookup = {m.key(): p for m, p in scaled.items()}
         for model, p in base.items():
             assert lookup[model.key()] == pytest.approx(p, abs=1e-12)
+
+
+# The per-model loops that aggregation ran before the incidence matrix, kept
+# verbatim as the bit-for-bit reference for the matrix form.
+
+def reference_inclusion_probability(posterior, regressor):
+    if regressor not in posterior.models.candidates:
+        warnings.warn("regressor %r is not in the candidate library" % regressor,
+                      UnknownRegressorWarning, stacklevel=2)
+        return 0.0
+    return float(sum(p for m, p in posterior.items() if regressor in m.regressors))
+
+
+def reference_averaged_coefficients(posterior):
+    names = posterior.models.candidates
+    index = {name: i for i, name in enumerate(names)}
+    probs = np.zeros(len(names))
+    coefs = np.zeros(len(names))
+    has_intercept = False
+    intercept = 0.0
+    for model, p in posterior.items():
+        for name, beta in zip(model.regressors, model.coefficients):
+            probs[index[name]] += p
+            coefs[index[name]] += p * beta
+        if model.intercept is not None:
+            has_intercept = True
+            intercept += p * model.intercept
+    return InclusionReport(names, probs, coefs,
+                           intercept=float(intercept) if has_intercept else None)
+
+
+def reference_group_probability(posterior, names):
+    group = frozenset(names)
+    if not group:
+        return 0.0
+    return float(sum(p for m, p in posterior.items()
+                     if not group.isdisjoint(m.regressors)))
+
+
+def reference_member_probability_sum(posterior, hierarchy, node):
+    members = hierarchy.members(node)
+    return float(sum(p * len(members.intersection(m.regressors))
+                     for m, p in posterior.items()
+                     if not members.isdisjoint(m.regressors)))
+
+
+def reference_build_tree(posterior, hierarchy):
+    def build(path):
+        kids = [build(child) for child in hierarchy.children(path)]
+        kids.sort(key=lambda n: (n.probability, n.name))
+        return TreeNode(hierarchy.label(path),
+                        reference_group_probability(posterior, hierarchy.members(path)),
+                        tuple(kids))
+
+    return IdentificationTree(build(()))
+
+
+def bits(value):
+    """Bytes of a float or float array; tells -0.0 from 0.0, unlike ==."""
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def tree_bits(tree):
+    return [(path, node.name, bits(node.probability)) for path, node in tree.walk()]
+
+
+@st.composite
+def aggregation_problems(draw):
+    """A posterior and a hierarchy that hold the sums' edge cases: weights that
+    underflow to 0.0 beside negative coefficients, models with two members of
+    one class, hierarchy and group names outside the pool, and intercepts
+    present, absent or mixed."""
+    pool = ["c%d" % j for j in range(draw(st.integers(1, 7)))]
+    labels = st.sampled_from(["A", "B", "C"])
+    paths = [(name, tuple(draw(st.lists(labels, min_size=1, max_size=2))))
+             for name in pool + ["out0", "out1"]]
+    subsets = st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool),
+                       unique=True)
+    regressor_sets = draw(st.lists(subsets, min_size=1, max_size=12,
+                                   unique_by=lambda regs: frozenset(regs)))
+    intercepts = draw(st.sampled_from(["none", "all", "mixed"]))
+    finite = st.floats(-1e3, 1e3)
+    models = []
+    for regs in regressor_sets:
+        bic = draw(st.floats(-40.0, 40.0) | st.floats(1400.0, 2500.0))
+        coefs = [draw(finite) for _ in regs]
+        has = intercepts == "all" or (intercepts == "mixed" and draw(st.booleans()))
+        models.append(make_model(regs, bic, coefs, draw(finite) if has else None))
+    groups = draw(st.lists(st.lists(st.sampled_from(pool + ["out0", "zz"])),
+                           max_size=4))
+    return normalize(make_set(models, pool)), ClassHierarchy(paths), groups
+
+
+class TestMatchesModelLoops:
+    """Every sum on the incidence matrix equals the per-model loop, bit for bit."""
+
+    def assert_same(self, posterior, hierarchy, groups=()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnknownRegressorWarning)
+            for name in posterior.models.candidates + ("out0",):
+                assert bits(inclusion_probability(posterior, name)) == \
+                    bits(reference_inclusion_probability(posterior, name))
+        report = averaged_coefficients(posterior)
+        expected = reference_averaged_coefficients(posterior)
+        assert report.names == expected.names
+        assert bits(report.probabilities) == bits(expected.probabilities)
+        assert bits(report.coefficients) == bits(expected.coefficients)
+        assert (report.intercept is None) == (expected.intercept is None)
+        if report.intercept is not None:
+            assert bits(report.intercept) == bits(expected.intercept)
+        for node in hierarchy.nodes():
+            assert bits(class_probability(posterior, hierarchy, node)) == \
+                bits(reference_group_probability(posterior, hierarchy.members(node)))
+            assert bits(member_probability_sum(posterior, hierarchy, node)) == \
+                bits(reference_member_probability_sum(posterior, hierarchy, node))
+        for group in groups:
+            assert bits(group_probability(posterior, group)) == \
+                bits(reference_group_probability(posterior, group))
+        assert tree_bits(build_tree(posterior, hierarchy)) == \
+            tree_bits(reference_build_tree(posterior, hierarchy))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(aggregation_problems())
+    def test_matches_reference_loops(self, problem):
+        self.assert_same(*problem)
+
+    def test_exhaustive_table_posterior(self):
+        y, X, names = make_table_instance(5)
+        for with_intercept in (False, True):
+            ws = Workspace(y, X, names=names, with_intercept=with_intercept)
+            out = exhaustive_search(None, ws, SearchConfig(max_size=4,
+                                                           strategy="exhaustive"))
+            hierarchy = ClassHierarchy([(name, ("even" if j % 2 else "odd",))
+                                        for j, name in enumerate(names)])
+            self.assert_same(normalize(out), hierarchy, [names[:3], names[-2:]])

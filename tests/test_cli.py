@@ -218,10 +218,16 @@ class TestIdentify:
         (["--background-removal", "--target", "ldpe_1",
           "--backgrounds", "4"], "coordinate"),
         (["--roi", "{tmp}/bad_rois.json"], "integer pairs"),
+        (["--library", "{tmp}/latin1.csv"], "latin1.csv' is not UTF-8 text: byte 0xff"),
+        (["--hierarchy", "{tmp}/latin1.json"], "latin1.json' is not UTF-8 text: byte 0xff"),
+        (["--roi", "{tmp}/latin1_rois.json"], "latin1_rois.json' is not UTF-8 text"),
     ])
     def test_input_errors_exit_2(self, scene, detect_dir, tmp_path, capsys,
                                  extra, fragment):
         (tmp_path / "bad_rois.json").write_text('[{"pixels": [[1]]}]')
+        (tmp_path / "latin1.csv").write_bytes(b"wavelength_um,s\xff\n0.4,0.5\n0.5,0.6\n")
+        (tmp_path / "latin1.json").write_bytes(b'{"s\xff": ["Fabric"]}')
+        (tmp_path / "latin1_rois.json").write_bytes(b'[{"pixels": [[0, 0]], "n": "\xff"}]')
         extra = [arg.format(tmp=tmp_path) for arg in extra]
         rc = main(["--output-dir", str(tmp_path), "identify",
                    "--cube", scene.hdr, "--roi", str(detect_dir / "rois.json"),
@@ -329,6 +335,18 @@ class TestBmaTable:
                    "--csv", table_csv, "--response", "zz"])
         assert rc == 2
         assert "response" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,fragment", [
+        (["--max-size", "-3"], "max_size must be >= 1, got -3"),
+        (["--csv", "{tmp}/latin1.csv"], "latin1.csv' is not UTF-8 text: byte 0xe9"),
+    ])
+    def test_input_errors_exit_2(self, table_csv, tmp_path, capsys, extra, fragment):
+        (tmp_path / "latin1.csv").write_bytes(b"caf\xe9,y\n1,2\n3,4\n5,7\n")
+        extra = [arg.format(tmp=tmp_path) for arg in extra]
+        rc = main(["--output-dir", str(tmp_path), "bma-table",
+                   "--csv", table_csv, "--response", "y"] + extra)
+        assert rc == 2
+        assert fragment in capsys.readouterr().err
 
     def test_exhaustive_not_offered(self, table_csv, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from specid.aggregate import inclusion_probability, normalize
 from specid.core import BandGrid, Spectrum, SpectralLibrary
 from specid.errors import AlignmentError, InputError, SearchError
-from specid.regression import ModelPrior, Workspace
+from specid.regression import ModelPrior, RegressionModel, Workspace
 from specid.search import (ModelSet, SearchConfig, _checked, _finish,
                            _first_parents, _screen, exhaustive_search,
                            filter_window, make_workspace, mc3_search,
@@ -155,6 +155,16 @@ def test_model_set_validation():
     with pytest.raises(SearchError):
         ModelSet(models=(model, model), best_bic=model.bic,
                  candidates=ws.names, strategy="occam")
+    # the aggregation's incidence matrix needs each model's names to be
+    # distinct candidates
+    with pytest.raises(InputError, match="distinct names"):
+        ModelSet(models=(model,), best_bic=model.bic,
+                 candidates=ws.names[1:], strategy="occam")
+    twice = RegressionModel(regressors=(ws.names[0],) * 2, coefficients=np.ones(2),
+                            intercept=None, rss=1.0, n_obs=10, bic=0.0,
+                            condition=1.0, condition_flag=False)
+    with pytest.raises(InputError, match="distinct names"):
+        ModelSet(models=(twice,), best_bic=0.0, candidates=ws.names, strategy="occam")
 
 
 def test_filter_window():
