@@ -6,6 +6,7 @@ Subcommands write fixed filenames under the output directory:
   bma-table -> inclusion.csv, results.json
 Exit codes: 0 success, 2 input or validation error, 3 numerical or search
 error. Outputs are deterministic for a given seed regardless of --threads.
+A search whose beam cap dropped models prints a "warning:" line on stderr.
 """
 
 from __future__ import annotations
@@ -188,6 +189,7 @@ def cmd_identify(args) -> None:
         strategy=args.strategy, mc3_iterations=args.iterations,
         seed=args.seed, submodel_exclusion=args.occam_strict)
     models = run_search(pixel, library, config)
+    _warn_if_capped(models, config)
     posterior = normalize(models)
     report = averaged_coefficients(posterior)
     tree = build_tree(posterior, library.hierarchy)
@@ -197,6 +199,13 @@ def cmd_identify(args) -> None:
     best = posterior.models.models[0]
     print("identify: %d models retained (best: %s); wrote results.json, tree.dot to %s"
           % (len(models), "+".join(best.regressors), out))
+
+
+def _warn_if_capped(models, config: SearchConfig) -> None:
+    """One stderr line when the beam cap dropped models from the search."""
+    if models.strategy_metadata.get("beam_capped"):
+        print("warning: the Occam search was cut to a beam of %d per level; the "
+              "posterior is approximate" % config.beam_cap, file=sys.stderr)
 
 
 def _parse_coords(text: str):
@@ -227,6 +236,7 @@ def cmd_bma_table(args) -> None:
         mc3_iterations=args.iterations, seed=args.seed,
         submodel_exclusion=args.occam_strict)
     models = run_search(None, workspace, config)
+    _warn_if_capped(models, config)
     posterior = normalize(models)
     report = averaged_coefficients(posterior)
     write_inclusion_csv(report, os.path.join(out, "inclusion.csv"))

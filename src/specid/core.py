@@ -14,6 +14,8 @@ import numpy as np
 from .errors import AlignmentError, BoundsError, InputError
 
 ROOT_LABEL = "Library"
+# about this many values per row block, where a whole cube is converted or scored
+BLOCK_VALUES = 1 << 20
 
 
 def _as_float_vector(values, what: str) -> np.ndarray:
@@ -238,6 +240,15 @@ class ImageCube:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
+
+
+def block_rows(values_per_row: int) -> int:
+    """Rows per block of a cube: about BLOCK_VALUES values, a multiple of 4.
+
+    Multiples of 4 rows put every block's first pixel on a multiple of 4,
+    the pixel grouping of OpenBLAS's matrix-vector kernel.
+    """
+    return max(4, BLOCK_VALUES // values_per_row // 4 * 4)
 
 
 def resample(spectrum: Spectrum, target: BandGrid) -> Spectrum:

@@ -13,9 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
-from .core import ImageCube, Spectrum, average_pixels
+from .core import ImageCube, Spectrum, average_pixels, block_rows
 from .errors import AlignmentError, InputError, NumericalError
 from . import regression
 
@@ -27,7 +26,7 @@ class BackgroundStats:
     """Mean and shrunk covariance of the background, plus the whitener.
 
     `covariance` is already shrunk: (1-lambda)*S + lambda*diag(S). It must be
-    positive definite (checked by factorization); the symmetric inverse
+    positive definite (checked by its eigenvalues); the symmetric inverse
     square root is precomputed for scoring.
     """
 
@@ -45,12 +44,6 @@ class BackgroundStats:
         if not np.allclose(cov, cov.T, rtol=0, atol=1e-10 * max(1.0, abs(cov).max())):
             raise InputError("covariance must be symmetric")
         cov = (cov + cov.T) / 2.0
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                "background covariance is not positive definite; "
-                "increase the shrinkage") from None
         evals, evecs = np.linalg.eigh(cov)
         if evals.min() <= 0:
             raise NumericalError(
@@ -163,8 +156,18 @@ def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
 
     Returns (DetectionMap, list of RegionOfInterest sorted by peak score,
     descending). Connectivity is 8-neighbor; each ROI carries its pixel
-    coordinates and average spectrum.
+    coordinates and average spectrum. Pixels are scored in row blocks of
+    about 2**20 values (core.block_rows), `threads` blocks at a time; the
+    blocks do not depend on `threads`, so neither do the scores. A short
+    last block joins the one before it, so none is shorter than
+    core.block_rows unless the cube is one block: a block of a few dozen
+    pixels would take OpenBLAS's small-matrix kernels. With OpenBLAS on one
+    thread, the scores equal one whole-cube call bit for bit; on several,
+    the last pixels of each BLAS thread's share take a remainder kernel, so
+    a whole-cube call's bits already depend on the BLAS thread count.
     """
+    from scipy import ndimage  # imported here: the other subcommands never label
+
     if not -1.0 < threshold < 1.0:
         raise InputError("threshold must lie in (-1, 1), got %r" % threshold)
     if isinstance(target, Spectrum) and target.grid != cube.grid:
@@ -172,17 +175,15 @@ def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
     twhite = stats.whiten(_values_on(stats, target, "target"))
     if np.linalg.norm(twhite) == 0.0:
         raise NumericalError("whitened target has zero norm")
-    threads = max(1, int(threads))
-    if threads == 1 or cube.rows < 2 * threads:
-        scores = _score_block(cube.data, stats, twhite)
-    else:
-        scores = np.empty((cube.rows, cube.cols))
-        bounds = np.linspace(0, cube.rows, threads + 1, dtype=int)
-        def work(i):
-            lo, hi = bounds[i], bounds[i + 1]
-            scores[lo:hi] = _score_block(cube.data[lo:hi], stats, twhite)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(threads)))
+    scores = np.empty((cube.rows, cube.cols))
+    step = block_rows(cube.cols * cube.data.shape[2])
+    starts = range(0, max(1, cube.rows // step) * step, step)
+
+    def work(lo, hi):
+        scores[lo:hi] = _score_block(cube.data[lo:hi], stats, twhite)
+
+    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
+        list(pool.map(work, starts, list(starts[1:]) + [cube.rows]))
     dmap = DetectionMap(scores)
     labels, count = ndimage.label(scores > threshold, structure=EIGHT_CONNECTED)
     rois = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import IdentificationTree, InclusionReport, ModelPosterior
-from .core import BandGrid, ImageCube, Spectrum, SpectralLibrary
+from .core import BandGrid, ImageCube, Spectrum, SpectralLibrary, block_rows
 from .errors import ParseError
 
 DATA_TYPES = {2: np.dtype("int16"), 4: np.dtype("float32"),
@@ -58,6 +59,12 @@ class EnviHeader:
         if self.bbl is not None and len(self.bbl) != self.bands:
             raise ParseError("bbl lists %d values for %d bands"
                              % (len(self.bbl), self.bands))
+        factor = self.reflectance_scale_factor
+        if factor is not None and not (math.isfinite(factor) and factor > 0):
+            raise ParseError("reflectance scale factor must be positive and "
+                             "finite, got %r" % factor)
+        if self.header_offset < 0:
+            raise ParseError("header offset must be >= 0, got %d" % self.header_offset)
 
 
 def _split_header_fields(text: str) -> dict:
@@ -152,10 +159,19 @@ def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
     """Load an ENVI cube into canonical (row, col, band) float64 order.
 
     Integer cubes are divided by the reflectance scale factor (default
-    10000); bad bands listed in bbl are dropped and the grid adjusted.
+    10000); bad bands listed in bbl are dropped and the grid adjusted. The
+    float64 cube is allocated once and filled in row blocks of
+    about 2**20 values (core.block_rows), so the memory used is the raw
+    data plus the cube plus one block. Casting, band selection and
+    division act element by element, so the values equal a whole-cube
+    conversion bit for bit.
     """
     with open(header_path, "r", encoding="utf-8", errors="replace") as fh:
-        header = parse_envi_header(fh.read())
+        text = fh.read()
+    try:
+        header = parse_envi_header(text)
+    except ParseError as exc:
+        raise ParseError("ENVI header %r: %s" % (header_path, exc)) from None
     if data_path is None:
         data_path = _find_data_file(header_path)
     dtype = DATA_TYPES[header.data_type]
@@ -168,24 +184,32 @@ def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
                          "(%dx%dx%d of %s plus offset %d)"
                          % (data_path, actual, expected, header.lines,
                             header.samples, header.bands, dtype, header.header_offset))
+    wavelengths = np.array(header.wavelength)
+    good = None
+    if header.bbl is not None and 0 in header.bbl:
+        good = np.array([b != 0 for b in header.bbl])
+        wavelengths = wavelengths[good]
+    grid = BandGrid(wavelengths)
     raw = np.fromfile(data_path, dtype=dtype, count=count,
                       offset=header.header_offset)
     if header.interleave == "bsq":
-        cube = raw.reshape(header.bands, header.lines, header.samples).transpose(1, 2, 0)
+        view = raw.reshape(header.bands, header.lines, header.samples).transpose(1, 2, 0)
     elif header.interleave == "bil":
-        cube = raw.reshape(header.lines, header.bands, header.samples).transpose(0, 2, 1)
+        view = raw.reshape(header.lines, header.bands, header.samples).transpose(0, 2, 1)
     else:  # bip
-        cube = raw.reshape(header.lines, header.samples, header.bands)
-    cube = cube.astype(np.float64)
-    if dtype.kind in "iu":
-        factor = header.reflectance_scale_factor or INTEGER_SCALE_DEFAULT
-        cube = cube / factor
-    wavelengths = np.array(header.wavelength)
-    if header.bbl is not None:
-        good = np.array([b != 0 for b in header.bbl])
-        cube = cube[:, :, good]
-        wavelengths = wavelengths[good]
-    return ImageCube(BandGrid(wavelengths), cube)
+        view = raw.reshape(header.lines, header.samples, header.bands)
+    factor = ((header.reflectance_scale_factor or INTEGER_SCALE_DEFAULT)
+              if dtype.kind in "iu" else None)
+    cube = np.empty((header.lines, header.samples, len(grid)))
+    step = block_rows(header.samples * header.bands)
+    for lo in range(0, header.lines, step):
+        block = view[lo:lo + step]
+        out = cube[lo:lo + step]
+        out[...] = block if good is None else block[:, :, good]
+        if factor is not None:
+            out /= factor
+    del raw, view, block  # the raw data is freed before ImageCube checks the cube
+    return ImageCube(grid, cube)
 
 
 def read_library(csv_path: str, hierarchy_path: str | None = None) -> SpectralLibrary:

@@ -1,6 +1,7 @@
 """End-to-end command-line runs over a synthetic scene and table."""
 
 import csv
+import functools
 import json
 import subprocess
 import sys
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import write_envi_cube, write_library_csv
+import specid.cli
 from specid.cli import main
 from specid.core import Spectrum, SpectralLibrary
 from specid.detection import background_stats, detect
+from specid.search import SearchConfig
 from synth import make_scene, make_table_instance
 
 
@@ -116,6 +119,26 @@ class TestDetect:
         rc = main(["--output-dir", str(tmp_path), "detect", "--cube", str(hdr),
                    "--target-lib", scene.target_csv, "--target", "ldpe_mean"])
         assert rc == 3
+
+    @pytest.mark.parametrize("line,fragment", [
+        ("reflectance scale factor = 0", "scale factor must be positive and finite"),
+        ("reflectance scale factor = -10000", "got -10000.0"),
+        ("reflectance scale factor = nan", "got nan"),
+        ("reflectance scale factor = inf", "got inf"),
+        ("header offset = -8", "header offset must be >= 0, got -8"),
+    ], ids=["factor-0", "factor-negative", "factor-nan", "factor-inf", "offset-negative"])
+    def test_bad_header_values_exit_2(self, scene, tmp_path, capsys, line, fragment):
+        from specid.core import ImageCube
+        small = ImageCube(scene.cube.grid, scene.cube.data[:4, :3])
+        hdr, _ = write_envi_cube(tmp_path, small, data_type=2, stem="small")
+        key = line.split(" = ")[0]
+        kept = [kept for kept in hdr.read_text().splitlines() if not kept.startswith(key)]
+        hdr.write_text("\n".join(kept + [line]) + "\n")
+        rc = main(["--output-dir", str(tmp_path), "detect", "--cube", str(hdr),
+                   "--target-lib", scene.target_csv, "--target", "ldpe_mean"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert fragment in err and "small.hdr" in err
 
     def test_missing_cube_file(self, scene, tmp_path, capsys):
         rc = main(["--output-dir", str(tmp_path), "detect",
@@ -353,6 +376,31 @@ class TestBmaTable:
             main(["--output-dir", str(tmp_path), "bma-table", "--csv", table_csv,
                   "--response", "y", "--strategy", "exhaustive"])
         assert err.value.code == 2
+
+
+class TestBeamCapWarning:
+    @pytest.mark.parametrize("command", ["identify", "bma-table"])
+    def test_warns_only_when_the_beam_was_capped(self, scene, detect_dir, table_csv,
+                                                 tmp_path, capsys, monkeypatch, command):
+        def argv(out):
+            if command == "identify":
+                return ["--output-dir", str(out), "identify", "--cube", scene.hdr,
+                        "--roi", str(detect_dir / "rois.json"),
+                        "--library", scene.lib_csv]
+            return ["--output-dir", str(out), "bma-table", "--csv", table_csv,
+                    "--response", "y", "--max-size", "4"]
+
+        plain, capped = tmp_path / "plain", tmp_path / "capped"
+        assert main(argv(plain)) == 0
+        assert "warning" not in capsys.readouterr().err
+        monkeypatch.setattr(specid.cli, "SearchConfig",
+                            functools.partial(SearchConfig, beam_cap=1))
+        assert main(argv(capped)) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "cut to a beam of 1 per level" in err
+        assert sorted(p.name for p in capped.iterdir()) == \
+            sorted(p.name for p in plain.iterdir())
 
 
 class TestParsing:

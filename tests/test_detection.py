@@ -1,13 +1,22 @@
 """Background statistics, whitened-cosine scoring, ROI grouping, removal."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import write_envi_cube
+import specid.core
 from specid.core import BandGrid, ImageCube, Spectrum, average_pixels
 from specid.detection import (BackgroundStats, DetectionMap, RegionOfInterest,
+                              _score_block,
                               ace_score, annulus_coordinates, background_removal,
                               background_stats, detect)
 from specid.errors import AlignmentError, InputError, NumericalError
+from specid.io_formats import read_envi
 from synth import make_scene
 
 
@@ -220,6 +229,98 @@ class TestDetect:
         _, rois = detect(cube, target, stats, threshold=cut)
         assert len(rois) == 1
         assert set(rois[0].pixels) == set(implant_pixels)
+
+
+# 5 columns by 124 bands at the real block size: blocks of 1,688 rows. Two
+# blocks and 1 row: alone, the last row would be a block of 5 pixels, which
+# OpenBLAS whitens with its small-matrix kernels, not the whole cube's.
+BLOCKS_MATCH_WHOLE_CUBE = """
+import numpy as np
+from specid.core import BandGrid, ImageCube, block_rows
+from specid.detection import _score_block, background_stats, detect
+
+step = block_rows(5 * 124)
+assert step == 1688, step
+rng = np.random.default_rng(14)
+grid = BandGrid(np.linspace(0.4, 2.4, 124))
+cube = ImageCube(grid, rng.normal(0.5, 0.05, (2 * step + 1, 5, 124)))
+stats = background_stats(cube)
+target = rng.normal(0.5, 0.1, 124)
+whole = _score_block(cube.data, stats, stats.whiten(target))
+for threads in (1, 3):
+    dmap, _ = detect(cube, target, stats, threshold=0.5, threads=threads)
+    assert dmap.scores.tobytes() == whole.tobytes(), threads
+"""
+
+
+class TestRowBlocks:
+    """detect() scores, and read_envi() converts, a cube a row block at a time."""
+
+    rows, cols, bands = 240, 100, 32     # 6.1 MB as float64, 30 blocks of 8 rows
+    block_rows = 8
+    # fixed costs, whatever the cube: one numpy ufunc buffer per worker, and
+    # the interpreter's own objects (executor, threads, futures, one ROI)
+    ufunc_buffer = np.getbufsize() * 8
+    objects = 64 * 1024
+
+    def cube(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = BandGrid(np.linspace(0.4, 2.4, self.bands))
+        return ImageCube(grid, rng.uniform(0.1, 0.6, (self.rows, self.cols, self.bands)))
+
+    def patch_blocks(self, monkeypatch):
+        values = self.block_rows * self.cols * self.bands
+        monkeypatch.setattr(specid.core, "BLOCK_VALUES", values)
+        return 8 * values
+
+    def test_blocks_and_threads_match_one_whole_cube_call(self):
+        # With several BLAS threads, OpenBLAS splits a matrix-vector product
+        # into per-thread chunks whose last pixels take its remainder kernel,
+        # so even one whole-cube call changes bits with the thread count.
+        # The comparison runs in a child process on one BLAS thread.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", BLOCKS_MATCH_WHOLE_CUBE],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("data_type", [2, 5])
+    def test_read_envi_holds_the_raw_data_the_cube_and_two_blocks(
+            self, tmp_path, monkeypatch, data_type):
+        block = self.patch_blocks(monkeypatch)
+        hdr, data = write_envi_cube(tmp_path, self.cube(15), interleave="bil",
+                                    data_type=data_type, bbl=[1] * 31 + [0])
+        tracemalloc.start()
+        try:
+            cube = read_envi(str(hdr))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (os.path.getsize(data) + cube.data.nbytes + 2 * block
+                        + self.ufunc_buffer + self.objects)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_detect_holds_the_scores_and_two_blocks_per_worker(self, monkeypatch,
+                                                                threads):
+        block = self.patch_blocks(monkeypatch)
+        cube = self.cube(16)
+        stats = background_stats(cube)
+        target = cube.data[3, 4]
+        _, rois = detect(cube, target, stats, threshold=0.9, threads=threads)
+        assert len(rois) == 1   # and the lazy imports are done
+        tracemalloc.start()
+        try:
+            detect(cube, target, stats, threshold=0.9, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pixels = self.rows * self.cols
+        # 240 rows are 30 whole blocks, so no block is longer than `block`;
+        # while scoring, each worker holds a block's centred copy and its
+        # whitened copy; labelling then holds a boolean mask, int32 labels
+        # and one ROI's boolean mask, 6 bytes a pixel
+        scoring = threads * (2 * block + self.ufunc_buffer)
+        assert peak <= 8 * pixels + max(scoring, 6 * pixels) + self.objects
 
 
 class TestBackgroundRemoval:

@@ -1,18 +1,25 @@
 """ENVI headers and cubes, library/table CSVs, and the result writers."""
 
 import json
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_envi_cube, write_library_csv
+import specid.core
 from specid.aggregate import (IdentificationTree, InclusionReport, TreeNode,
                               normalize)
 from specid.core import BandGrid, ImageCube, Spectrum, SpectralLibrary
 from specid.detection import RegionOfInterest
 from specid.errors import ParseError
-from specid.io_formats import (INTEGER_SCALE_DEFAULT, EnviHeader,
-                               parse_envi_header, read_envi, read_library,
+from specid.io_formats import (DATA_TYPES, INTEGER_SCALE_DEFAULT, EnviHeader,
+                               _find_data_file, parse_envi_header, read_envi,
+                               read_library,
                                read_rois_json, read_spectrum_csv, read_table,
                                render_tree_dot, results_payload,
                                write_inclusion_csv, write_results_json,
@@ -103,6 +110,16 @@ class TestHeaderParsing:
         ("data type = 5", "data type = 3", "data type"),
         ("byte order = 0", "byte order = 2", "byte order"),
         ("lines = 3", "lines = 0", "positive"),
+        pytest.param("byte order = 0", "byte order = 0\nreflectance scale factor = 0",
+                     "scale factor must be positive and finite, got 0.0", id="factor-0"),
+        pytest.param("byte order = 0", "byte order = 0\nreflectance scale factor = -1e4",
+                     "scale factor", id="factor-negative"),
+        pytest.param("byte order = 0", "byte order = 0\nreflectance scale factor = nan",
+                     "scale factor", id="factor-nan"),
+        pytest.param("byte order = 0", "byte order = 0\nreflectance scale factor = inf",
+                     "scale factor", id="factor-inf"),
+        pytest.param("byte order = 0", "byte order = 0\nheader offset = -8",
+                     "header offset must be >= 0, got -8", id="offset-negative"),
     ])
     def test_field_validation(self, old, new, message):
         with pytest.raises(ParseError, match=message):
@@ -183,6 +200,99 @@ class TestReadEnvi:
         data.unlink()
         with pytest.raises(ParseError, match="no data file"):
             read_envi(str(hdr))
+
+
+def reference_read_envi(header_path, data_path=None):
+    """read_envi as it was before it converted in row blocks: whole-cube steps."""
+    with open(header_path, "r", encoding="utf-8", errors="replace") as fh:
+        header = parse_envi_header(fh.read())
+    if data_path is None:
+        data_path = _find_data_file(header_path)
+    dtype = DATA_TYPES[header.data_type]
+    dtype = dtype.newbyteorder("<" if header.byte_order == 0 else ">")
+    count = header.samples * header.lines * header.bands
+    expected = count * dtype.itemsize + header.header_offset
+    actual = os.path.getsize(data_path)
+    if actual != expected:
+        raise ParseError("data file %r holds %d bytes, expected %d "
+                         "(%dx%dx%d of %s plus offset %d)"
+                         % (data_path, actual, expected, header.lines,
+                            header.samples, header.bands, dtype, header.header_offset))
+    raw = np.fromfile(data_path, dtype=dtype, count=count,
+                      offset=header.header_offset)
+    if header.interleave == "bsq":
+        cube = raw.reshape(header.bands, header.lines, header.samples).transpose(1, 2, 0)
+    elif header.interleave == "bil":
+        cube = raw.reshape(header.lines, header.bands, header.samples).transpose(0, 2, 1)
+    else:  # bip
+        cube = raw.reshape(header.lines, header.samples, header.bands)
+    cube = cube.astype(np.float64)
+    if dtype.kind in "iu":
+        factor = header.reflectance_scale_factor or INTEGER_SCALE_DEFAULT
+        cube = cube / factor
+    wavelengths = np.array(header.wavelength)
+    if header.bbl is not None:
+        good = np.array([b != 0 for b in header.bbl])
+        cube = cube[:, :, good]
+        wavelengths = wavelengths[good]
+    return ImageCube(BandGrid(wavelengths), cube)
+
+
+@st.composite
+def envi_files(draw):
+    """Raw ENVI data and header text, in any layout read_envi accepts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines, samples = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    bands = draw(st.integers(2, 7))
+    code = draw(st.sampled_from(sorted(DATA_TYPES)))
+    order = draw(st.sampled_from([0, 1]))
+    dtype = DATA_TYPES[code].newbyteorder("<" if order == 0 else ">")
+    shape = {"bsq": (bands, lines, samples), "bil": (lines, bands, samples),
+             "bip": (lines, samples, bands)}
+    interleave = draw(st.sampled_from(sorted(shape)))
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        raw = rng.integers(info.min, info.max, shape[interleave], endpoint=True)
+    else:
+        raw = rng.normal(0.3, 0.2, shape[interleave]) * 10.0 ** rng.integers(-3, 4)
+    header = ["ENVI", "samples = %d" % samples, "lines = %d" % lines,
+              "bands = %d" % bands, "interleave = %s" % interleave,
+              "data type = %d" % code, "byte order = %d" % order,
+              "wavelength = {%s}" % ", ".join(
+                  repr(w) for w in np.linspace(0.4, 2.4, bands).tolist())]
+    offset = draw(st.sampled_from([None, 0, 1, 7, 64]))
+    if offset is not None:
+        header.append("header offset = %d" % offset)
+    if draw(st.booleans()):
+        bbl = [1, 1] + [draw(st.sampled_from([0, 1])) for _ in range(bands - 2)]
+        rng.shuffle(bbl)
+        header.append("bbl = {%s}" % ", ".join(map(str, bbl)))
+    factor = draw(st.one_of(st.none(), st.sampled_from([1.0, 3.0, 10000.0, 0.1]),
+                            st.floats(1e-3, 1e6)))
+    if factor is not None:
+        header.append("reflectance scale factor = %r" % factor)
+    data = b"\x5a" * (offset or 0) + raw.astype(dtype).tobytes()
+    block_values = draw(st.integers(1, 10 * samples * bands))
+    return "\n".join(header) + "\n", data, block_values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(envi_files())
+def test_blocked_read_matches_whole_cube_read(files):
+    header, data, block_values = files
+    with tempfile.TemporaryDirectory() as tmp:
+        hdr = os.path.join(tmp, "cube.hdr")
+        with open(hdr, "w", encoding="utf-8") as fh:
+            fh.write(header)
+        with open(os.path.join(tmp, "cube.img"), "wb") as fh:
+            fh.write(data)
+        want = reference_read_envi(hdr)
+        # blocks of a few rows, so most cubes span several
+        with mock.patch.object(specid.core, "BLOCK_VALUES", block_values):
+            got = read_envi(hdr)
+    assert got.grid == want.grid
+    assert got.data.shape == want.data.shape
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 @pytest.fixture

@@ -1,0 +1,165 @@
+"""sha256 of every output file of a fixed set of specid commands, as JSON.
+
+    python tools/output_digests.py [--src DIR] [--work DIR]
+                                   [--detect HDR LIB TARGET THRESHOLD]...
+
+Compares two versions of specid output for output: run it once with --src
+pointing at each checkout's src directory (default: this checkout's) and
+compare the two JSON objects. They are equal exactly when every output file
+is byte-identical.
+
+Inputs are built from this checkout's tests/synth.py and tests/conftest.py,
+the same for both runs:
+  scene1  synth scene 1 at test size, a float64 BSQ cube;
+  scene7  synth scene 7 at 300 x 250, an int16 BIL cube with two bad bands,
+          so read_envi converts it in several row blocks and detect scores
+          it in several;
+  crime   tests/data/uscrime.csv with every column but So logged.
+Every command runs in process through specid.cli.main:
+  detect on each scene (and on each --detect input) at --threads 1, 2 and 4;
+  identify --cube --roi on each scene's top ROI: occam, occam --occam-strict,
+  mc3, exhaustive at max size 3, occam with background removal, occam with
+  --conditional-tree;
+  bma-table on the crime table: occam and mc3.
+The printed object maps "<run>/<file>" to the file's sha256. Output files
+and inputs are kept under --work (default: a temporary directory).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+THREADS = (1, 2, 4)
+SCENES = ((1, {}, {}),
+          (7, {"rows": 300, "cols": 250},
+           {"interleave": "bil", "data_type": 2, "bad_bands": (3, 17)}))
+IDENTIFY_RUNS = (
+    ("occam", []),
+    ("strict", ["--occam-strict"]),
+    ("mc3", ["--strategy", "mc3", "--iterations", "3000"]),
+    ("exhaustive", ["--strategy", "exhaustive", "--max-size", "3"]),
+    ("removal", ["--background-removal", "--target", "{target}"]),
+    ("conditional", ["--conditional-tree"]),
+)
+BMA_RUNS = (
+    ("occam", ["--occam-strict"]),
+    ("mc3", ["--strategy", "mc3", "--iterations", "5000", "--max-size", "6"]),
+)
+
+
+def _run(main, argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    if status != 0:
+        raise SystemExit("specid %s exited with %d" % (" ".join(argv), status))
+
+
+def _digests(directory: Path, run: str, digests: dict) -> None:
+    for path in sorted(directory.iterdir()):
+        digests["%s/%s" % (run, path.name)] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_scene(work: Path, seed: int, size: dict, layout: dict):
+    """One synth scene as an ENVI cube plus its library; returns detect/identify inputs."""
+    import numpy as np
+    import synth
+    from conftest import write_envi_cube, write_library_csv
+
+    cube, library, target_names, _, _ = synth.make_scene(seed, **size)
+    directory = work / ("scene%d" % seed)
+    layout = dict(layout)
+    bbl = None
+    if "bad_bands" in layout:
+        bbl = np.ones(len(cube.grid), dtype=int)
+        bbl[list(layout.pop("bad_bands"))] = 0
+    hdr, _ = write_envi_cube(directory, cube, bbl=bbl, stem="scene", **layout)
+    lib_csv, lib_json = write_library_csv(directory, library)
+    return {"hdr": str(hdr), "library": str(lib_csv), "hierarchy": str(lib_json),
+            "target": target_names[0]}
+
+
+def _crime_table(work: Path) -> str:
+    with open(REPO / "tests" / "data" / "uscrime.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, body = rows[0], rows[1:]
+    path = work / "uscrime_log.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in body:
+            writer.writerow([repr(float(v) if name == "So" else math.log(float(v)))
+                             for name, v in zip(header, row)])
+    return str(path)
+
+
+def collect(work: Path, detect_inputs) -> dict:
+    from specid.cli import main
+
+    digests = {}
+    detects = [("scene%d" % seed, _write_scene(work, seed, size, layout))
+               for seed, size, layout in SCENES]
+    for i, (hdr, lib, target, threshold) in enumerate(detect_inputs):
+        detects.append(("detect%d" % i, {"hdr": hdr, "library": lib, "target": target,
+                                         "threshold": threshold}))
+    for name, scene in detects:
+        for n in THREADS:
+            run = "%s/detect-t%d" % (name, n)
+            out = work / run
+            _run(main, ["--threads", str(n), "detect", "--cube", scene["hdr"],
+                        "--target-lib", scene["library"], "--target", scene["target"],
+                        "--threshold", scene.get("threshold", "0.9"), "--resample",
+                        "--out", str(out)])
+            _digests(out, run, digests)
+        if "hierarchy" not in scene:
+            continue
+        rois = str(work / ("%s/detect-t%d" % (name, THREADS[0])) / "rois.json")
+        for label, extra in IDENTIFY_RUNS:
+            run = "%s/identify-%s" % (name, label)
+            out = work / run
+            _run(main, ["identify", "--cube", scene["hdr"], "--roi", rois,
+                        "--library", scene["library"], "--hierarchy", scene["hierarchy"],
+                        "--resample", "--out", str(out)]
+                 + [arg.format(target=scene["target"]) for arg in extra])
+            _digests(out, run, digests)
+    table = _crime_table(work)
+    for label, extra in BMA_RUNS:
+        run = "crime/bma-%s" % label
+        out = work / run
+        _run(main, ["--seed", "3", "bma-table", "--csv", table, "--response", "y",
+                    "--out", str(out)] + extra)
+        _digests(out, run, digests)
+    return digests
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(REPO / "src"),
+                        help="directory holding the specid package to run")
+    parser.add_argument("--work", default=None,
+                        help="directory for inputs and outputs (default: temporary)")
+    parser.add_argument("--detect", nargs=4, action="append", default=[],
+                        metavar=("HDR", "LIB", "TARGET", "THRESHOLD"),
+                        help="one more detect input (repeatable)")
+    args = parser.parse_args()
+    sys.path[:0] = [str(Path(args.src).resolve()), str(REPO / "tests")]
+    with contextlib.ExitStack() as stack:
+        work = args.work or stack.enter_context(tempfile.TemporaryDirectory())
+        Path(work).mkdir(parents=True, exist_ok=True)
+        digests = collect(Path(work), args.detect)
+    json.dump(digests, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
