@@ -37,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed for stochastic strategies (default 0)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for pixel scoring; outputs do not "
-                             "depend on it (default 1)")
+                        help="worker threads for pixel scoring, at least 1; outputs "
+                             "do not depend on it (default 1)")
     parser.add_argument("--output-dir", default=".",
                         help="directory for output files (default .)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,6 +16,9 @@ from .errors import AlignmentError, BoundsError, InputError
 ROOT_LABEL = "Library"
 # about this many values per row block, where a whole cube is converted or scored
 BLOCK_VALUES = 1 << 20
+# pixel blocks of the background sums are multiples of this many pixels: a
+# multiple of the 256, 384, 512 and 768-pixel panels OpenBLAS sums a Gram over
+PIXEL_BLOCK_STEP = 3072
 
 
 def _as_float_vector(values, what: str) -> np.ndarray:
@@ -229,7 +232,8 @@ class ImageCube:
         if data.shape[2] != len(self.grid):
             raise InputError("cube has %d bands but grid has %d"
                              % (data.shape[2], len(self.grid)))
-        if not np.all(np.isfinite(data)):
+        # min and max carry any NaN or infinity, without a cube-sized mask
+        if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise InputError("cube contains non-finite values")
         object.__setattr__(self, "data", data)
 
@@ -249,6 +253,25 @@ def block_rows(values_per_row: int) -> int:
     the pixel grouping of OpenBLAS's matrix-vector kernel.
     """
     return max(4, BLOCK_VALUES // values_per_row // 4 * 4)
+
+
+def block_pixels(bands: int) -> int:
+    """Pixels per block of a (pixels, bands) view: about BLOCK_VALUES values.
+
+    A multiple of PIXEL_BLOCK_STEP, and at least one step.
+    """
+    step = PIXEL_BLOCK_STEP
+    return max(step, BLOCK_VALUES // bands // step * step)
+
+
+def block_bounds(count: int, step: int) -> list:
+    """(start, stop) of blocks of `step` items over `count`, in order.
+
+    A short last block joins the one before it, so no block is shorter than
+    `step` unless `count` is: the last block holds up to 2 * step - 1 items.
+    """
+    starts = list(range(0, max(1, count // step) * step, step))
+    return list(zip(starts, starts[1:] + [count]))
 
 
 def resample(spectrum: Spectrum, target: BandGrid) -> Spectrum:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ImageCube, Spectrum, average_pixels, block_rows
+from .core import (ImageCube, Spectrum, average_pixels, block_bounds, block_pixels,
+                   block_rows)
 from .errors import AlignmentError, InputError, NumericalError
 from . import regression
 
@@ -100,22 +101,54 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
 
     `mask` selects the pixels to use (True = include); default all. Needs at
     least 2 pixels; the shrunk covariance must come out positive definite.
+
+    The selected pixels are summed in blocks of core.block_pixels(bands), a
+    multiple of core.PIXEL_BLOCK_STEP; a short last block joins the one
+    before it (core.block_bounds). Beside the cube, one block and its centred
+    copy are held at a time, and the bits equal the whole-array
+    `flat.mean(axis=0)` and `centred.T @ centred`:
+    - numpy sums over axis 0 row by row, so each block's sum starts from the
+      running total as its first row;
+    - numpy's `A.T @ A` is OpenBLAS's `dsyrk`, lower triangle, called here
+      once per block through scipy and accumulated in place. OpenBLAS sums
+      over pixels in panels (256 to 768 pixels, by CPU) and halves a last
+      stretch shorter than two panels; blocks of whole panels, with the tail
+      joined, make the same additions in the same order.
+    A one-band view would be summed pairwise, but a band grid has at least 2.
     """
+    from scipy.linalg.blas import dsyrk  # imported here, like ndimage in detect()
+
     if not 0.0 <= shrinkage <= 1.0:
         raise InputError("shrinkage must be in [0, 1], got %r" % shrinkage)
-    flat = cube.data.reshape(-1, cube.data.shape[2])
+    bands = cube.data.shape[2]
+    flat = cube.data.reshape(-1, bands)
+    index = None
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (cube.rows, cube.cols):
             raise InputError("pixel mask shape %r does not match cube %r"
                              % (mask.shape, (cube.rows, cube.cols)))
-        flat = flat[mask.reshape(-1)]
-    if flat.shape[0] < 2:
+        index = np.flatnonzero(mask)
+    count = flat.shape[0] if index is None else index.size
+    if count < 2:
         raise InputError("need at least 2 pixels for background statistics, got %d"
-                         % flat.shape[0])
-    mean = flat.mean(axis=0)
-    centered = flat - mean
-    cov = (centered.T @ centered) / (flat.shape[0] - 1)
+                         % count)
+    bounds = block_bounds(count, block_pixels(bands))
+
+    def pixels(lo, hi):
+        return flat[lo:hi] if index is None else flat[index[lo:hi]]
+
+    total = np.add.reduce(pixels(*bounds[0]), axis=0)
+    for lo, hi in bounds[1:]:
+        total = np.add.reduce(np.concatenate([total[None], pixels(lo, hi)]), axis=0)
+    mean = total / count
+    gram = np.zeros((bands, bands), order="F")
+    for lo, hi in bounds:
+        gram = dsyrk(1.0, (pixels(lo, hi) - mean).T, beta=0.0 if lo == 0 else 1.0,
+                     c=gram, trans=0, lower=1, overwrite_c=1)
+    upper = np.triu_indices(bands, 1)
+    gram[upper] = gram.T[upper]
+    cov = gram / (count - 1)
     shrunk = (1.0 - shrinkage) * cov + shrinkage * np.diag(np.diag(cov))
     return BackgroundStats(mean, shrunk, shrinkage)
 
@@ -170,25 +203,29 @@ def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
 
     if not -1.0 < threshold < 1.0:
         raise InputError("threshold must lie in (-1, 1), got %r" % threshold)
+    if threads < 1:
+        raise InputError("threads must be >= 1, got %r" % threads)
     if isinstance(target, Spectrum) and target.grid != cube.grid:
         raise AlignmentError("target %r is not on the cube grid" % target.name)
     twhite = stats.whiten(_values_on(stats, target, "target"))
     if np.linalg.norm(twhite) == 0.0:
         raise NumericalError("whitened target has zero norm")
     scores = np.empty((cube.rows, cube.cols))
-    step = block_rows(cube.cols * cube.data.shape[2])
-    starts = range(0, max(1, cube.rows // step) * step, step)
+    bounds = block_bounds(cube.rows, block_rows(cube.cols * cube.data.shape[2]))
 
-    def work(lo, hi):
+    def work(bound):
+        lo, hi = bound
         scores[lo:hi] = _score_block(cube.data[lo:hi], stats, twhite)
 
-    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
-        list(pool.map(work, starts, list(starts[1:]) + [cube.rows]))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(work, bounds))
     dmap = DetectionMap(scores)
-    labels, count = ndimage.label(scores > threshold, structure=EIGHT_CONNECTED)
+    labels, _ = ndimage.label(scores > threshold, structure=EIGHT_CONNECTED)
     rois = []
-    for lab in range(1, count + 1):
-        rr, cc = np.nonzero(labels == lab)
+    for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        rr, cc = np.nonzero(labels[rows, cols] == lab)
+        rr += rows.start
+        cc += cols.start
         pixels = tuple(zip(rr.tolist(), cc.tolist()))
         vals = scores[rr, cc]
         rois.append(RegionOfInterest(

@@ -160,11 +160,13 @@ def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
 
     Integer cubes are divided by the reflectance scale factor (default
     10000); bad bands listed in bbl are dropped and the grid adjusted. The
-    float64 cube is allocated once and filled in row blocks of
-    about 2**20 values (core.block_rows), so the memory used is the raw
-    data plus the cube plus one block. Casting, band selection and
-    division act element by element, so the values equal a whole-cube
-    conversion bit for bit.
+    float64 cube is allocated once and filled in row blocks of about 2**20
+    values (core.block_rows). Each block's bytes are read into one
+    block-sized buffer: one read for BIL and BIP, one read per band for BSQ.
+    The memory used is the cube plus about two blocks; the raw file is never
+    held whole. Casting, band selection and division act element by element,
+    so the values equal a whole-cube conversion bit for bit. A read that
+    returns fewer bytes than asked for raises ParseError.
     """
     with open(header_path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
@@ -176,40 +178,57 @@ def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
         data_path = _find_data_file(header_path)
     dtype = DATA_TYPES[header.data_type]
     dtype = dtype.newbyteorder("<" if header.byte_order == 0 else ">")
-    count = header.samples * header.lines * header.bands
-    expected = count * dtype.itemsize + header.header_offset
+    lines, samples, bands = header.lines, header.samples, header.bands
+    expected = lines * samples * bands * dtype.itemsize + header.header_offset
     actual = os.path.getsize(data_path)
     if actual != expected:
         raise ParseError("data file %r holds %d bytes, expected %d "
                          "(%dx%dx%d of %s plus offset %d)"
-                         % (data_path, actual, expected, header.lines,
-                            header.samples, header.bands, dtype, header.header_offset))
+                         % (data_path, actual, expected, lines,
+                            samples, bands, dtype, header.header_offset))
     wavelengths = np.array(header.wavelength)
     good = None
     if header.bbl is not None and 0 in header.bbl:
         good = np.array([b != 0 for b in header.bbl])
         wavelengths = wavelengths[good]
     grid = BandGrid(wavelengths)
-    raw = np.fromfile(data_path, dtype=dtype, count=count,
-                      offset=header.header_offset)
-    if header.interleave == "bsq":
-        view = raw.reshape(header.bands, header.lines, header.samples).transpose(1, 2, 0)
-    elif header.interleave == "bil":
-        view = raw.reshape(header.lines, header.bands, header.samples).transpose(0, 2, 1)
-    else:  # bip
-        view = raw.reshape(header.lines, header.samples, header.bands)
     factor = ((header.reflectance_scale_factor or INTEGER_SCALE_DEFAULT)
               if dtype.kind in "iu" else None)
-    cube = np.empty((header.lines, header.samples, len(grid)))
-    step = block_rows(header.samples * header.bands)
-    for lo in range(0, header.lines, step):
-        block = view[lo:lo + step]
-        out = cube[lo:lo + step]
-        out[...] = block if good is None else block[:, :, good]
-        if factor is not None:
-            out /= factor
-    del raw, view, block  # the raw data is freed before ImageCube checks the cube
+    cube = np.empty((lines, samples, len(grid)))
+    step = block_rows(samples * bands)
+    row_bytes = samples * bands * dtype.itemsize
+    buffer = np.empty(min(step, lines) * row_bytes, dtype=np.uint8)
+    with open(data_path, "rb") as fh:
+        for lo in range(0, lines, step):
+            rows = min(step, lines - lo)
+            raw = buffer[:rows * row_bytes]
+            if header.interleave == "bsq":
+                plane = rows * samples * dtype.itemsize
+                for band in range(bands):
+                    start = (band * lines + lo) * samples * dtype.itemsize
+                    _read_into(fh, header.header_offset + start,
+                               raw[band * plane:(band + 1) * plane], data_path)
+                block = raw.view(dtype).reshape(bands, rows, samples).transpose(1, 2, 0)
+            else:
+                _read_into(fh, header.header_offset + lo * row_bytes, raw, data_path)
+                if header.interleave == "bil":
+                    block = raw.view(dtype).reshape(rows, bands, samples).transpose(0, 2, 1)
+                else:  # bip
+                    block = raw.view(dtype).reshape(rows, samples, bands)
+            out = cube[lo:lo + rows]
+            out[...] = block if good is None else block[:, :, good]
+            if factor is not None:
+                out /= factor
     return ImageCube(grid, cube)
+
+
+def _read_into(fh, position: int, out: np.ndarray, path: str) -> None:
+    """Fill the byte array `out` from `position` of the open file `fh`."""
+    fh.seek(position)
+    got = fh.readinto(out)
+    if got != out.nbytes:
+        raise ParseError("data file %r ended early: read %d of %d bytes at offset %d"
+                         % (path, got, out.nbytes, position))
 
 
 def read_library(csv_path: str, hierarchy_path: str | None = None) -> SpectralLibrary:

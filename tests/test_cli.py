@@ -111,6 +111,17 @@ class TestDetect:
         assert rc == 2
         assert "threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, scene, tmp_path, capsys, threads):
+        rc = main(["--threads", threads, "--output-dir", str(tmp_path), "detect",
+                   "--cube", scene.hdr, "--target-lib", scene.target_csv,
+                   "--target", "ldpe_mean", "--threshold", repr(scene.cut)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "threads must be >= 1, got %s" % threads in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "scores.bin").exists()
+
     def test_singular_background_is_a_numerical_error(self, scene, tmp_path):
         from specid.core import ImageCube
         flat = ImageCube(scene.library.grid,

@@ -7,10 +7,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_envi_cube
 import specid.core
-from specid.core import BandGrid, ImageCube, Spectrum, average_pixels
+from specid.core import (PIXEL_BLOCK_STEP, BandGrid, ImageCube, Spectrum,
+                         average_pixels)
 from specid.detection import (BackgroundStats, DetectionMap, RegionOfInterest,
                               _score_block,
                               ace_score, annulus_coordinates, background_removal,
@@ -93,6 +96,105 @@ class TestBackgroundStats:
             BackgroundStats(np.zeros(3), lopsided, 0.0)
         with pytest.raises(NumericalError):
             BackgroundStats(np.zeros(3), np.zeros((3, 3)), 0.0)
+
+
+def reference_background_stats(cube, shrinkage=0.01, mask=None):
+    """background_stats as it was before it summed in pixel blocks: whole-array steps."""
+    if not 0.0 <= shrinkage <= 1.0:
+        raise InputError("shrinkage must be in [0, 1], got %r" % shrinkage)
+    flat = cube.data.reshape(-1, cube.data.shape[2])
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (cube.rows, cube.cols):
+            raise InputError("pixel mask shape %r does not match cube %r"
+                             % (mask.shape, (cube.rows, cube.cols)))
+        flat = flat[mask.reshape(-1)]
+    if flat.shape[0] < 2:
+        raise InputError("need at least 2 pixels for background statistics, got %d"
+                         % flat.shape[0])
+    mean = flat.mean(axis=0)
+    centered = flat - mean
+    cov = (centered.T @ centered) / (flat.shape[0] - 1)
+    shrunk = (1.0 - shrinkage) * cov + shrinkage * np.diag(np.diag(cov))
+    return BackgroundStats(mean, shrunk, shrinkage)
+
+
+def stats_bytes(function, *args):
+    """mean, covariance and whitener bytes, or the error a call raised."""
+    try:
+        stats = function(*args)
+    except (InputError, NumericalError) as exc:
+        return type(exc), str(exc)
+    return stats.mean.tobytes(), stats.covariance.tobytes(), stats.whitener.tobytes()
+
+
+@st.composite
+def stats_inputs(draw):
+    """A cube, shrinkage and mask whose selected pixels span 1 to 4 blocks."""
+    step = PIXEL_BLOCK_STEP
+    count = draw(st.one_of(
+        st.integers(2, 4 * step + 3),
+        st.builds(lambda k, d: max(2, k * step + d), st.integers(1, 4),
+                  st.integers(-3, 3))))
+    # a band grid has at least 2 bands, so a cube can never be one band wide
+    bands = draw(st.integers(2, 130))
+    masked = draw(st.booleans())
+    rows = count + (draw(st.integers(1, 50)) if masked else 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(0.4, 0.1, (rows, 1, bands)) * 10.0 ** rng.integers(-3, 4)
+    cube = ImageCube(BandGrid(np.linspace(0.4, 2.4, bands)), data)
+    mask = None
+    if masked:
+        mask = np.zeros((rows, 1), dtype=bool)
+        mask[rng.choice(rows, count, replace=False)] = True
+    shrinkage = draw(st.one_of(st.sampled_from([0.0, 0.01, 1.0]), st.floats(0.0, 1.0)))
+    return cube, shrinkage, mask
+
+
+class TestBlockedStats:
+    """background_stats sums a cube's pixels a block at a time."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stats_inputs())
+    def test_blocked_sums_match_the_whole_array_sums(self, inputs):
+        cube, shrinkage, mask = inputs
+        # one step per block: a few thousand pixels span several blocks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specid.core, "BLOCK_VALUES", 1)
+            got = stats_bytes(background_stats, cube, shrinkage, mask)
+        assert got == stats_bytes(reference_background_stats, cube, shrinkage, mask)
+
+    def test_real_size_blocks_on_one_blas_thread(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", BLOCKED_STATS_MATCH_WHOLE],
+                              capture_output=True, text=True, env=env,
+                              cwd=os.path.dirname(__file__))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_peak_is_two_blocks_and_the_band_matrices(self, monkeypatch):
+        rows, cols, bands = 240, 100, 32
+        monkeypatch.setattr(specid.core, "BLOCK_VALUES", PIXEL_BLOCK_STEP * bands)
+        rng = np.random.default_rng(17)
+        cube = ImageCube(BandGrid(np.linspace(0.4, 2.4, bands)),
+                         rng.uniform(0.1, 0.6, (rows, cols, bands)))
+        background_stats(cube)   # the lazy import is done
+        tracemalloc.start()
+        try:
+            background_stats(cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * PIXEL_BLOCK_STEP * bands
+        # 24,000 pixels are 6 blocks and a last one of 1.8: no block is 2
+        # blocks long, and one block's centred copy, or its rows after the
+        # running total, is all the pixel data held beside the cube. The
+        # bands² matrices: the Gram matrix, its triangle indices and the
+        # shrunk copy with two temporaries, then eigh's copy, eigenvectors
+        # and workspace.
+        matrices = 8 * 8 * bands ** 2
+        assert peak <= (2 * block + matrices + TestRowBlocks.ufunc_buffer
+                        + TestRowBlocks.objects)
 
 
 class TestAceScore:
@@ -218,6 +320,24 @@ class TestDetect:
         four, _ = detect(cube, target, stats, threshold=0.5, threads=4)
         np.testing.assert_array_equal(one.scores, four.scores)
 
+    def test_rois_partition_the_pixels_above_threshold(self):
+        rng = np.random.default_rng(20)
+        cube = noise_cube(rng, rows=40, cols=30, bands=6)
+        stats = background_stats(cube)
+        dmap, rois = detect(cube, cube.data[7, 11], stats, threshold=0.3)
+        assert len(rois) > 10
+        above = {tuple(p) for p in np.argwhere(dmap.scores > 0.3).tolist()}
+        seen = set()
+        for roi in rois:
+            assert list(roi.pixels) == sorted(roi.pixels)   # row-major
+            assert seen.isdisjoint(roi.pixels)
+            seen.update(roi.pixels)
+            vals = np.array([dmap.scores[p] for p in roi.pixels])
+            assert roi.peak_score == vals.max() and roi.mean_score == vals.mean()
+            np.testing.assert_array_equal(roi.average.values,
+                                          average_pixels(cube, roi.pixels).values)
+        assert seen == above
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_implanted_scene_yields_single_roi(self, seed):
         cube, library, target_names, _, implant_pixels = make_scene(seed)
@@ -250,6 +370,25 @@ whole = _score_block(cube.data, stats, stats.whiten(target))
 for threads in (1, 3):
     dmap, _ = detect(cube, target, stats, threshold=0.5, threads=threads)
     assert dmap.scores.tobytes() == whole.tobytes(), threads
+"""
+
+
+# 124 bands at the real block size: blocks of 6,144 pixels. 97 x 193 pixels
+# are 3 blocks and a tail of 289 that joins the last; the mask keeps about
+# 2.7 blocks of them.
+BLOCKED_STATS_MATCH_WHOLE = """
+import numpy as np
+from specid.core import BandGrid, ImageCube, block_pixels
+from specid.detection import background_stats
+from test_detection import reference_background_stats, stats_bytes
+
+assert block_pixels(124) == 6144, block_pixels(124)
+rng = np.random.default_rng(18)
+grid = BandGrid(np.linspace(0.4, 2.4, 124))
+cube = ImageCube(grid, rng.normal(0.5, 0.05, (97, 193, 124)))
+for mask in (None, rng.random((97, 193)) < 0.9):
+    got = stats_bytes(background_stats, cube, 0.01, mask)
+    assert got == stats_bytes(reference_background_stats, cube, 0.01, mask)
 """
 
 
@@ -298,6 +437,23 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak <= (os.path.getsize(data) + cube.data.nbytes + 2 * block
                         + self.ufunc_buffer + self.objects)
+
+    @pytest.mark.parametrize("data_type", [2, 5])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_read_envi_holds_the_cube_and_two_blocks(self, tmp_path, monkeypatch,
+                                                      interleave, data_type):
+        block = self.patch_blocks(monkeypatch)
+        hdr, _ = write_envi_cube(tmp_path, self.cube(19), interleave=interleave,
+                                 data_type=data_type, bbl=[1] * 31 + [0])
+        tracemalloc.start()
+        try:
+            cube = read_envi(str(hdr))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's bytes as read, and its kept bands as selected; no
+        # value is wider than the float64 the block size counts
+        assert peak <= cube.data.nbytes + 2 * block + self.ufunc_buffer + self.objects
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_detect_holds_the_scores_and_two_blocks_per_worker(self, monkeypatch,

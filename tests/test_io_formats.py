@@ -194,6 +194,21 @@ class TestReadEnvi:
         with pytest.raises(ParseError, match="bytes"):
             read_envi(str(hdr))
 
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_short_read(self, tmp_path, monkeypatch, small_cube, interleave):
+        # a file that shrinks after its size was checked: the last read
+        # comes back short, and no cube of uninitialised values is returned
+        hdr, data = write_envi_cube(tmp_path, small_cube, interleave=interleave,
+                                    data_type=2, header_offset=16)
+        full = os.path.getsize(data)
+        with open(data, "r+b") as fh:
+            fh.truncate(full - 3)
+        getsize = os.path.getsize
+        monkeypatch.setattr(os.path, "getsize",
+                            lambda path: full if str(path) == str(data) else getsize(path))
+        with pytest.raises(ParseError, match="ended early"):
+            read_envi(str(hdr))
+
     def test_data_file_discovery(self, tmp_path, small_cube):
         hdr, data = write_envi_cube(tmp_path, small_cube)
         assert read_envi(str(hdr), str(data)).rows == 3

@@ -14,12 +14,15 @@ the same for both runs:
   scene7  synth scene 7 at 300 x 250, an int16 BIL cube with two bad bands,
           so read_envi converts it in several row blocks and detect scores
           it in several;
+  scene11 synth scene 11 at 300 x 250, a big-endian int16 BSQ cube after a
+          128-byte header offset, so read_envi reads it band by band in
+          several row blocks;
   crime   tests/data/uscrime.csv with every column but So logged.
 Every command runs in process through specid.cli.main:
   detect on each scene (and on each --detect input) at --threads 1, 2 and 4;
-  identify --cube --roi on each scene's top ROI: occam, occam --occam-strict,
-  mc3, exhaustive at max size 3, occam with background removal, occam with
-  --conditional-tree;
+  identify --cube --roi on the top ROI of scenes 1 and 7: occam, occam
+  --occam-strict, mc3, exhaustive at max size 3, occam with background
+  removal, occam with --conditional-tree; on scene 11's: occam;
   bma-table on the crime table: occam and mc3.
 The printed object maps "<run>/<file>" to the file's sha256. Output files
 and inputs are kept under --work (default: a temporary directory).
@@ -40,9 +43,6 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 THREADS = (1, 2, 4)
-SCENES = ((1, {}, {}),
-          (7, {"rows": 300, "cols": 250},
-           {"interleave": "bil", "data_type": 2, "bad_bands": (3, 17)}))
 IDENTIFY_RUNS = (
     ("occam", []),
     ("strict", ["--occam-strict"]),
@@ -51,6 +51,13 @@ IDENTIFY_RUNS = (
     ("removal", ["--background-removal", "--target", "{target}"]),
     ("conditional", ["--conditional-tree"]),
 )
+# (seed, scene size, ENVI layout, identify runs on the top ROI)
+SCENES = ((1, {}, {}, IDENTIFY_RUNS),
+          (7, {"rows": 300, "cols": 250},
+           {"interleave": "bil", "data_type": 2, "bad_bands": (3, 17)}, IDENTIFY_RUNS),
+          (11, {"rows": 300, "cols": 250},
+           {"interleave": "bsq", "data_type": 2, "byte_order": 1, "header_offset": 128},
+           IDENTIFY_RUNS[:1]))
 BMA_RUNS = (
     ("occam", ["--occam-strict"]),
     ("mc3", ["--strategy", "mc3", "--iterations", "5000", "--max-size", "6"]),
@@ -106,12 +113,12 @@ def collect(work: Path, detect_inputs) -> dict:
     from specid.cli import main
 
     digests = {}
-    detects = [("scene%d" % seed, _write_scene(work, seed, size, layout))
-               for seed, size, layout in SCENES]
+    detects = [("scene%d" % seed, _write_scene(work, seed, size, layout), runs)
+               for seed, size, layout, runs in SCENES]
     for i, (hdr, lib, target, threshold) in enumerate(detect_inputs):
         detects.append(("detect%d" % i, {"hdr": hdr, "library": lib, "target": target,
-                                         "threshold": threshold}))
-    for name, scene in detects:
+                                         "threshold": threshold}, ()))
+    for name, scene, identify_runs in detects:
         for n in THREADS:
             run = "%s/detect-t%d" % (name, n)
             out = work / run
@@ -120,10 +127,8 @@ def collect(work: Path, detect_inputs) -> dict:
                         "--threshold", scene.get("threshold", "0.9"), "--resample",
                         "--out", str(out)])
             _digests(out, run, digests)
-        if "hierarchy" not in scene:
-            continue
         rois = str(work / ("%s/detect-t%d" % (name, THREADS[0])) / "rois.json")
-        for label, extra in IDENTIFY_RUNS:
+        for label, extra in identify_runs:
             run = "%s/identify-%s" % (name, label)
             out = work / run
             _run(main, ["identify", "--cube", scene["hdr"], "--roi", rois,
