@@ -5,7 +5,9 @@ Subcommands write fixed filenames under the output directory:
   identify  -> results.json, tree.dot
   bma-table -> inclusion.csv, results.json
 Exit codes: 0 success, 2 input or validation error, 3 numerical or search
-error. Outputs are deterministic for a given seed regardless of --threads.
+error. Outputs are deterministic for a given seed regardless of --threads, at
+a fixed BLAS thread count: the bits of scores.bin depend on the number of
+OpenBLAS threads.
 A search whose beam cap dropped models prints a "warning:" line on stderr.
 """
 

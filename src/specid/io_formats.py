@@ -13,6 +13,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -369,6 +370,13 @@ def write_tree_dot(tree: IdentificationTree, path: str,
         fh.write(render_tree_dot(tree, conditional=conditional))
 
 
+# results.json is written RESULTS_CHUNK models at a time
+RESULTS_CHUNK = 1024
+_ITEM_SEP = ",\n        "
+_MODEL_BLOCK = ('    {\n      "bic": %s,\n      "coefficients": [\n        %s\n      ],\n'
+                '      "probability": %s,\n      "regressors": [\n        %s\n      ]\n    }')
+
+
 def _tree_payload(node) -> dict:
     return {"name": node.name, "p": node.probability,
             "children": [_tree_payload(child) for child in node.children]}
@@ -392,12 +400,48 @@ def results_payload(posterior: ModelPosterior, report: InclusionReport,
     }
 
 
+def _json_section(value, depth: int = 1) -> str:
+    """value as json.dump(..., sort_keys=True, indent=2) writes it at that depth."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def write_results_json(posterior: ModelPosterior, report: InclusionReport,
                        tree: IdentificationTree | None, path: str) -> None:
-    payload = results_payload(posterior, report, tree)
+    """Write results_payload(...) as json.dump(..., sort_keys=True, indent=2).
+
+    The bytes are the same, but the models are formatted straight from their
+    fields (floats by float.__repr__, as json does), RESULTS_CHUNK at a time,
+    so neither the payload nor the whole text is held in memory. A model
+    with a non-finite number or an empty list goes through json itself.
+    """
+    names = {n: encode_basestring_ascii(n) for n in posterior.models.candidates}
+    inclusion = {name: float(p) for name, p in zip(report.names, report.probabilities)}
+    averaged = {name: float(c) for name, c in zip(report.names, report.coefficients)}
+    models = posterior.models.models
+    probs = posterior.probabilities.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write('{\n  "averaged_coefficients": %s,\n  "inclusion": %s,\n  "models": ['
+                 % (_json_section(averaged), _json_section(inclusion)))
+        sep = "\n"
+        for lo in range(0, len(models), RESULTS_CHUNK):
+            blocks = []
+            for m, p in zip(models[lo:lo + RESULTS_CHUNK], probs[lo:lo + RESULTS_CHUNK]):
+                bic = m.bic
+                coefs = _ITEM_SEP.join(map(float.__repr__, m.coefficients.tolist()))
+                regressors = _ITEM_SEP.join(map(names.__getitem__, m.regressors))
+                if isinstance(bic, float) and coefs and regressors:
+                    bic, prob = float.__repr__(bic), float.__repr__(p)
+                    # finite reprs hold no "n"; nan and inf are spelled NaN, Infinity
+                    if "n" not in bic and "n" not in coefs and "n" not in prob:
+                        blocks.append(_MODEL_BLOCK % (bic, coefs, prob, regressors))
+                        continue
+                entry = {"regressors": list(m.regressors), "bic": m.bic, "probability": p,
+                         "coefficients": [float(c) for c in m.coefficients]}
+                blocks.append("    " + _json_section(entry, depth=2))
+            fh.write(sep + ",\n".join(blocks))
+            sep = ",\n"
+        fh.write('\n  ],\n  "tree": %s\n}\n'
+                 % _json_section(_tree_payload(tree.root) if tree is not None else None))
 
 
 def write_inclusion_csv(report: InclusionReport, path: str) -> None:

@@ -41,7 +41,8 @@ class RegressionModel:
 
     `condition` is a 2-norm-style estimate of the design's condition number;
     models above CONDITION_LIMIT are flagged (coefficients still returned) and
-    search strategies discard them.
+    search strategies discard them. `coefficients` is read-only and never
+    shares memory with an array the caller holds.
     """
 
     regressors: tuple
@@ -53,12 +54,16 @@ class RegressionModel:
     condition: float
     condition_flag: bool
     _state: object = field(default=None, repr=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=np.float64).copy()
-        coef.flags.writeable = False
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "regressors", tuple(self.regressors))
+        if self._state is None:  # a Workspace hands over a fresh read-only array
+            coef = np.array(self.coefficients, dtype=np.float64)
+            coef.flags.writeable = False
+            object.__setattr__(self, "coefficients", coef)
+        regressors = tuple(self.regressors)
+        object.__setattr__(self, "regressors", regressors)
+        object.__setattr__(self, "_key", tuple(sorted(regressors)))
 
     @property
     def size(self) -> int:
@@ -66,7 +71,7 @@ class RegressionModel:
 
     def key(self) -> tuple:
         """Order-free identity of the regressor subset."""
-        return tuple(sorted(self.regressors))
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -104,13 +109,21 @@ class ModelPrior:
 class _State:
     """Factorization attached to a model so extensions can reuse it."""
 
-    __slots__ = ("ws", "sel", "chol", "zvec")
+    __slots__ = ("ws", "sel", "chol", "zvec", "_didx")
 
     def __init__(self, ws, sel, chol, zvec):
         self.ws = ws
         self.sel = sel
         self.chol = chol
         self.zvec = zvec
+        self._didx = None
+
+    def design_index(self) -> np.ndarray:
+        """Rows and columns of the Gram matrix that the model's design spans."""
+        if self._didx is None:
+            sel = np.array(self.sel, dtype=np.intp)
+            self._didx = np.concatenate(([0], sel + 1)) if self.ws._off else sel
+        return self._didx
 
 
 class Workspace:
@@ -168,20 +181,21 @@ class Workspace:
             cols = np.column_stack([np.ones(self.n_obs), cols])
         return cols
 
-    def _model(self, sel, beta, rss, cond, chol, zvec) -> RegressionModel:
+    def _model(self, sel: tuple, beta, rss, cond, chol, zvec) -> RegressionModel:
         rss = max(float(rss), 0.0)
-        flagged = not math.isfinite(cond) or cond > CONDITION_LIMIT
-        state = _State(self, tuple(sel), chol, zvec)
+        coefficients = beta[1:].copy() if self._off else beta  # one array per model
+        coefficients.flags.writeable = False
+        names = self.names
         return RegressionModel(
-            regressors=tuple(self.names[j] for j in sel),
-            coefficients=beta[self._off:],
+            regressors=tuple([names[j] for j in sel]),
+            coefficients=coefficients,
             intercept=float(beta[0]) if self._off else None,
             rss=rss,
             n_obs=self.n_obs,
             bic=bic_from_parts(rss, self.n_obs, len(sel), self.with_intercept),
             condition=float(cond),
-            condition_flag=flagged,
-            _state=state,
+            condition_flag=not math.isfinite(cond) or cond > CONDITION_LIMIT,
+            _state=_State(self, sel, chol, zvec),
         )
 
     def fit_subset(self, sel) -> RegressionModel:
@@ -211,30 +225,33 @@ class Workspace:
         if st is None or st.ws is not self:
             raise InputError("parent model was not fitted from this workspace")
         j = int(j)
+        sel = st.sel + (j,)
         if j in st.sel:
             raise InputError("regressor %r is already in the model" % self.names[j])
         if not 0 <= j < self.n_candidates:
             raise InputError("regressor index out of range: %r" % j)
         if st.chol is None:  # degenerate parent, no factor to update
-            return self.fit_subset(st.sel + (j,))
-        self._check_size(len(st.sel) + 1)
+            return self.fit_subset(sel)
+        self._check_size(len(sel))
         dj = j + self._off
-        didx = ([0] + [i + 1 for i in st.sel]) if self._off else list(st.sel)
-        cross = self.gram[didx, dj]
-        w, _ = lapack.dtrtrs(st.chol, cross, lower=1)
-        pivot = self.gram[dj, dj] - float(w @ w)
-        if pivot <= 0 or pivot <= 1e-14 * self.gram[dj, dj]:
-            return self.fit_subset(st.sel + (j,))  # numerically dependent column
-        m = st.chol.shape[0]
-        chol = np.zeros((m + 1, m + 1))
+        w, _ = lapack.dtrtrs(st.chol, self.gram[st.design_index(), dj], lower=1)
+        gjj = self.gram[dj, dj]
+        pivot = gjj - float(w.dot(w))
+        if pivot <= 0 or pivot <= 1e-14 * gjj:
+            return self.fit_subset(sel)  # numerically dependent column
+        m = w.size
+        root = math.sqrt(pivot)
+        chol = np.zeros((m + 1, m + 1), order="F")  # as LAPACK takes it, uncopied
         chol[:m, :m] = st.chol
         chol[m, :m] = w
-        chol[m, m] = math.sqrt(pivot)
-        znew = (self.xty[dj] - float(w @ st.zvec)) / chol[m, m]
-        zvec = np.append(st.zvec, znew)
+        chol[m, m] = root
+        znew = (self.xty[dj] - float(w.dot(st.zvec))) / root
+        zvec = np.empty(m + 1)
+        zvec[:m] = st.zvec
+        zvec[m] = znew
         beta, _ = lapack.dtrtrs(chol, zvec, lower=1, trans=1)
         rss = parent.rss - znew * znew
-        return self._model(st.sel + (j,), beta, rss, _condition(chol), chol, zvec)
+        return self._model(sel, beta, rss, _condition(chol), chol, zvec)
 
     def _fallback(self, sel) -> RegressionModel:
         """Rank-deficient design: minimum-norm solution, flagged."""

@@ -221,8 +221,7 @@ def _screen(ws: Workspace, survivors: list, parent, col) -> np.ndarray:
     penalty = (m + 2) * math.log(n)  # the parent's terms, the new one, the variance
     chols = np.stack([s._state.chol for s in survivors])
     zvecs = np.stack([s._state.zvec for s in survivors])
-    rows = np.array([(0,) * off + tuple(j + off for j in s._state.sel)
-                     for s in survivors], dtype=np.intp)
+    rows = np.array([s._state.design_index() for s in survivors])
     rss = np.array([s.rss for s in survivors])
     # allowed relative rounding of w: a triangular solve's forward error grows
     # with the factor's size and condition

@@ -1,6 +1,8 @@
 """ENVI headers and cubes, library/table CSVs, and the result writers."""
 
+import itertools
 import json
+import math
 import os
 import tempfile
 from unittest import mock
@@ -12,8 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import write_envi_cube, write_library_csv
 import specid.core
-from specid.aggregate import (IdentificationTree, InclusionReport, TreeNode,
-                              normalize)
+from specid.aggregate import (IdentificationTree, InclusionReport, ModelPosterior,
+                              TreeNode, normalize)
 from specid.core import BandGrid, ImageCube, Spectrum, SpectralLibrary
 from specid.detection import RegionOfInterest
 from specid.errors import ParseError
@@ -489,6 +491,53 @@ def small_posterior():
     return normalize(ms)
 
 
+# the streamed writer's chunk size while the byte test runs, so that model
+# counts around it stay small
+WRITER_CHUNK = 3
+ESCAPED_NAMES = ["Größe", 'say "hi"', "back\\slash", "tab\tline\nend", "\x00\x1f\x7f",
+                 "models", "tree", "inclusion", "ldpe_3", ""]
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310,
+                  1.7976931348623157e308, -1e300, 0.1, 1.0]
+json_floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+
+
+@st.composite
+def results_inputs(draw):
+    """A posterior, report and tree (or None) holding every value that json
+    spells in its own way."""
+    from specid.regression import RegressionModel
+    from specid.search import ModelSet
+    names = draw(st.lists(st.sampled_from(ESCAPED_NAMES) | st.text(max_size=6),
+                          min_size=3, max_size=5, unique=True))
+    subsets = [s for k in range(len(names) + 1)
+               for s in itertools.combinations(names, k)]
+    count = draw(st.sampled_from([1, WRITER_CHUNK - 1, WRITER_CHUNK, WRITER_CHUNK + 1,
+                                  2 * WRITER_CHUNK + 1]))
+    models = []
+    for subset in draw(st.permutations(subsets))[:count]:
+        regressors = draw(st.permutations(subset))
+        models.append(RegressionModel(
+            regressors=regressors,
+            coefficients=[draw(json_floats) for _ in regressors],
+            intercept=draw(st.none() | json_floats), rss=1.0, n_obs=10,
+            bic=draw(json_floats | st.integers(-3, 3)),
+            condition=1.0, condition_flag=False))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 1e-300, 1.0 / 3, 1.0, 7.5]),
+                                     min_size=count, max_size=count)))
+    if not weights.any():
+        weights[draw(st.integers(0, count - 1))] = 1.0
+    models = ModelSet(models=models, best_bic=0.0, candidates=names, strategy="occam")
+    posterior = ModelPosterior(models, weights / weights.sum())
+    report = InclusionReport(names, [draw(json_floats) for _ in names],
+                             [draw(json_floats) for _ in names])
+    tree = None
+    if draw(st.booleans()):
+        leaves = [TreeNode(draw(st.sampled_from(ESCAPED_NAMES)), draw(json_floats))
+                  for _ in range(draw(st.integers(0, 2)))]
+        tree = IdentificationTree(TreeNode("Library", 1.0, children=leaves))
+    return posterior, report, tree
+
+
 class TestResultWriters:
     def test_results_json_round_trip(self, tmp_path):
         post = small_posterior()
@@ -523,6 +572,19 @@ class TestResultWriters:
         write_results_json(post, report, demo_tree(), str(a))
         write_results_json(post, report, demo_tree(), str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(inputs=results_inputs())
+    def test_streamed_bytes_equal_json_dump(self, inputs):
+        posterior, report, tree = inputs
+        want = json.dumps(results_payload(posterior, report, tree),
+                          sort_keys=True, indent=2) + "\n"
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(specid.io_formats, "RESULTS_CHUNK", WRITER_CHUNK):
+            path = os.path.join(tmp, "results.json")
+            write_results_json(posterior, report, tree, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode("utf-8")
 
     def test_inclusion_csv_exact_text(self, tmp_path):
         report = InclusionReport(("a", "b"), np.array([0.5, 0.25]),

@@ -1,13 +1,17 @@
 """Least-squares engine: oracle fits, BIC values, and factor-update identities."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from specid.errors import InputError
-from specid.regression import (CONDITION_LIMIT, ModelPrior, Workspace,
-                               bic_from_parts, check_residual, fit)
+from specid.regression import (CONDITION_LIMIT, ModelPrior, RegressionModel,
+                               Workspace, bic_from_parts, check_residual, fit)
 
 
 def random_instance(rng, n=24, p=6):
@@ -195,6 +199,223 @@ class TestWorkspace:
         model = Workspace(y, X).fit_subset((0, 1))
         assert model.condition_flag
         assert model.condition > CONDITION_LIMIT
+
+
+# The fit path as it was before its Python overhead was trimmed, kept verbatim
+# (RegressionModel, _State, bic_from_parts and _condition as Reference*): the
+# trimmed Workspace must reproduce it bit for bit.
+RSS_FLOOR = 1e-300
+
+
+def reference_bic_from_parts(rss: float, n_obs: int, n_regressors: int, has_intercept: bool) -> float:
+    """The BIC of a least-squares fit, from its summary numbers."""
+    if n_obs <= 0:
+        raise InputError("n_obs must be positive, got %r" % n_obs)
+    k = n_regressors + (1 if has_intercept else 0) + 1
+    return n_obs * math.log(max(rss, RSS_FLOOR) / n_obs) + k * math.log(n_obs)
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceModel:
+    regressors: tuple
+    coefficients: np.ndarray
+    intercept: float | None
+    rss: float
+    n_obs: int
+    bic: float
+    condition: float
+    condition_flag: bool
+    _state: object = field(default=None, repr=False)
+
+    def __post_init__(self):
+        coef = np.asarray(self.coefficients, dtype=np.float64).copy()
+        coef.flags.writeable = False
+        object.__setattr__(self, "coefficients", coef)
+        object.__setattr__(self, "regressors", tuple(self.regressors))
+
+    @property
+    def size(self) -> int:
+        return len(self.regressors)
+
+    def key(self) -> tuple:
+        """Order-free identity of the regressor subset."""
+        return tuple(sorted(self.regressors))
+
+
+class ReferenceState:
+    """Factorization attached to a model so extensions can reuse it."""
+
+    __slots__ = ("ws", "sel", "chol", "zvec")
+
+    def __init__(self, ws, sel, chol, zvec):
+        self.ws = ws
+        self.sel = sel
+        self.chol = chol
+        self.zvec = zvec
+
+
+def reference_condition(chol: np.ndarray) -> float:
+    """Condition estimate of the design via its Cholesky factor."""
+    rcond, info = lapack.dtrcon(chol, norm='1', uplo='L', diag='N')
+    if info != 0 or rcond <= 0:
+        return math.inf
+    return 1.0 / rcond
+
+
+class ReferenceWorkspace(Workspace):
+    def _model(self, sel, beta, rss, cond, chol, zvec) -> ReferenceModel:
+        rss = max(float(rss), 0.0)
+        flagged = not math.isfinite(cond) or cond > CONDITION_LIMIT
+        state = ReferenceState(self, tuple(sel), chol, zvec)
+        return ReferenceModel(
+            regressors=tuple(self.names[j] for j in sel),
+            coefficients=beta[self._off:],
+            intercept=float(beta[0]) if self._off else None,
+            rss=rss,
+            n_obs=self.n_obs,
+            bic=reference_bic_from_parts(rss, self.n_obs, len(sel), self.with_intercept),
+            condition=float(cond),
+            condition_flag=flagged,
+            _state=state,
+        )
+
+    def fit_subset(self, sel) -> ReferenceModel:
+        """Fit the candidates at indices `sel` (plus the intercept if any)."""
+        sel = tuple(int(j) for j in sel)
+        if not sel:
+            raise InputError("a model needs at least one regressor")
+        if len(set(sel)) != len(sel):
+            raise InputError("repeated regressor indices: %r" % (sel,))
+        if any(not 0 <= j < self.n_candidates for j in sel):
+            raise InputError("regressor index out of range: %r" % (sel,))
+        self._check_size(len(sel))
+        didx = ([0] + [j + 1 for j in sel]) if self._off else list(sel)
+        sub = self.gram[np.ix_(didx, didx)]
+        rhs = self.xty[didx]
+        chol, info = lapack.dpotrf(sub, lower=1)
+        if info != 0:
+            return self._fallback(sel)
+        zvec, _ = lapack.dtrtrs(chol, rhs, lower=1)
+        beta, _ = lapack.dtrtrs(chol, zvec, lower=1, trans=1)
+        rss = self.yty - float(zvec @ zvec)
+        return self._model(sel, beta, rss, reference_condition(chol), chol, zvec)
+
+    def extend(self, parent: ReferenceModel, j: int) -> ReferenceModel:
+        """Fit parent's regressors plus candidate j by updating its factor."""
+        st = parent._state
+        if st is None or st.ws is not self:
+            raise InputError("parent model was not fitted from this workspace")
+        j = int(j)
+        if j in st.sel:
+            raise InputError("regressor %r is already in the model" % self.names[j])
+        if not 0 <= j < self.n_candidates:
+            raise InputError("regressor index out of range: %r" % j)
+        if st.chol is None:  # degenerate parent, no factor to update
+            return self.fit_subset(st.sel + (j,))
+        self._check_size(len(st.sel) + 1)
+        dj = j + self._off
+        didx = ([0] + [i + 1 for i in st.sel]) if self._off else list(st.sel)
+        cross = self.gram[didx, dj]
+        w, _ = lapack.dtrtrs(st.chol, cross, lower=1)
+        pivot = self.gram[dj, dj] - float(w @ w)
+        if pivot <= 0 or pivot <= 1e-14 * self.gram[dj, dj]:
+            return self.fit_subset(st.sel + (j,))  # numerically dependent column
+        m = st.chol.shape[0]
+        chol = np.zeros((m + 1, m + 1))
+        chol[:m, :m] = st.chol
+        chol[m, :m] = w
+        chol[m, m] = math.sqrt(pivot)
+        znew = (self.xty[dj] - float(w @ st.zvec)) / chol[m, m]
+        zvec = np.append(st.zvec, znew)
+        beta, _ = lapack.dtrtrs(chol, zvec, lower=1, trans=1)
+        rss = parent.rss - znew * znew
+        return self._model(st.sel + (j,), beta, rss, reference_condition(chol), chol, zvec)
+
+    def _fallback(self, sel) -> ReferenceModel:
+        """Rank-deficient design: minimum-norm solution, flagged."""
+        design = self._design(sel)
+        beta, _, _, _ = np.linalg.lstsq(design, self.y, rcond=None)
+        resid = self.y - design @ beta
+        return self._model(sel, beta, float(resid @ resid), math.inf, None, None)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_same_fit(got, want):
+    assert got.regressors == want.regressors
+    assert got.key() == want.key()
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert (got.intercept is None) == (want.intercept is None)
+    if want.intercept is not None:
+        assert bits(got.intercept) == bits(want.intercept)
+    for name in ("rss", "bic", "condition"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert got.condition_flag == want.condition_flag
+
+
+@st.composite
+def extension_chains(draw):
+    """A design with duplicated, near-collinear or badly scaled columns (so
+    that extensions fall back to fit_subset and to lstsq), and an order in
+    which to add its columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 30))
+    p = draw(st.integers(2, 7))
+    X = rng.normal(0.0, 1.0, (n, p))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = rng.choice(p, 2, replace=False)
+        kind = draw(st.sampled_from(["copy", "near", "scale", "zero"]))
+        if kind == "copy":
+            X[:, b] = X[:, a]
+        elif kind == "near":
+            eps = draw(st.sampled_from([1e-5, 1e-7, 1e-8, 1e-10]))
+            X[:, b] = X[:, a] + eps * rng.normal(0.0, 1.0, n)
+        elif kind == "scale":
+            X[:, b] *= draw(st.sampled_from([1e-9, 1e6]))
+        else:
+            X[:, b] = 0.0
+    y = X @ rng.normal(0.0, 1.0, p) + draw(st.sampled_from([0.0, 1e-8, 0.1]))
+    y = y + rng.normal(0.0, draw(st.sampled_from([0.0, 0.1])), n)
+    return y, X, draw(st.booleans()), draw(st.permutations(range(p)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(chain=extension_chains())
+def test_fits_equal_the_reference_bit_for_bit(chain):
+    y, X, with_intercept, order = chain
+    ws = Workspace(y, X, with_intercept=with_intercept)
+    ref = ReferenceWorkspace(y, X, with_intercept=with_intercept)
+    got, want = ws.fit_subset(order[:1]), ref.fit_subset(order[:1])
+    assert_same_fit(got, want)
+    for size, j in enumerate(order[1:], start=2):
+        if size + ws._off + 1 >= ws.n_obs:
+            with pytest.raises(InputError):
+                ws.extend(got, j)
+            break
+        got, want = ws.extend(got, j), ref.extend(want, j)
+        assert_same_fit(got, want)
+        assert_same_fit(ws.fit_subset(order[:size]), ref.fit_subset(order[:size]))
+
+
+def test_coefficients_are_read_only_and_never_shared():
+    rng = np.random.default_rng(12)
+    y, X = random_instance(rng, n=20, p=4)
+    ws = Workspace(y, X, with_intercept=True)
+    parent = ws.fit_subset((0, 2))
+    for model in (parent, ws.extend(parent, 3), ws.fit_subset((1, 3))):
+        with pytest.raises(ValueError):
+            model.coefficients[0] = 1.0
+    given_coefs = np.array([1.0, 2.0])
+    model = RegressionModel(regressors=("a", "b"), coefficients=given_coefs,
+                            intercept=None, rss=1.0, n_obs=10, bic=0.0,
+                            condition=1.0, condition_flag=False)
+    given_coefs[0] = 5.0
+    assert model.coefficients.tolist() == [1.0, 2.0]
+    assert given_coefs.flags.writeable
+    with pytest.raises(ValueError):
+        model.coefficients[1] = 0.0
 
 
 def test_response_scaling_shifts_all_bics_equally():

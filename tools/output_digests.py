@@ -17,13 +17,18 @@ the same for both runs:
   scene11 synth scene 11 at 300 x 250, a big-endian int16 BSQ cube after a
           128-byte header offset, so read_envi reads it band by band in
           several row blocks;
-  crime   tests/data/uscrime.csv with every column but So logged.
+  crime   tests/data/uscrime.csv with every column but So logged;
+  names   synth table instance 5, its columns renamed so that the results
+          writer must escape them: non-ASCII, a '"', a '\\', and one named
+          "models" like a section of results.json.
 Every command runs in process through specid.cli.main:
   detect on each scene (and on each --detect input) at --threads 1, 2 and 4;
   identify --cube --roi on the top ROI of scenes 1 and 7: occam, occam
   --occam-strict, mc3, exhaustive at max size 3, occam with background
   removal, occam with --conditional-tree; on scene 11's: occam;
-  bma-table on the crime table: occam and mc3.
+  bma-table on the crime table: occam and mc3; on the names table: occam.
+The exhaustive runs keep 10,700 models each, so they cover several of the
+chunks in which io_formats.write_results_json writes results.json.
 The printed object maps "<run>/<file>" to the file's sha256. Output files
 and inputs are kept under --work (default: a temporary directory).
 """
@@ -62,6 +67,7 @@ BMA_RUNS = (
     ("occam", ["--occam-strict"]),
     ("mc3", ["--strategy", "mc3", "--iterations", "5000", "--max-size", "6"]),
 )
+ESCAPED_NAMES = ("Größe", 'say "hi"', "back\\slash", "models")
 
 
 def _run(main, argv) -> None:
@@ -109,6 +115,20 @@ def _crime_table(work: Path) -> str:
     return str(path)
 
 
+def _names_table(work: Path) -> str:
+    import synth
+
+    y, X, names = synth.make_table_instance(5)
+    names = ESCAPED_NAMES + names[len(ESCAPED_NAMES):]
+    path = work / "names.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("y",) + names)
+        writer.writerows([repr(float(v)) for v in row]
+                         for row in zip(y, *X.T))
+    return str(path)
+
+
 def collect(work: Path, detect_inputs) -> dict:
     from specid.cli import main
 
@@ -143,6 +163,10 @@ def collect(work: Path, detect_inputs) -> dict:
         _run(main, ["--seed", "3", "bma-table", "--csv", table, "--response", "y",
                     "--out", str(out)] + extra)
         _digests(out, run, digests)
+    out = work / "names" / "bma-occam"
+    _run(main, ["bma-table", "--csv", _names_table(work), "--response", "y",
+                "--out", str(out)])
+    _digests(out, "names/bma-occam", digests)
     return digests
 
 
