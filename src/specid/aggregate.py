@@ -41,28 +41,26 @@ class ModelPosterior:
     _coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        models = self.models
         probs = np.asarray(self.probabilities, dtype=np.float64).copy()
-        if probs.ndim != 1 or probs.size != len(self.models.models):
+        if probs.ndim != 1 or probs.size != len(models):
             raise InputError("need one probability per model (%d models, %d given)"
-                             % (len(self.models.models), probs.size))
+                             % (len(models), probs.size))
         if np.any(probs < 0) or np.any(probs > 1):
             raise InputError("model probabilities must lie in [0, 1]")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise InputError("model probabilities sum to %r, not 1" % float(probs.sum()))
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
-        models = self.models.models
-        index = {name: j for j, name in enumerate(self.models.candidates)}
-        sizes = [len(m.regressors) for m in models]
-        # the arrays kept come first, so the heap can give the temporaries back
-        incidence = np.zeros((len(models), len(index)), dtype=bool, order="F")
-        values = np.empty(sum(sizes) + len(models))
-        cols = np.array([index[n] for m in models for n in m.regressors], np.intp)
-        incidence[np.repeat(np.arange(len(models)), sizes), cols] = True
+        held = models.index >= 0
+        rows, _ = np.nonzero(held)  # model by model, each in its regressor order
+        cols = models.index[held]
+        incidence = np.zeros((len(models), len(models.candidates)), dtype=bool, order="F")
+        incidence[rows, cols] = True
         incidence.flags.writeable = False
-        order = np.argsort(cols, kind="stable")
-        values[:cols.size] = np.concatenate([m.coefficients for m in models])[order]
-        values[cols.size:] = [m.intercept for m in models]
+        values = np.empty(cols.size + len(models))
+        values[:cols.size] = models.coefficients[held][np.argsort(cols, kind="stable")]
+        values[cols.size:] = models.intercepts
         object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "_coefficients", values)
 
@@ -130,10 +128,14 @@ class IdentificationTree:
 def normalize(models: ModelSet, prior: ModelPrior = None) -> ModelPosterior:
     """Posterior P(M) from BIC weights and the prior, in shifted-log form."""
     prior = prior or ModelPrior.uniform()
-    bics = np.array([m.bic for m in models.models], dtype=np.float64)
+    bics = models.bic
     if not np.all(np.isfinite(bics)):
         raise InputError("cannot normalize: non-finite BIC in model set")
-    logw = -bics / 2.0 + [prior.log_weight(m.size) for m in models.models]
+    sizes, first, inverse = np.unique(models.sizes, return_index=True, return_inverse=True)
+    log_prior = np.empty(sizes.size)
+    for i in np.argsort(first).tolist():  # in model order, so the first bad size raises
+        log_prior[i] = prior.log_weight(int(sizes[i]))
+    logw = -bics / 2.0 + log_prior[inverse]
     weights = np.exp(logw - logw.max())
     return ModelPosterior(models, weights / weights.sum(), prior)
 

@@ -385,11 +385,12 @@ def _tree_payload(node) -> dict:
 def results_payload(posterior: ModelPosterior, report: InclusionReport,
                     tree: IdentificationTree | None) -> dict:
     """The results JSON structure (tree may be None in tabular mode)."""
-    models = [{"regressors": list(m.regressors),
-               "coefficients": [float(c) for c in m.coefficients],
-               "bic": m.bic,
-               "probability": float(p)}
-              for m, p in posterior.items()]
+    names = posterior.models.candidates
+    models = [{"regressors": [names[j] for j in sel], "coefficients": coefficients,
+               "bic": bic, "probability": p}
+              for (sel, coefficients, bic), p in zip(
+                  _model_rows(posterior.models, 0, len(posterior.models)),
+                  posterior.probabilities.tolist())]
     return {
         "models": models,
         "inclusion": {name: float(p) for name, p in
@@ -398,6 +399,13 @@ def results_payload(posterior: ModelPosterior, report: InclusionReport,
                                   zip(report.names, report.coefficients)},
         "tree": _tree_payload(tree.root) if tree is not None else None,
     }
+
+
+def _model_rows(models, lo: int, hi: int) -> list:
+    """(candidate indices, coefficients, bic) of models lo:hi, as Python values."""
+    return [(sel[:k], coefficients[:k], bic) for sel, coefficients, k, bic in zip(
+        models.index[lo:hi].tolist(), models.coefficients[lo:hi].tolist(),
+        models.sizes[lo:hi].tolist(), models.bic[lo:hi].tolist())]
 
 
 def _json_section(value, depth: int = 1) -> str:
@@ -409,35 +417,36 @@ def write_results_json(posterior: ModelPosterior, report: InclusionReport,
                        tree: IdentificationTree | None, path: str) -> None:
     """Write results_payload(...) as json.dump(..., sort_keys=True, indent=2).
 
-    The bytes are the same, but the models are formatted straight from their
-    fields (floats by float.__repr__, as json does), RESULTS_CHUNK at a time,
-    so neither the payload nor the whole text is held in memory. A model
-    with a non-finite number or an empty list goes through json itself.
+    The bytes are the same, but the models are formatted straight from the
+    ModelSet's columns (floats by float.__repr__, as json does), RESULTS_CHUNK
+    at a time, so neither the payload nor the whole text is held in memory. A
+    model with a non-finite number or no regressor goes through json itself.
     """
-    names = {n: encode_basestring_ascii(n) for n in posterior.models.candidates}
+    models = posterior.models
+    candidates = models.candidates
+    names = [encode_basestring_ascii(n) for n in candidates]
     inclusion = {name: float(p) for name, p in zip(report.names, report.probabilities)}
     averaged = {name: float(c) for name, c in zip(report.names, report.coefficients)}
-    models = posterior.models.models
     probs = posterior.probabilities.tolist()
+    # json writes NaN and Infinity its own way, and an empty list as []
+    by_json = ((models.sizes == 0) | ~np.isfinite(models.bic)
+               | ~np.isfinite(posterior.probabilities)
+               | ~np.isfinite(models.coefficients).all(axis=1)).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{\n  "averaged_coefficients": %s,\n  "inclusion": %s,\n  "models": ['
                  % (_json_section(averaged), _json_section(inclusion)))
         sep = "\n"
-        for lo in range(0, len(models), RESULTS_CHUNK):
-            blocks = []
-            for m, p in zip(models[lo:lo + RESULTS_CHUNK], probs[lo:lo + RESULTS_CHUNK]):
-                bic = m.bic
-                coefs = _ITEM_SEP.join(map(float.__repr__, m.coefficients.tolist()))
-                regressors = _ITEM_SEP.join(map(names.__getitem__, m.regressors))
-                if isinstance(bic, float) and coefs and regressors:
-                    bic, prob = float.__repr__(bic), float.__repr__(p)
-                    # finite reprs hold no "n"; nan and inf are spelled NaN, Infinity
-                    if "n" not in bic and "n" not in coefs and "n" not in prob:
-                        blocks.append(_MODEL_BLOCK % (bic, coefs, prob, regressors))
-                        continue
-                entry = {"regressors": list(m.regressors), "bic": m.bic, "probability": p,
-                         "coefficients": [float(c) for c in m.coefficients]}
-                blocks.append("    " + _json_section(entry, depth=2))
+        for lo in range(0, len(probs), RESULTS_CHUNK):
+            hi = lo + RESULTS_CHUNK
+            blocks = [
+                "    " + _json_section({"regressors": [candidates[j] for j in sel], "bic": bic,
+                                        "probability": p, "coefficients": coefficients},
+                                       depth=2) if special else
+                _MODEL_BLOCK % (float.__repr__(bic),
+                                _ITEM_SEP.join(map(float.__repr__, coefficients)),
+                                float.__repr__(p), _ITEM_SEP.join(map(names.__getitem__, sel)))
+                for (sel, coefficients, bic), p, special in zip(
+                    _model_rows(models, lo, hi), probs[lo:hi], by_json[lo:hi])]
             fh.write(sep + ",\n".join(blocks))
             sep = ",\n"
         fh.write('\n  ],\n  "tree": %s\n}\n'

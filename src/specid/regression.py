@@ -42,7 +42,9 @@ class RegressionModel:
     `condition` is a 2-norm-style estimate of the design's condition number;
     models above CONDITION_LIMIT are flagged (coefficients still returned) and
     search strategies discard them. `coefficients` is read-only and never
-    shares memory with an array the caller holds.
+    shares memory with an array the caller holds. A Workspace attaches
+    `_state` = (workspace, candidate indices, Cholesky factor, z vector), the
+    factor and z None when the fit has none to extend.
     """
 
     regressors: tuple
@@ -106,32 +108,18 @@ class ModelPrior:
         return math.log(self.size_weights[size - 1])
 
 
-class _State:
-    """Factorization attached to a model so extensions can reuse it."""
-
-    __slots__ = ("ws", "sel", "chol", "zvec", "_didx")
-
-    def __init__(self, ws, sel, chol, zvec):
-        self.ws = ws
-        self.sel = sel
-        self.chol = chol
-        self.zvec = zvec
-        self._didx = None
-
-    def design_index(self) -> np.ndarray:
-        """Rows and columns of the Gram matrix that the model's design spans."""
-        if self._didx is None:
-            sel = np.array(self.sel, dtype=np.intp)
-            self._didx = np.concatenate(([0], sel + 1)) if self.ws._off else sel
-        return self._didx
-
-
 class Workspace:
     """Inner products of a fixed candidate pool against one observation vector.
 
     Column j of `X` is the candidate named `names[j]`. When `with_intercept`
     is set, a constant column is implicitly prepended to every design and its
     coefficient reported separately; the intercept is never a candidate.
+
+    One exact-fit kernel serves every caller: `_factor` fits a subset from
+    the Gram matrix and `_grow` adds one column to a fitted factor. Each
+    returns (beta, rss, condition, chol, zvec), beta holding the intercept
+    first when there is one; `fit_subset` and `extend` wrap the parts in a
+    RegressionModel, the searches keep them in arrays.
     """
 
     def __init__(self, y, X, names=None, with_intercept: bool = False):
@@ -181,8 +169,12 @@ class Workspace:
             cols = np.column_stack([np.ones(self.n_obs), cols])
         return cols
 
-    def _model(self, sel: tuple, beta, rss, cond, chol, zvec) -> RegressionModel:
-        rss = max(float(rss), 0.0)
+    def _design_index(self, sel) -> np.ndarray:
+        """Rows and columns of the Gram matrix that the design of `sel` spans."""
+        return np.array(([0] + [j + 1 for j in sel]) if self._off else sel, dtype=np.intp)
+
+    def _model(self, sel, beta, rss, cond, chol, zvec) -> RegressionModel:
+        sel = tuple(sel)
         coefficients = beta[1:].copy() if self._off else beta  # one array per model
         coefficients.flags.writeable = False
         names = self.names
@@ -195,7 +187,7 @@ class Workspace:
             bic=bic_from_parts(rss, self.n_obs, len(sel), self.with_intercept),
             condition=float(cond),
             condition_flag=not math.isfinite(cond) or cond > CONDITION_LIMIT,
-            _state=_State(self, sel, chol, zvec),
+            _state=(self, sel, chol, zvec),
         )
 
     def fit_subset(self, sel) -> RegressionModel:
@@ -208,57 +200,73 @@ class Workspace:
         if any(not 0 <= j < self.n_candidates for j in sel):
             raise InputError("regressor index out of range: %r" % (sel,))
         self._check_size(len(sel))
-        didx = ([0] + [j + 1 for j in sel]) if self._off else list(sel)
-        sub = self.gram[np.ix_(didx, didx)]
-        rhs = self.xty[didx]
-        chol, info = lapack.dpotrf(sub, lower=1)
-        if info != 0:
-            return self._fallback(sel)
-        zvec, _ = lapack.dtrtrs(chol, rhs, lower=1)
-        beta, _ = lapack.dtrtrs(chol, zvec, lower=1, trans=1)
-        rss = self.yty - float(zvec @ zvec)
-        return self._model(sel, beta, rss, _condition(chol), chol, zvec)
+        return self._model(sel, *self._factor(sel))
 
     def extend(self, parent: RegressionModel, j: int) -> RegressionModel:
-        """Fit parent's regressors plus candidate j by updating its factor."""
+        """Fit parent's regressors plus candidate j by updating its factor.
+
+        A parent without a factor (a degenerate fit, or a model a ModelSet
+        built on access) is refitted from the Gram matrix instead.
+        """
         st = parent._state
-        if st is None or st.ws is not self:
+        if st is None or st[0] is not self:
             raise InputError("parent model was not fitted from this workspace")
+        _, psel, pchol, pzvec = st
         j = int(j)
-        sel = st.sel + (j,)
-        if j in st.sel:
+        sel = psel + (j,)
+        if j in psel:
             raise InputError("regressor %r is already in the model" % self.names[j])
         if not 0 <= j < self.n_candidates:
             raise InputError("regressor index out of range: %r" % j)
-        if st.chol is None:  # degenerate parent, no factor to update
+        if pchol is None:
             return self.fit_subset(sel)
         self._check_size(len(sel))
         dj = j + self._off
-        w, _ = lapack.dtrtrs(st.chol, self.gram[st.design_index(), dj], lower=1)
-        gjj = self.gram[dj, dj]
+        parts = self._grow(pchol, pzvec, parent.rss, self.gram[self._design_index(psel), dj],
+                           self.gram[dj, dj], self.xty[dj])
+        return self._model(sel, *(parts or self._factor(sel)))
+
+    def _factor(self, sel) -> tuple:
+        """Fit the valid, size-checked indices `sel` from the Gram matrix."""
+        didx = self._design_index(sel)
+        chol, info = lapack.dpotrf(self.gram.take(didx, 0).take(didx, 1), lower=1)
+        if info != 0:
+            return self._fallback(sel)
+        zvec, _ = lapack.dtrtrs(chol, self.xty.take(didx), lower=1)
+        beta, _ = lapack.dtrtrs(chol, zvec, lower=1, trans=1)
+        rss = max(self.yty - float(zvec @ zvec), 0.0)
+        return beta, rss, _condition(chol), chol, zvec
+
+    @staticmethod
+    def _grow(chol, zvec, rss, cross, gjj, xty_j) -> tuple | None:
+        """Add one column to a fitted factor; None when the column is dependent.
+
+        `cross` holds the new column's Gram entries against the fitted design,
+        `gjj` its own and `xty_j` its product with y; `rss` is the fitted one.
+        """
+        w, _ = lapack.dtrtrs(chol, cross, lower=1)
         pivot = gjj - float(w.dot(w))
         if pivot <= 0 or pivot <= 1e-14 * gjj:
-            return self.fit_subset(sel)  # numerically dependent column
+            return None  # numerically dependent column
         m = w.size
         root = math.sqrt(pivot)
-        chol = np.zeros((m + 1, m + 1), order="F")  # as LAPACK takes it, uncopied
-        chol[:m, :m] = st.chol
-        chol[m, :m] = w
-        chol[m, m] = root
-        znew = (self.xty[dj] - float(w.dot(st.zvec))) / root
-        zvec = np.empty(m + 1)
-        zvec[:m] = st.zvec
-        zvec[m] = znew
-        beta, _ = lapack.dtrtrs(chol, zvec, lower=1, trans=1)
-        rss = parent.rss - znew * znew
-        return self._model(sel, beta, rss, _condition(chol), chol, zvec)
+        grown = np.zeros((m + 1, m + 1), order="F")  # as LAPACK takes it, uncopied
+        grown[:m, :m] = chol
+        grown[m, :m] = w
+        grown[m, m] = root
+        znew = (xty_j - float(w.dot(zvec))) / root
+        zgrown = np.empty(m + 1)
+        zgrown[:m] = zvec
+        zgrown[m] = znew
+        beta, _ = lapack.dtrtrs(grown, zgrown, lower=1, trans=1)
+        return beta, max(float(rss - znew * znew), 0.0), _condition(grown), grown, zgrown
 
-    def _fallback(self, sel) -> RegressionModel:
-        """Rank-deficient design: minimum-norm solution, flagged."""
+    def _fallback(self, sel) -> tuple:
+        """Rank-deficient design: minimum-norm solution, flagged (no factor)."""
         design = self._design(sel)
         beta, _, _, _ = np.linalg.lstsq(design, self.y, rcond=None)
         resid = self.y - design @ beta
-        return self._model(sel, beta, float(resid @ resid), math.inf, None, None)
+        return beta, max(float(resid @ resid), 0.0), math.inf, None, None
 
 
 def _condition(chol: np.ndarray) -> float:
@@ -284,14 +292,14 @@ def check_residual(model: RegressionModel) -> float:
 
     Diagnostic for the normal-equations solution; near zero for healthy fits.
     """
-    st = model._state
-    if st is None:
+    if model._state is None:
         raise InputError("model carries no fit state")
-    design = st.ws._design(st.sel)
+    ws, sel = model._state[:2]
+    design = ws._design(sel)
     beta = model.coefficients if model.intercept is None \
         else np.concatenate([[model.intercept], model.coefficients])
-    resid = st.ws.y - design @ beta
-    ynorm = max(float(np.linalg.norm(st.ws.y)), RSS_FLOOR)
+    resid = ws.y - design @ beta
+    ynorm = max(float(np.linalg.norm(ws.y)), RSS_FLOOR)
     worst = 0.0
     for col in design.T:
         cnorm = max(float(np.linalg.norm(col)), RSS_FLOOR)

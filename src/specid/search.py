@@ -5,18 +5,25 @@ columns) against one observation vector and return a ModelSet of fitted,
 non-degenerate models sorted by (bic, regressor names). Degenerate (flagged)
 models are discarded: their likelihoods are numerically meaningless and
 duplicate-regressor designs double-count evidence.
+
+Exhaustive and Occam run one level-wise enumerator: every fit of a level goes
+through the Workspace's exact-fit kernel and is kept in arrays (a _Level), and
+a ModelSet holds the retained models as columns, not as objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import SpectralLibrary, Spectrum
 from .errors import AlignmentError, InputError, SearchError
-from .regression import RSS_FLOOR, ModelPrior, RegressionModel, Workspace
+from .regression import (CONDITION_LIMIT, RSS_FLOOR, ModelPrior, RegressionModel,
+                         Workspace, bic_from_parts)
 
 STRATEGIES = ("exhaustive", "occam", "mc3")
 
@@ -53,40 +60,114 @@ class SearchConfig:
             raise InputError("mc3_iterations must be >= 1")
         if self.enumeration_cap < 1 or self.beam_cap < 1:
             raise InputError("enumeration_cap and beam_cap must be >= 1")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise InputError("seed must be an integer >= 0, got %r" % (self.seed,))
 
     @property
     def window(self) -> float:
         return 2.0 * math.log(self.window_ratio)
 
 
-@dataclass(frozen=True)
+# a ModelSet's columns, in the order _columns returns them
+_COLUMNS = ("index", "coefficients", "intercepts", "bic", "rss", "condition")
+
+
 class ModelSet:
-    """Fitted models retained by one search run.
+    """Fitted models retained by one search run, held as columns.
+
+    Row i of each column describes model i:
+      index         (models, width) intp: its candidates in fit order, then -1
+      coefficients  (models, width) float64: their coefficients, then 0
+      intercepts    float64, NaN for a model without an intercept
+      bic, rss, condition  float64
+      sizes         intp: how many candidates it holds
+    `models` is the sequence of RegressionModel objects. A set made from
+    RegressionModels keeps them; a search's set builds model i each time it
+    is read (`models[i]`, iteration), with no factor to extend.
 
     `candidates` is the full pool the search drew from, so downstream code
     can tell "never retained" apart from "not a known regressor".
     """
 
-    models: tuple
-    best_bic: float
-    candidates: tuple
-    strategy: str
-    strategy_metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        if not self.models:
+    def __init__(self, models, best_bic: float, candidates, strategy: str,
+                 strategy_metadata: dict | None = None):
+        models = tuple(models)
+        candidates = tuple(candidates)
+        if not models:
             raise SearchError("a ModelSet needs at least one model")
-        keys = [m.key() for m in self.models]
+        keys = [m.key() for m in models]
         if len(set(keys)) != len(keys):
             raise SearchError("ModelSet contains duplicate regressor sets")
-        pool = frozenset(self.candidates)
+        pool = frozenset(candidates)
         if not all(len(set(k)) == len(k) and pool.issuperset(k) for k in keys):
             raise InputError("every model must hold distinct names from the candidates")
+        self._set(_columns(models, candidates), best_bic, candidates, strategy,
+                  strategy_metadata, models)
+
+    @classmethod
+    def _of_columns(cls, columns, ws: Workspace, strategy: str, metadata: dict) -> "ModelSet":
+        """A search's set: its rows already in (bic, key) order."""
+        self = cls.__new__(cls)
+        self._set(columns, float(columns[3][0]), ws.names, strategy, metadata, ws)
+        return self
+
+    def _set(self, columns, best_bic, candidates, strategy, metadata, source):
+        for name, column in zip(_COLUMNS, columns):
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self.sizes = np.count_nonzero(self.index >= 0, axis=1)
+        self.sizes.flags.writeable = False
+        self.best_bic = best_bic
+        self.candidates = candidates
+        self.strategy = strategy
+        self.strategy_metadata = {} if metadata is None else metadata
+        self._source = source  # the given models, or the search's Workspace
+
+    @property
+    def models(self) -> Sequence:
+        source = self._source
+        return source if isinstance(source, tuple) else _BuiltModels(self, source)
 
     def __len__(self) -> int:
-        return len(self.models)
+        return self.bic.size
+
+
+class _BuiltModels(Sequence):
+    """A search's models as RegressionModels, each built when it is read."""
+
+    def __init__(self, owner: ModelSet, ws: Workspace):
+        self._owner = owner
+        self._ws = ws
+
+    def __len__(self) -> int:
+        return len(self._owner)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        i = range(len(self))[i]
+        s, ws = self._owner, self._ws
+        k = int(s.sizes[i])
+        beta = s.coefficients[i, :k]
+        beta = np.concatenate(([s.intercepts[i]], beta)) if ws.with_intercept else beta.copy()
+        return ws._model(s.index[i, :k].tolist(), beta, float(s.rss[i]),
+                         float(s.condition[i]), None, None)
+
+
+def _columns(models, candidates) -> tuple:
+    """A ModelSet's columns for RegressionModels whose names are in candidates."""
+    where = {name: j for j, name in enumerate(candidates)}
+    index = np.full((len(models), max(m.size for m in models)), -1, dtype=np.intp)
+    coefficients = np.zeros(index.shape)
+    for row, m in enumerate(models):
+        index[row, :m.size] = [where[name] for name in m.regressors]
+        coefficients[row, :m.size] = m.coefficients
+    intercepts = np.array([math.nan if m.intercept is None else m.intercept
+                           for m in models], dtype=np.float64)
+    return (index, coefficients, intercepts,
+            *(np.array([getattr(m, name) for m in models], dtype=np.float64)
+              for name in ("bic", "rss", "condition")))
 
 
 def make_workspace(y, library, with_intercept: bool = False) -> Workspace:
@@ -129,19 +210,169 @@ def _checked(ws: Workspace, config: SearchConfig) -> int:
     return limit
 
 
+def _ranked(bic: np.ndarray, index: np.ndarray, names: tuple) -> np.ndarray:
+    """Row order by (bic, sorted names), as models sort by (m.bic, m.key())."""
+    order = np.argsort(bic, kind="stable")
+    ranked = bic[order]
+    tied = np.concatenate(([False], ranked[1:] == ranked[:-1], [False]))
+    # each run of equal BICs, first to last position, sorted by its keys
+    for lo, hi in np.flatnonzero(tied[1:] != tied[:-1]).reshape(-1, 2).tolist():
+        order[lo:hi + 1] = sorted(order[lo:hi + 1].tolist(), key=lambda r: tuple(
+            sorted(names[j] for j in index[r].tolist() if j >= 0)))
+    return order
+
+
+def _ranked_set(columns, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
+    order = _ranked(columns[3], columns[0], ws.names)
+    return ModelSet._of_columns(tuple(c[order] for c in columns), ws, strategy, metadata)
+
+
 def _finish(pool: dict, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
-    models = sorted(pool.values(), key=lambda m: (m.bic, m.key()))
-    if not models:
+    """The ModelSet of the RegressionModels in pool."""
+    if not pool:
         raise SearchError("no usable models: every candidate design is degenerate")
-    return ModelSet(models=tuple(models), best_bic=models[0].bic,
-                    candidates=ws.names, strategy=strategy,
-                    strategy_metadata=metadata)
+    return _ranked_set(_columns(tuple(pool.values()), ws.names), ws, strategy, metadata)
+
+
+@dataclass(eq=False, slots=True)
+class _Level:
+    """The exact fits of one search level; row i fits the candidates sel[i].
+
+    `beta` holds each fit's coefficients, the intercept first if there is
+    one, the rest in the order of sel's columns. `chol` and `zvec` list each
+    fit's factor (None for a fit without one), or are None when the level
+    is not extended.
+    """
+
+    sel: np.ndarray
+    beta: np.ndarray
+    rss: np.ndarray
+    bic: np.ndarray
+    condition: np.ndarray
+    chol: list | None
+    zvec: list | None
+
+    def __len__(self) -> int:
+        return len(self.sel)
+
+    @property
+    def flagged(self) -> np.ndarray:
+        return ~np.isfinite(self.condition) | (self.condition > CONDITION_LIMIT)
+
+    def take(self, rows) -> "_Level":
+        rows = np.asarray(rows, dtype=np.intp)
+        pick = rows.tolist()
+        return _Level(self.sel[rows], self.beta[rows], self.rss[rows], self.bic[rows],
+                      self.condition[rows],
+                      None if self.chol is None else [self.chol[i] for i in pick],
+                      None if self.zvec is None else [self.zvec[i] for i in pick])
+
+    def design(self, off: int) -> np.ndarray:
+        """Each row's Gram matrix indices, as Workspace._design_index gives them."""
+        if not off:
+            return self.sel
+        return np.column_stack([np.zeros(len(self), dtype=np.intp), self.sel + 1])
+
+
+def _concat(levels: list) -> _Level:
+    keep = levels[0].chol is not None
+    return _Level(*(np.concatenate([getattr(lv, name) for lv in levels])
+                    for name in ("sel", "beta", "rss", "bic", "condition")),
+                  sum((lv.chol for lv in levels), []) if keep else None,
+                  sum((lv.zvec for lv in levels), []) if keep else None)
+
+
+def _fit(ws: Workspace, sel: np.ndarray, parents: _Level = None, parent=None,
+         keep: bool = True) -> _Level:
+    """Fit every row of sel with the Workspace's exact-fit kernel.
+
+    Without parents each row is fitted from the Gram matrix, as fit_subset
+    fits it. With them, row i is parents' row parent[i] plus sel's last
+    column, fitted as extend fits it: the parent's factor grows by one
+    column, unless the parent has none or the column is dependent, when the
+    row is fitted from the Gram matrix. `keep` keeps the factors.
+    """
+    if parents is None:
+        fits = map(ws._factor, sel.tolist())
+    else:
+        dj = sel[:, -1] + ws._off
+        cross = ws.gram[parents.design(ws._off)[parent], dj[:, None]]
+        fits = _grown(ws, sel, parents, parent.tolist(), cross, ws.gram[dj, dj].tolist(),
+                      ws.xty[dj].tolist())
+    betas, rss, conds, chols, zvecs = [], [], [], [], []
+    for beta, r, cond, chol, zvec in fits:
+        betas.append(beta)
+        rss.append(r)
+        conds.append(cond)
+        if keep:
+            chols.append(chol)
+            zvecs.append(zvec)
+    n, k = ws.n_obs, sel.shape[1]
+    bic = [bic_from_parts(r, n, k, ws.with_intercept) for r in rss]
+    return _Level(sel, np.array(betas).reshape(len(sel), ws._off + k), np.array(rss),
+                  np.array(bic), np.array(conds), chols if keep else None,
+                  zvecs if keep else None)
+
+
+def _grown(ws: Workspace, sel, parents: _Level, parent: list, cross, gjj: list, xty: list):
+    """Row i of sel fitted by growing the factor of parents' row parent[i]."""
+    chols, zvecs, rss = parents.chol, parents.zvec, parents.rss.tolist()
+    for i, pi, c, g, x in zip(range(len(sel)), parent, cross, gjj, xty):
+        chol = chols[pi]
+        grown = None if chol is None else ws._grow(chol, zvecs[pi], rss[pi], c, g, x)
+        yield grown or ws._factor(sel[i].tolist())
+
+
+def _children(level: _Level, parent, col) -> np.ndarray:
+    """The candidate rows of level's row parent[i] followed by col[i]."""
+    return np.column_stack([level.sel[parent], col])
+
+
+def _finish_levels(levels: list, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
+    """The ModelSet of the rows of the given levels."""
+    levels = [lv for lv in levels if len(lv)]
+    if not levels:
+        raise SearchError("no usable models: every candidate design is degenerate")
+    off = ws._off
+    index = np.full((sum(map(len, levels)), max(lv.sel.shape[1] for lv in levels)), -1,
+                    dtype=np.intp)
+    coefficients = np.zeros(index.shape)
+    lo = 0
+    for lv in levels:
+        k = lv.sel.shape[1]
+        index[lo:lo + len(lv), :k] = lv.sel
+        coefficients[lo:lo + len(lv), :k] = lv.beta[:, off:]
+        lo += len(lv)
+    intercepts = (np.concatenate([lv.beta[:, 0] for lv in levels]) if off
+                  else np.full(len(index), math.nan))
+    return _ranked_set((index, coefficients, intercepts,
+                        *(np.concatenate([getattr(lv, name) for lv in levels])
+                          for name in ("bic", "rss", "condition"))),
+                       ws, strategy, metadata)
+
+
+def _first_level(ws: Workspace, keep: bool) -> _Level:
+    """Every single-candidate model, fitted as fit_subset fits it."""
+    ws._check_size(1)
+    return _fit(ws, np.arange(ws.n_candidates, dtype=np.intp)[:, None], keep=keep)
+
+
+def _prefix_children(sel: np.ndarray, p: int) -> tuple:
+    """Each row's children S + {j}, j after S's last column; parent and column arrays."""
+    last = sel[:, -1]
+    counts = p - 1 - last
+    parent = np.repeat(np.arange(len(sel)), counts)
+    col = np.arange(parent.size) + np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
+    return parent, col
 
 
 def exhaustive_search(y, library, config: SearchConfig = None) -> ModelSet:
     """Fit every regressor subset of size 1..max_size.
 
+    Level by level: each subset S + {j} with j after S's last candidate
+    grows the factor of S (flagged or not), so every fit is extend's.
     Refuses to run when the subset count exceeds config.enumeration_cap.
+    `degenerate` counts the flagged fits dropped.
     """
     config = config or SearchConfig(strategy="exhaustive")
     ws = make_workspace(y, library)
@@ -152,29 +383,26 @@ def exhaustive_search(y, library, config: SearchConfig = None) -> ModelSet:
         raise SearchError(
             "exhaustive search over %d candidates up to size %d needs %d fits, "
             "above the cap of %d" % (p, limit, total, config.enumeration_cap))
-    pool = {}
-
-    def descend(parent, last):
-        for j in range(last + 1, p):
-            child = ws.extend(parent, j)
-            if not child.condition_flag:
-                pool[child.key()] = child
-            if child.size < limit:
-                descend(child, j)
-
-    for j in range(p):
-        model = ws.fit_subset((j,))
-        if not model.condition_flag:
-            pool[model.key()] = model
-        if limit > 1:
-            descend(model, j)
-    return _finish(pool, ws, "exhaustive", {"fits": total})
+    levels = [_first_level(ws, keep=limit > 1)]
+    for size in range(2, limit + 1):
+        ws._check_size(size)
+        parents = levels[-1]
+        parent, col = _prefix_children(parents.sel, p)
+        levels.append(_fit(ws, _children(parents, parent, col), parents, parent,
+                           keep=size < limit))
+        parents.chol = parents.zvec = None  # only the level being extended keeps them
+    flagged = [lv.flagged for lv in levels]
+    degenerate = sum(int(np.count_nonzero(f)) for f in flagged)
+    kept = [lv.take(np.flatnonzero(~f)) for lv, f in zip(levels, flagged)]
+    meta = {"fits": total, "exact_fits": total, "degenerate": degenerate}
+    return _finish_levels(kept, ws, "exhaustive", meta)
 
 
 def filter_window(models: ModelSet, window: float) -> tuple:
     """Models within `window` BIC units of the set's best, sorted as stored."""
-    best = models.best_bic
-    return tuple(m for m in models.models if m.bic - best <= window)
+    inside = np.flatnonzero(models.bic - models.best_bic <= window).tolist()
+    built = models.models
+    return tuple(built[i] for i in inside)
 
 
 # Occam screen: a child's BIC is first scored from its parent's factor in one
@@ -185,16 +413,15 @@ _SCREEN_MARGIN = 1e-3   # BIC units added to the window before a child is skippe
 _PIVOT_TOL = 1e-14      # Workspace.extend's dependence test
 
 
-def _first_parents(survivors: list, p: int) -> tuple:
+def _first_parents(sel: np.ndarray, p: int) -> tuple:
     """The distinct children of one level, each with its first generating parent.
 
-    Parent i extended by column j yields the child sel(i) + {j}; a child
-    reached from several parents belongs to the first in survivor order.
+    Parent i extended by column j yields the child sel[i] + {j}; a child
+    reached from several parents belongs to the first in row order.
     Returns the parent and column index arrays of the distinct children.
     """
-    sel = np.array([m._state.sel for m in survivors], dtype=np.intp)
-    member = np.zeros((len(survivors), p), dtype=bool)
-    member[np.arange(len(survivors))[:, None], sel] = True
+    member = np.zeros((len(sel), p), dtype=bool)
+    member[np.arange(len(sel))[:, None], sel] = True
     parent, col = np.nonzero(~member)  # parent-major, columns ascending
     child = np.column_stack([sel[parent], col])
     child.sort(axis=1)
@@ -206,7 +433,7 @@ def _first_parents(survivors: list, p: int) -> tuple:
     return parent[keep], col[keep]
 
 
-def _screen(ws: Workspace, survivors: list, parent, col) -> np.ndarray:
+def _screen(ws: Workspace, survivors: _Level, parent, col) -> np.ndarray:
     """Lower bounds on the BIC that Workspace.extend gives each (parent, col).
 
     The child's factor row is one batched forward substitution against the
@@ -215,17 +442,17 @@ def _screen(ws: Workspace, survivors: list, parent, col) -> np.ndarray:
     fitted child never scores below it; pairs that extend's dependence test
     may send to fit_subset get -inf, so they are always fitted exactly.
     """
-    off = 1 if ws.with_intercept else 0
-    m = survivors[0]._state.chol.shape[0]
+    off = ws._off
+    m = survivors.sel.shape[1] + off
     n = ws.n_obs
     penalty = (m + 2) * math.log(n)  # the parent's terms, the new one, the variance
-    chols = np.stack([s._state.chol for s in survivors])
-    zvecs = np.stack([s._state.zvec for s in survivors])
-    rows = np.array([s._state.design_index() for s in survivors])
-    rss = np.array([s.rss for s in survivors])
+    chols = np.stack(survivors.chol)
+    zvecs = np.stack(survivors.zvec)
+    rows = survivors.design(off)
+    rss = survivors.rss
     # allowed relative rounding of w: a triangular solve's forward error grows
     # with the factor's size and condition
-    rho = _SCREEN_TOL * (m + 1) * np.array([s.condition for s in survivors])
+    rho = _SCREEN_TOL * (m + 1) * survivors.condition
     gdiag = np.diagonal(ws.gram)
     out = np.empty(parent.size)
     for lo in range(0, parent.size, _SCREEN_CHUNK):
@@ -266,11 +493,11 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
     own retained sub-models are then dropped.
 
     Each level is screened before it is fitted: a batched solve bounds every
-    child's BIC from below, and Workspace.extend runs only on children whose
-    bound lies inside the window of the level's best exact BIC, repeated
+    child's BIC from below, and the exact fit (extend's) runs only on children
+    whose bound lies inside the window of the level's best exact BIC, repeated
     until no unfitted child can enter it. The result equals fitting every
-    child. `fits` counts the distinct models scored, `exact_fits` the
-    fit_subset/extend calls made.
+    child. `fits` counts the distinct models scored, `exact_fits` the exact
+    fits made, `degenerate` the flagged ones among them.
     """
     config = config or SearchConfig(strategy="occam")
     ws = make_workspace(y, library)
@@ -279,30 +506,25 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
     window = config.window
     fits = exact_fits = p
     capped = False
-    best = math.inf
-    pool = {}
 
-    level = []
-    for j in range(p):
-        model = ws.fit_subset((j,))
-        if model.condition_flag:
-            continue
-        best = min(best, model.bic)
-        level.append(model)
-    if not level:
+    level = _first_level(ws, keep=limit > 1)
+    usable = np.flatnonzero(~level.flagged)
+    degenerate = p - usable.size
+    if not usable.size:
         raise SearchError("every single-regressor model is degenerate")
-    survivors = [m for m in level if m.bic - best <= window]
-    pool.update({m.key(): m for m in survivors})
+    best = min([math.inf] + level.bic[usable].tolist())
+    survivors = level.take(usable[level.bic[usable] - best <= window])
+    pool = [replace(survivors, chol=None, zvec=None)]  # the pool keeps no factor
 
     for size in range(2, limit + 1):
-        survivors.sort(key=lambda m: (m.bic, m.key()))
-        if len(survivors) > config.beam_cap:
-            survivors = survivors[:config.beam_cap]
+        order = _ranked(survivors.bic, survivors.sel, ws.names)
+        if order.size > config.beam_cap:
+            order = order[:config.beam_cap]
             capped = True
-        # extend refuses models too large for the data; so must a level whose
-        # screen rules out every child
+        survivors = survivors.take(order)
+        # a level whose screen rules out every child still needs its size
         ws._check_size(size)
-        parent, col = _first_parents(survivors, p)
+        parent, col = _first_parents(survivors.sel, p)
         fits += parent.size
         bound = _screen(ws, survivors, parent, col)
         order = np.argsort(bound)
@@ -312,41 +534,53 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
         # take it from the exact unflagged fits, until nothing more can enter
         lowest = np.min(bound, where=np.isfinite(bound), initial=math.inf)
         threshold = min(best, lowest) + window
-        level, done = [], 0
+        passes, done = [], 0
         while True:
             stop = int(np.searchsorted(bound, threshold + _SCREEN_MARGIN, side="right"))
             if stop <= done:
                 break
-            for i in order[done:stop]:
-                child = ws.extend(survivors[parent[i]], col[i])
-                if not child.condition_flag:
-                    best = min(best, child.bic)
-                    level.append(child)
+            pick = order[done:stop]
+            fitted = _fit(ws, _children(survivors, parent[pick], col[pick]), survivors,
+                          parent[pick], keep=size < limit)
+            usable = np.flatnonzero(~fitted.flagged)
+            degenerate += len(fitted) - usable.size
+            best = min([best] + fitted.bic[usable].tolist())
+            passes.append(fitted.take(usable))
             exact_fits += stop - done
             done = stop
             threshold = best + window
-        survivors = [m for m in level if m.bic - best <= window]
-        pool.update({m.key(): m for m in survivors})
-        if not survivors:
+        if not passes:
+            break
+        level = _concat(passes)
+        survivors = level.take(np.flatnonzero(level.bic - best <= window))
+        pool.append(replace(survivors, chol=None, zvec=None))
+        if not len(survivors):
             break
 
-    retained = {k: m for k, m in pool.items() if m.bic - best <= window}
+    retained = [lv.take(np.flatnonzero(lv.bic - best <= window)) for lv in pool]
     dropped = 0
     if config.submodel_exclusion:
-        keys = sorted(retained, key=len)
-        keep = {}
-        for key in keys:
-            kset = set(key)
-            beaten = any(set(other) < kset and retained[other].bic < retained[key].bic
-                         for other in keys if len(other) < len(key))
-            if beaten:
-                dropped += 1
-            else:
-                keep[key] = retained[key]
-        retained = keep
+        retained, dropped = _exclude_submodels(retained)
     meta = {"fits": fits, "exact_fits": exact_fits, "beam_capped": capped,
-            "window": window, "submodel_excluded": dropped}
-    return _finish(retained, ws, "occam", meta)
+            "window": window, "submodel_excluded": dropped, "degenerate": degenerate}
+    return _finish_levels(retained, ws, "occam", meta)
+
+
+def _exclude_submodels(levels: list) -> tuple:
+    """Drop every model that a strict sub-model among them beats on BIC.
+
+    Returns the levels' remaining rows and the number dropped.
+    """
+    sets = [(frozenset(row), b) for lv in levels
+            for row, b in zip(lv.sel.tolist(), lv.bic.tolist())]
+    beaten = [any(small < big and small_bic < big_bic
+                  for small, small_bic in sets if len(small) < len(big))
+              for big, big_bic in sets]
+    kept, lo = [], 0
+    for lv in levels:
+        kept.append(lv.take(np.flatnonzero(np.logical_not(beaten[lo:lo + len(lv)]))))
+        lo += len(lv)
+    return kept, sum(beaten)
 
 
 def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
@@ -355,7 +589,8 @@ def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
     Proposals are uniform over the legal neighbor moves of the current model;
     acceptance is min(1, exp(-(bic'-bic)/2) * prior ratio * |N(M)|/|N(M')|).
     The returned set holds every unique model the chain occupied, each with
-    its exactly computed BIC; degenerate proposals are rejected outright.
+    its exactly computed BIC; degenerate proposals are rejected outright
+    (`degenerate` counts the distinct ones).
     """
     config = config or SearchConfig(strategy="mc3")
     ws = make_workspace(y, library)
@@ -423,7 +658,8 @@ def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
 
     pool = {key: cache[key] for key in visited}
     meta = {"iterations": config.mc3_iterations, "accepted": accepted,
-            "unique_fits": len(cache)}
+            "unique_fits": len(cache),
+            "degenerate": sum(m.condition_flag for m in cache.values())}
     return _finish(pool, ws, "mc3", meta)
 
 

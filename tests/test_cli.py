@@ -5,6 +5,7 @@ import functools
 import json
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -381,6 +382,17 @@ class TestBmaTable:
                    "--csv", table_csv, "--response", "y"] + extra)
         assert rc == 2
         assert fragment in capsys.readouterr().err
+
+    def test_negative_seed_exits_2_in_one_line(self, tmp_path):
+        # numpy's generator would raise on it mid-run; the config refuses it first
+        crime = str(Path(__file__).parent / "data" / "uscrime.csv")
+        proc = subprocess.run([sys.executable, "-m", "specid", "--seed", "-1", "bma-table",
+                               "--csv", crime, "--response", "y", "--strategy", "mc3",
+                               "--out", str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "seed must be an integer >= 0, got -1" in proc.stderr
 
     def test_exhaustive_not_offered(self, table_csv, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -1,5 +1,6 @@
 """Search strategies: exhaustive enumeration, the Occam beam, and the MC3 walk."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from specid.aggregate import averaged_coefficients, inclusion_probability, normalize
 from specid.core import BandGrid, Spectrum, SpectralLibrary, extract_pixel
 from specid.errors import AlignmentError, InputError, SearchError
-from specid.regression import ModelPrior, RegressionModel, Workspace
-from specid.search import (ModelSet, SearchConfig, _checked, _finish,
-                           _first_parents, _screen, exhaustive_search,
+from specid.regression import ModelPrior, RegressionModel, Workspace, check_residual
+from specid.search import (ModelSet, SearchConfig, _checked, _children, _finish,
+                           _first_level, _first_parents, _fit, _screen,
+                           exhaustive_search,
                            filter_window, make_workspace, mc3_search,
                            occam_search, run_search)
 from synth import make_scene, make_table_instance
@@ -36,6 +38,9 @@ class TestSearchConfig:
         {"mc3_iterations": 0},
         {"enumeration_cap": 0},
         {"beam_cap": 0},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InputError):
@@ -408,14 +413,14 @@ class TestOccamScreen:
             X[:, 4] = X[:, 0] + 1e-6 * rng.normal(0, 1, 10)
             y = 3.0 + X[:, 1] - X[:, 2] + noise * rng.normal(0, 1, 10)
             ws = Workspace(y, X, with_intercept=bool(seed % 2))
-            level = [ws.fit_subset((j,)) for j in range(6)]
+            level = _first_level(ws, keep=True)
             for _ in range(3):
-                level = [m for m in level if not m.condition_flag]
-                parent, col = _first_parents(level, 6)
+                level = level.take(np.flatnonzero(~level.flagged))
+                parent, col = _first_parents(level.sel, 6)
                 bound = _screen(ws, level, parent, col)
-                level = [ws.extend(level[i], j) for i, j in zip(parent, col)]
-                for b, child in zip(bound, level):
-                    assert child.condition_flag or b <= child.bic
+                level = _fit(ws, _children(level, parent, col), level, parent)
+                for b, bic, flagged in zip(bound, level.bic, level.flagged):
+                    assert flagged or b <= bic
 
     def test_flagged_child_with_the_lowest_bic(self):
         # x1 is tiny and orthogonal to x0: extend's pivot test is scale-free and
@@ -436,6 +441,189 @@ class TestOccamScreen:
         for exclusion in (False, True):
             assert_same_search(ws, SearchConfig(max_size=3,
                                                 submodel_exclusion=exclusion))
+
+
+def reference_exhaustive(y, library, config: SearchConfig = None) -> ModelSet:
+    """Fit every regressor subset of size 1..max_size.
+
+    Refuses to run when the subset count exceeds config.enumeration_cap.
+    """
+    # exhaustive_search as a depth-first recursion with one RegressionModel
+    # per fit, kept verbatim; the level-wise search must reproduce it bit for bit
+    config = config or SearchConfig(strategy="exhaustive")
+    ws = make_workspace(y, library)
+    limit = _checked(ws, config)
+    p = ws.n_candidates
+    total = sum(math.comb(p, k) for k in range(1, limit + 1))
+    if total > config.enumeration_cap:
+        raise SearchError(
+            "exhaustive search over %d candidates up to size %d needs %d fits, "
+            "above the cap of %d" % (p, limit, total, config.enumeration_cap))
+    pool = {}
+
+    def descend(parent, last):
+        for j in range(last + 1, p):
+            child = ws.extend(parent, j)
+            if not child.condition_flag:
+                pool[child.key()] = child
+            if child.size < limit:
+                descend(child, j)
+
+    for j in range(p):
+        model = ws.fit_subset((j,))
+        if not model.condition_flag:
+            pool[model.key()] = model
+        if limit > 1:
+            descend(model, j)
+    return _finish(pool, ws, "exhaustive", {"fits": total})
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_same_exhaustive(ws, config):
+    got = outcome(exhaustive_search, ws, config)
+    want = outcome(reference_exhaustive, ws, config)
+    if not isinstance(want, ModelSet):
+        assert got is want
+        return
+    assert [m.key() for m in got.models] == [m.key() for m in want.models]
+    assert got.best_bic == want.best_bic
+    for i, (a, b) in enumerate(zip(got.models, want.models)):
+        assert a.regressors == b.regressors
+        for name in ("bic", "rss", "condition"):
+            assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert (a.intercept is None) == (b.intercept is None)
+        if b.intercept is not None:
+            assert bits(a.intercept) == bits(b.intercept)
+        assert a.condition_flag is b.condition_flag is False
+        # built on access: read-only, and equal to the stored columns
+        with pytest.raises(ValueError):
+            a.coefficients[0] = 0.0
+        k = got.sizes[i]
+        assert got.index[i, :k].tolist() == [ws.names.index(n) for n in a.regressors]
+        assert (got.index[i, k:] == -1).all()
+        assert got.coefficients[i, :k].tobytes() == a.coefficients.tobytes()
+        assert bits(got.bic[i]) == bits(a.bic) and bits(got.rss[i]) == bits(a.rss)
+        if a.intercept is not None:
+            assert bits(got.intercepts[i]) == bits(a.intercept)
+    meta = got.strategy_metadata
+    assert meta["fits"] == meta["exact_fits"] == want.strategy_metadata["fits"]
+    assert meta["degenerate"] == meta["fits"] - len(got)
+
+
+@st.composite
+def exhaustive_problems(draw):
+    """Random designs with one column near or exactly a copy of another, so
+    that fits fall back to lstsq and flagged parents are extended."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 30))
+    p = draw(st.integers(2, 7))
+    X = rng.normal(0.0, 1.0, (n, p))
+    a, b = rng.choice(p, 2, replace=False)
+    eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-2]))
+    X[:, b] = X[:, a] + eps * rng.normal(0.0, 1.0, n)
+    noise = draw(st.sampled_from([0.0, 1e-8, 0.1, 1.0]))
+    y = X @ rng.normal(0.0, 1.0, p) + noise * rng.normal(0.0, 1.0, n)
+    ws = Workspace(y, X, with_intercept=draw(st.booleans()))
+    return ws, SearchConfig(max_size=draw(st.integers(1, 4)), strategy="exhaustive")
+
+
+class TestExhaustiveReference:
+    """The level-wise exhaustive search equals the depth-first one bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(exhaustive_problems())
+    def test_matches_reference_recursion(self, problem):
+        assert_same_exhaustive(*problem)
+
+    def test_table_instances(self):
+        for seed in range(3):
+            assert_same_exhaustive(table_workspace(seed),
+                                   SearchConfig(max_size=4, strategy="exhaustive"))
+
+    def test_fallback_parent_and_flagged_parent(self, monkeypatch):
+        # x2 copies x0, so {x0, x2} has no Cholesky factor and falls back to
+        # lstsq; x3 is tiny, so {x1, x3} passes extend's scale-free pivot test
+        # and is factored but flagged. Both are extended to size 3.
+        rng = np.random.default_rng(40)
+        X = rng.normal(0, 1, (20, 5))
+        X[:, 2] = X[:, 0]
+        X[:, 3] *= 1e-11
+        ws = Workspace(X @ [1.0, -0.5, 0.0, 0.0, 0.3] + 0.1 * rng.normal(0, 1, 20), X)
+        copy = ws.extend(ws.fit_subset((0,)), 2)
+        tiny = ws.extend(ws.fit_subset((1,)), 3)
+        assert copy.condition_flag and copy._state[2] is None
+        assert tiny.condition_flag and tiny._state[2] is not None
+        fallbacks = []
+        original = Workspace._fallback
+
+        def counted(self, sel):
+            fallbacks.append(tuple(sel))
+            return original(self, sel)
+
+        monkeypatch.setattr(Workspace, "_fallback", counted)
+        assert_same_exhaustive(ws, SearchConfig(max_size=3, strategy="exhaustive"))
+        assert (0, 2) in fallbacks and (0, 2, 4) in fallbacks
+
+
+def test_models_built_on_access():
+    ws = Workspace(*make_table_instance(3)[:2], with_intercept=True)
+    out = exhaustive_search(None, ws, SearchConfig(max_size=3, strategy="exhaustive"))
+    best = out.models[0]
+    assert out.models[-1].key() == out.models[len(out) - 1].key()
+    assert [m.key() for m in out.models[:3]] == [out.models[i].key() for i in range(3)]
+    # no factor is kept: extend refits from the Gram matrix, and the residual
+    # check still reaches the workspace
+    assert check_residual(best) <= 1e-8
+    child = ws.extend(best, next(j for j in range(ws.n_candidates)
+                                 if ws.names[j] not in best.regressors))
+    fresh = ws.fit_subset(child._state[1])
+    assert child.regressors == fresh.regressors
+    assert child.coefficients.tobytes() == fresh.coefficients.tobytes()
+
+
+class TestDegenerateCount:
+    """strategy_metadata["degenerate"] counts the flagged designs dropped."""
+
+    def workspace(self):
+        # candidate "dup" is an exact copy of "a", and here every design holding
+        # both is flagged (rounding can leave such a design unflagged)
+        rng = np.random.default_rng(0)
+        X = rng.normal(0, 1, (20, 6))
+        X[:, 5] = X[:, 0]
+        y = X[:, :3] @ [1.0, -0.7, 0.4] + 0.05 * rng.normal(0, 1, 20)
+        return Workspace(y, X, names=("a", "b", "c", "d", "e", "dup"))
+
+    @staticmethod
+    def flagged(ws, subsets) -> int:
+        return sum(ws.fit_subset(sel).condition_flag for sel in subsets)
+
+    def test_exhaustive_and_wide_occam(self):
+        ws = self.workspace()
+        subsets = [sel for k in range(1, 5) for sel in itertools.combinations(range(6), k)]
+        expected = self.flagged(ws, subsets)
+        assert expected == sum(math.comb(4, k - 2) for k in range(2, 5))
+        full = exhaustive_search(None, ws, SearchConfig(max_size=4, strategy="exhaustive"))
+        assert full.strategy_metadata["degenerate"] == expected
+        # a window this wide keeps every unflagged model, so the beam fits
+        # every design that holds both copies
+        wide = occam_search(None, ws, SearchConfig(max_size=4, window_ratio=1e300))
+        assert wide.strategy_metadata["degenerate"] == expected
+        assert keys(wide) == keys(full)
+
+    def test_mc3(self):
+        ws = self.workspace()
+        proposed = []
+        fit_subset = ws.fit_subset
+        ws.fit_subset = lambda sel: proposed.append(tuple(sel)) or fit_subset(sel)
+        out = mc3_search(None, ws, SearchConfig(max_size=4, strategy="mc3",
+                                                mc3_iterations=3000, seed=4))
+        assert len(proposed) == out.strategy_metadata["unique_fits"]
+        expected = self.flagged(Workspace(ws.y, ws.X, ws.names), proposed)
+        assert out.strategy_metadata["degenerate"] == expected > 0
 
 
 class TestMC3:

@@ -25,10 +25,14 @@ Every command runs in process through specid.cli.main:
   detect on each scene (and on each --detect input) at --threads 1, 2 and 4;
   identify --cube --roi on the top ROI of scenes 1 and 7: occam, occam
   --occam-strict, mc3, exhaustive at max size 3, occam with background
-  removal, occam with --conditional-tree; on scene 11's: occam;
-  bma-table on the crime table: occam and mc3; on the names table: occam.
-The exhaustive runs keep 10,700 models each, so they cover several of the
-chunks in which io_formats.write_results_json writes results.json.
+  removal, occam with --conditional-tree; on scene 1's also exhaustive at
+  max size 4; on scene 11's: occam;
+  bma-table on the crime table: occam --occam-strict, occam and mc3; on the
+  names table: occam.
+The exhaustive runs at max size 3 keep 10,700 models each, so they cover
+several of the chunks in which io_formats.write_results_json writes
+results.json; the one at max size 4 keeps 102,090, so it covers the search's
+fourth level and about a hundred chunks.
 The printed object maps "<run>/<file>" to the file's sha256. Output files
 and inputs are kept under --work (default: a temporary directory).
 """
@@ -56,8 +60,9 @@ IDENTIFY_RUNS = (
     ("removal", ["--background-removal", "--target", "{target}"]),
     ("conditional", ["--conditional-tree"]),
 )
+EXHAUSTIVE_4 = ("exhaustive4", ["--strategy", "exhaustive", "--max-size", "4"])
 # (seed, scene size, ENVI layout, identify runs on the top ROI)
-SCENES = ((1, {}, {}, IDENTIFY_RUNS),
+SCENES = ((1, {}, {}, IDENTIFY_RUNS + (EXHAUSTIVE_4,)),
           (7, {"rows": 300, "cols": 250},
            {"interleave": "bil", "data_type": 2, "bad_bands": (3, 17)}, IDENTIFY_RUNS),
           (11, {"rows": 300, "cols": 250},
@@ -65,6 +70,7 @@ SCENES = ((1, {}, {}, IDENTIFY_RUNS),
            IDENTIFY_RUNS[:1]))
 BMA_RUNS = (
     ("occam", ["--occam-strict"]),
+    ("occam-window", []),
     ("mc3", ["--strategy", "mc3", "--iterations", "5000", "--max-size", "6"]),
 )
 ESCAPED_NAMES = ("Größe", 'say "hi"', "back\\slash", "models")
