@@ -229,11 +229,12 @@ class Workspace:
     def _factor(self, sel) -> tuple:
         """Fit the valid, size-checked indices `sel` from the Gram matrix."""
         didx = self._design_index(sel)
-        chol, info = lapack.dpotrf(self.gram.take(didx, 0).take(didx, 1), lower=1)
+        # LAPACK flags positionally here and below: f2py's keyword parsing costs per call
+        chol, info = lapack.dpotrf(self.gram.take(didx, 0).take(didx, 1), 1)
         if info != 0:
             return self._fallback(sel)
-        zvec, _ = lapack.dtrtrs(chol, self.xty.take(didx), lower=1)
-        beta, _ = lapack.dtrtrs(chol, zvec, lower=1, trans=1)
+        zvec, _ = lapack.dtrtrs(chol, self.xty.take(didx), 1)
+        beta, _ = lapack.dtrtrs(chol, zvec, 1, 1)
         rss = max(self.yty - float(zvec @ zvec), 0.0)
         return beta, rss, _condition(chol), chol, zvec
 
@@ -244,7 +245,7 @@ class Workspace:
         `cross` holds the new column's Gram entries against the fitted design,
         `gjj` its own and `xty_j` its product with y; `rss` is the fitted one.
         """
-        w, _ = lapack.dtrtrs(chol, cross, lower=1)
+        w, _ = lapack.dtrtrs(chol, cross, 1)
         pivot = gjj - float(w.dot(w))
         if pivot <= 0 or pivot <= 1e-14 * gjj:
             return None  # numerically dependent column
@@ -258,7 +259,7 @@ class Workspace:
         zgrown = np.empty(m + 1)
         zgrown[:m] = zvec
         zgrown[m] = znew
-        beta, _ = lapack.dtrtrs(grown, zgrown, lower=1, trans=1)
+        beta, _ = lapack.dtrtrs(grown, zgrown, 1, 1)
         return beta, max(float(rss - znew * znew), 0.0), _condition(grown), grown, zgrown
 
     def _fallback(self, sel) -> tuple:
@@ -271,7 +272,7 @@ class Workspace:
 
 def _condition(chol: np.ndarray) -> float:
     """Condition estimate of the design via its Cholesky factor."""
-    rcond, info = lapack.dtrcon(chol, norm='1', uplo='L', diag='N')
+    rcond, info = lapack.dtrcon(chol, '1', 'L', 'N')
     if info != 0 or rcond <= 0:
         return math.inf
     return 1.0 / rcond

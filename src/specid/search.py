@@ -8,7 +8,8 @@ duplicate-regressor designs double-count evidence.
 
 Exhaustive and Occam run one level-wise enumerator: every fit of a level goes
 through the Workspace's exact-fit kernel and is kept in arrays (a _Level), and
-a ModelSet holds the retained models as columns, not as objects.
+a ModelSet holds the retained models as columns, not as objects. MC3 fits each
+distinct proposal with the same kernel and keeps the fits as rows.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 
 from .core import SpectralLibrary, Spectrum
 from .errors import AlignmentError, InputError, SearchError
-from .regression import (CONDITION_LIMIT, RSS_FLOOR, ModelPrior, RegressionModel,
-                         Workspace, bic_from_parts)
+from .regression import CONDITION_LIMIT, RSS_FLOOR, ModelPrior, Workspace, bic_from_parts
 
 STRATEGIES = ("exhaustive", "occam", "mc3")
 
@@ -49,6 +49,10 @@ class SearchConfig:
     submodel_exclusion: bool = False
 
     def __post_init__(self):
+        for name in ("max_size", "mc3_iterations", "enumeration_cap", "beam_cap", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InputError("%s must be an integer, got %r" % (name, value))
         if self.max_size < 1:
             raise InputError("max_size must be >= 1, got %r" % self.max_size)
         if not self.window_ratio > 1:
@@ -60,8 +64,7 @@ class SearchConfig:
             raise InputError("mc3_iterations must be >= 1")
         if self.enumeration_cap < 1 or self.beam_cap < 1:
             raise InputError("enumeration_cap and beam_cap must be >= 1")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
+        if self.seed < 0:
             raise InputError("seed must be an integer >= 0, got %r" % (self.seed,))
 
     @property
@@ -225,13 +228,6 @@ def _ranked(bic: np.ndarray, index: np.ndarray, names: tuple) -> np.ndarray:
 def _ranked_set(columns, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
     order = _ranked(columns[3], columns[0], ws.names)
     return ModelSet._of_columns(tuple(c[order] for c in columns), ws, strategy, metadata)
-
-
-def _finish(pool: dict, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
-    """The ModelSet of the RegressionModels in pool."""
-    if not pool:
-        raise SearchError("no usable models: every candidate design is degenerate")
-    return _ranked_set(_columns(tuple(pool.values()), ws.names), ws, strategy, metadata)
 
 
 @dataclass(eq=False, slots=True)
@@ -590,77 +586,87 @@ def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
     acceptance is min(1, exp(-(bic'-bic)/2) * prior ratio * |N(M)|/|N(M')|).
     The returned set holds every unique model the chain occupied, each with
     its exactly computed BIC; degenerate proposals are rejected outright
-    (`degenerate` counts the distinct ones).
+    (`degenerate` counts the distinct ones). Each distinct proposal is fitted
+    once with the Workspace's exact-fit kernel and cached as its BIC, its
+    flag and its fit; the move counts change only when a move is accepted.
     """
     config = config or SearchConfig(strategy="mc3")
     ws = make_workspace(y, library)
     limit = _checked(ws, config)
     p = ws.n_candidates
-    prior = config.prior
+    n, with_intercept = ws.n_obs, ws.with_intercept
     rng = np.random.default_rng(config.seed)
-    cache = {}
+    cache = {}  # key -> (bic, flagged, beta, rss, condition)
 
     def fitted(key):
-        model = cache.get(key)
-        if model is None:
-            model = ws.fit_subset(key)
-            cache[key] = model
-        return model
+        ws._check_size(len(key))
+        beta, rss, cond, _, _ = ws._factor(key)
+        fit = cache[key] = (bic_from_parts(rss, n, len(key), with_intercept),
+                            not math.isfinite(cond) or cond > CONDITION_LIMIT,
+                            beta, rss, cond)
+        return fit
 
-    def neighbor_count(k: int) -> int:
+    def moves(k: int) -> tuple:
+        """The add and remove counts at size k, and the count of all legal moves."""
         adds = p - k if k < limit else 0
         removes = k if k > 1 else 0
-        return adds + removes + k * (p - k)
+        return adds, removes, adds + removes + k * (p - k)
 
-    current_key = None
+    key = None
     for j in rng.permutation(p):
-        model = fitted((int(j),))
-        if not model.condition_flag:
-            current_key = (int(j),)
-            current = model
+        fit = fitted((int(j),))
+        if not fit[1]:
+            key, bic = (int(j),), fit[0]
             break
-    if current_key is None:
+    if key is None:
         raise SearchError("every single-regressor model is degenerate")
 
-    visited = {current_key}
+    # a one-candidate pool has no legal move, so its chain stops at once
+    sizes = range(1, limit + 1) if p > 1 else ()
+    log_weight = {k: config.prior.log_weight(k) for k in sizes}
+    log_moves = {k: math.log(moves(k)[2]) for k in sizes}
+    iterations = config.mc3_iterations if sizes else 0
+    visited = {key}
     accepted = 0
-    for _ in range(config.mc3_iterations):
-        k = len(current_key)
-        adds = p - k if k < limit else 0
-        removes = k if k > 1 else 0
-        total = adds + removes + k * (p - k)
-        if total == 0:
-            break  # no legal move (single candidate pool)
+    k = 1
+    adds, removes, total = moves(k)
+    outside = [j for j in range(p) if j != key[0]]
+    for _ in range(iterations):
         move = int(rng.integers(total))
-        inside = set(current_key)
-        outside = [j for j in range(p) if j not in inside]
         if move < adds:
-            proposal_key = tuple(sorted(current_key + (outside[move],)))
+            proposal = tuple(sorted(key + (outside[move],)))
         elif move < adds + removes:
-            kept = list(current_key)
-            del kept[move - adds]
-            proposal_key = tuple(kept)
+            slot = move - adds
+            proposal = key[:slot] + key[slot + 1:]
         else:
             slot, target = divmod(move - adds - removes, p - k)
-            kept = list(current_key)
-            kept[slot] = outside[target]
-            proposal_key = tuple(sorted(kept))
-        proposal = fitted(proposal_key)
-        if proposal.condition_flag:
+            proposal = tuple(sorted(key[:slot] + (outside[target],) + key[slot + 1:]))
+        fit = cache.get(proposal) or fitted(proposal)
+        if fit[1]:
             continue  # zero-posterior state; reject
-        log_alpha = (-(proposal.bic - current.bic) / 2.0
-                     + prior.log_weight(len(proposal_key)) - prior.log_weight(k)
-                     + math.log(total) - math.log(neighbor_count(len(proposal_key))))
+        size = len(proposal)
+        log_alpha = (-(fit[0] - bic) / 2.0 + log_weight[size] - log_weight[k]
+                     + log_moves[k] - log_moves[size])
         if log_alpha >= 0 or math.log(rng.random()) < log_alpha:
-            current_key, current = proposal_key, proposal
-            visited.add(proposal_key)
+            key, bic = proposal, fit[0]
+            visited.add(key)
             accepted += 1
+            k = size
+            adds, removes, total = moves(k)
+            inside = set(key)
+            outside = [j for j in range(p) if j not in inside]
 
-    pool = {key: cache[key] for key in visited}
-    meta = {"iterations": config.mc3_iterations, "accepted": accepted,
-            "unique_fits": len(cache),
-            "degenerate": sum(m.condition_flag for m in cache.values())}
-    return _finish(pool, ws, "mc3", meta)
+    by_size = {}
+    for key in visited:
+        by_size.setdefault(len(key), []).append(key)
+    levels = []
+    for keys in by_size.values():
+        bics, _, betas, rss, conds = zip(*map(cache.get, keys))
+        levels.append(_Level(np.array(keys, dtype=np.intp), np.array(betas), np.array(rss),
+                             np.array(bics), np.array(conds), None, None))
+    meta = {"iterations": iterations, "accepted": accepted, "unique_fits": len(cache),
+            "degenerate": sum(f[1] for f in cache.values())}
+    return _finish_levels(levels, ws, "mc3", meta)
 
 
 def run_search(y, library, config: SearchConfig) -> ModelSet:

@@ -12,8 +12,8 @@ from specid.aggregate import averaged_coefficients, inclusion_probability, norma
 from specid.core import BandGrid, Spectrum, SpectralLibrary, extract_pixel
 from specid.errors import AlignmentError, InputError, SearchError
 from specid.regression import ModelPrior, RegressionModel, Workspace, check_residual
-from specid.search import (ModelSet, SearchConfig, _checked, _children, _finish,
-                           _first_level, _first_parents, _fit, _screen,
+from specid.search import (ModelSet, SearchConfig, _checked, _children, _columns,
+                           _first_level, _first_parents, _fit, _ranked_set, _screen,
                            exhaustive_search,
                            filter_window, make_workspace, mc3_search,
                            occam_search, run_search)
@@ -29,6 +29,13 @@ def keys(model_set):
     return {m.key() for m in model_set.models}
 
 
+def _finish(pool: dict, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
+    """The ModelSet of the RegressionModels in pool, as the reference searches built it."""
+    if not pool:
+        raise SearchError("no usable models: every candidate design is degenerate")
+    return _ranked_set(_columns(tuple(pool.values()), ws.names), ws, strategy, metadata)
+
+
 class TestSearchConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_size": 0},
@@ -41,6 +48,12 @@ class TestSearchConfig:
         {"seed": -1},
         {"seed": 1.5},
         {"seed": True},
+        {"max_size": 2.5},
+        {"max_size": True},
+        {"mc3_iterations": 2.5},
+        {"mc3_iterations": True},
+        {"enumeration_cap": 2e6},
+        {"beam_cap": 50_000.0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InputError):
@@ -617,8 +630,8 @@ class TestDegenerateCount:
     def test_mc3(self):
         ws = self.workspace()
         proposed = []
-        fit_subset = ws.fit_subset
-        ws.fit_subset = lambda sel: proposed.append(tuple(sel)) or fit_subset(sel)
+        factor = ws._factor  # the chain fits each distinct proposal through it once
+        ws._factor = lambda sel: proposed.append(tuple(sel)) or factor(sel)
         out = mc3_search(None, ws, SearchConfig(max_size=4, strategy="mc3",
                                                 mc3_iterations=3000, seed=4))
         assert len(proposed) == out.strategy_metadata["unique_fits"]
@@ -645,6 +658,16 @@ class TestMC3:
         assert 0 < meta["accepted"] <= 20000
         assert meta["unique_fits"] >= len(out)
 
+    def test_one_candidate_pool_runs_no_iteration(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(0, 1, 12)
+        ws = Workspace(2.0 * x + 0.1 * rng.normal(0, 1, 12), x[:, None], names=("only",))
+        out = mc3_search(None, ws, SearchConfig(max_size=1, strategy="mc3",
+                                                mc3_iterations=500))
+        assert keys(out) == {("only",)}
+        assert out.strategy_metadata == {"iterations": 0, "accepted": 0,
+                                         "unique_fits": 1, "degenerate": 0}
+
     def test_inclusion_close_to_exhaustive(self):
         for seed in range(3):
             ws = table_workspace(seed)
@@ -655,6 +678,149 @@ class TestMC3:
                 delta = abs(inclusion_probability(walk, name)
                             - inclusion_probability(full, name))
                 assert delta <= 0.05, "seed %d, %s off by %.4f" % (seed, name, delta)
+
+
+def reference_mc3(y, library, config: SearchConfig = None) -> ModelSet:
+    """Metropolis walk over subsets (add / remove / swap moves).
+
+    Proposals are uniform over the legal neighbor moves of the current model;
+    acceptance is min(1, exp(-(bic'-bic)/2) * prior ratio * |N(M)|/|N(M')|).
+    The returned set holds every unique model the chain occupied, each with
+    its exactly computed BIC; degenerate proposals are rejected outright
+    (`degenerate` counts the distinct ones).
+    """
+    # mc3_search with a cache of RegressionModels, kept verbatim; the chain
+    # that keeps fits as rows must reproduce it bit for bit
+    config = config or SearchConfig(strategy="mc3")
+    ws = make_workspace(y, library)
+    limit = _checked(ws, config)
+    p = ws.n_candidates
+    prior = config.prior
+    rng = np.random.default_rng(config.seed)
+    cache = {}
+
+    def fitted(key):
+        model = cache.get(key)
+        if model is None:
+            model = ws.fit_subset(key)
+            cache[key] = model
+        return model
+
+    def neighbor_count(k: int) -> int:
+        adds = p - k if k < limit else 0
+        removes = k if k > 1 else 0
+        return adds + removes + k * (p - k)
+
+    current_key = None
+    for j in rng.permutation(p):
+        model = fitted((int(j),))
+        if not model.condition_flag:
+            current_key = (int(j),)
+            current = model
+            break
+    if current_key is None:
+        raise SearchError("every single-regressor model is degenerate")
+
+    visited = {current_key}
+    accepted = 0
+    for _ in range(config.mc3_iterations):
+        k = len(current_key)
+        adds = p - k if k < limit else 0
+        removes = k if k > 1 else 0
+        total = adds + removes + k * (p - k)
+        if total == 0:
+            break  # no legal move (single candidate pool)
+        move = int(rng.integers(total))
+        inside = set(current_key)
+        outside = [j for j in range(p) if j not in inside]
+        if move < adds:
+            proposal_key = tuple(sorted(current_key + (outside[move],)))
+        elif move < adds + removes:
+            kept = list(current_key)
+            del kept[move - adds]
+            proposal_key = tuple(kept)
+        else:
+            slot, target = divmod(move - adds - removes, p - k)
+            kept = list(current_key)
+            kept[slot] = outside[target]
+            proposal_key = tuple(sorted(kept))
+        proposal = fitted(proposal_key)
+        if proposal.condition_flag:
+            continue  # zero-posterior state; reject
+        log_alpha = (-(proposal.bic - current.bic) / 2.0
+                     + prior.log_weight(len(proposal_key)) - prior.log_weight(k)
+                     + math.log(total) - math.log(neighbor_count(len(proposal_key))))
+        if log_alpha >= 0 or math.log(rng.random()) < log_alpha:
+            current_key, current = proposal_key, proposal
+            visited.add(proposal_key)
+            accepted += 1
+
+    pool = {key: cache[key] for key in visited}
+    meta = {"iterations": config.mc3_iterations, "accepted": accepted,
+            "unique_fits": len(cache),
+            "degenerate": sum(m.condition_flag for m in cache.values())}
+    return _finish(pool, ws, "mc3", meta)
+
+
+@st.composite
+def mc3_problems(draw):
+    """Small designs, some holding an exact or near copy of a column (so that
+    the chain proposes flagged designs) or a zero column, under a uniform or
+    a size-weight prior."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 30))
+    p = draw(st.integers(1, 7))
+    X = rng.normal(0.0, 1.0, (n, p))
+    kind = draw(st.sampled_from(["none", "copy", "near", "zero"]))
+    a, b = rng.permutation(p)[:2] if p > 1 else (0, 0)
+    if kind == "zero":
+        X[:, a] = 0.0
+    elif kind != "none" and p > 1:
+        eps = 0.0 if kind == "copy" else draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+        X[:, b] = X[:, a] + eps * rng.normal(0.0, 1.0, n)
+    noise = draw(st.sampled_from([1e-8, 0.1, 1.0]))
+    y = X @ rng.normal(0.0, 1.0, p) + noise * rng.normal(0.0, 1.0, n)
+    ws = Workspace(y, X, with_intercept=draw(st.booleans()))
+    weights = draw(st.none() | st.lists(st.floats(0.01, 100.0), min_size=p, max_size=p))
+    config = SearchConfig(max_size=draw(st.integers(1, p)), strategy="mc3",
+                          mc3_iterations=draw(st.integers(1, 400)),
+                          seed=draw(st.integers(0, 2**32 - 1)),
+                          prior=ModelPrior(size_weights=weights and tuple(weights)))
+    return ws, config
+
+
+def assert_same_mc3(ws, config):
+    got = outcome(mc3_search, ws, config)
+    want = outcome(reference_mc3, ws, config)
+    if not isinstance(want, ModelSet):
+        assert got is want
+        return
+    for name in ("index", "coefficients", "intercepts", "bic", "rss", "condition", "sizes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert bits(got.best_bic) == bits(want.best_bic)
+    # the reference reported the configured count even when its chain had no move
+    ran = config.mc3_iterations if ws.n_candidates > 1 else 0
+    assert got.strategy_metadata == dict(want.strategy_metadata, iterations=ran)
+
+
+class TestMC3Reference:
+    """The chain that keeps fits as rows equals the one with model objects."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mc3_problems())
+    def test_matches_reference_chain(self, problem):
+        assert_same_mc3(*problem)
+
+    def test_table_instances_and_flagged_proposals(self):
+        for seed in range(3):
+            assert_same_mc3(table_workspace(seed),
+                            SearchConfig(max_size=4, strategy="mc3", mc3_iterations=3000,
+                                         seed=seed))
+        ws = TestDegenerateCount().workspace()
+        config = SearchConfig(max_size=6, strategy="mc3", mc3_iterations=3000, seed=4)
+        assert mc3_search(None, ws, config).strategy_metadata["degenerate"] > 0
+        assert_same_mc3(ws, config)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)

@@ -26,13 +26,15 @@ Every command runs in process through specid.cli.main:
   identify --cube --roi on the top ROI of scenes 1 and 7: occam, occam
   --occam-strict, mc3, exhaustive at max size 3, occam with background
   removal, occam with --conditional-tree; on scene 1's also exhaustive at
-  max size 4; on scene 11's: occam;
+  max size 4 and mc3 at max size 40; on scene 11's: occam;
   bma-table on the crime table: occam --occam-strict, occam and mc3; on the
   names table: occam.
 The exhaustive runs at max size 3 keep 10,700 models each, so they cover
 several of the chunks in which io_formats.write_results_json writes
 results.json; the one at max size 4 keeps 102,090, so it covers the search's
-fourth level and about a hundred chunks.
+fourth level and about a hundred chunks. The mc3 run at max size 40 grows
+models large enough that its chain proposes flagged designs (134 of its
+2,940 distinct proposals), so it covers the rejection of degenerate moves.
 The printed object maps "<run>/<file>" to the file's sha256. Output files
 and inputs are kept under --work (default: a temporary directory).
 """
@@ -61,8 +63,9 @@ IDENTIFY_RUNS = (
     ("conditional", ["--conditional-tree"]),
 )
 EXHAUSTIVE_4 = ("exhaustive4", ["--strategy", "exhaustive", "--max-size", "4"])
+MC3_WIDE = ("mc3-wide", ["--strategy", "mc3", "--iterations", "3000", "--max-size", "40"])
 # (seed, scene size, ENVI layout, identify runs on the top ROI)
-SCENES = ((1, {}, {}, IDENTIFY_RUNS + (EXHAUSTIVE_4,)),
+SCENES = ((1, {}, {}, IDENTIFY_RUNS + (EXHAUSTIVE_4, MC3_WIDE)),
           (7, {"rows": 300, "cols": 250},
            {"interleave": "bil", "data_type": 2, "bad_bands": (3, 17)}, IDENTIFY_RUNS),
           (11, {"rows": 300, "cols": 250},
