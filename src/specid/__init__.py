@@ -26,7 +26,7 @@ from .io_formats import (EnviHeader, parse_envi_header, read_envi, read_library,
                          results_payload, write_inclusion_csv, write_results_json,
                          write_rois_json, write_scores, write_tree_dot)
 from .regression import ModelPrior, RegressionModel, Workspace, fit
-from .search import (ModelSet, SearchConfig, exhaustive_search, filter_window,
-                     mc3_search, occam_search, run_search)
+from .search import (ModelSet, SearchConfig, exhaustive_search, mc3_search,
+                     occam_search, run_search)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -64,9 +64,6 @@ class ModelPosterior:
         object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "_coefficients", values)
 
-    def items(self):
-        return zip(self.models.models, self.probabilities)
-
 
 @dataclass(frozen=True, eq=False)
 class InclusionReport:

@@ -198,9 +198,9 @@ def cmd_identify(args) -> None:
     write_results_json(posterior, report, tree, os.path.join(out, "results.json"))
     write_tree_dot(tree, os.path.join(out, "tree.dot"),
                    conditional=args.conditional_tree)
-    best = posterior.models.models[0]
+    best = models.index[0, :models.sizes[0]].tolist()
     print("identify: %d models retained (best: %s); wrote results.json, tree.dot to %s"
-          % (len(models), "+".join(best.regressors), out))
+          % (len(models), "+".join(models.candidates[j] for j in best), out))
 
 
 def _warn_if_capped(models, config: SearchConfig) -> None:

@@ -25,6 +25,7 @@ from .errors import InputError
 
 RSS_FLOOR = 1e-300
 CONDITION_LIMIT = 1e10
+PIVOT_TOL = 1e-14  # a new column whose pivot is below this share of its norm is dependent
 
 
 def bic_from_parts(rss: float, n_obs: int, n_regressors: int, has_intercept: bool) -> float:
@@ -33,6 +34,11 @@ def bic_from_parts(rss: float, n_obs: int, n_regressors: int, has_intercept: boo
         raise InputError("n_obs must be positive, got %r" % n_obs)
     k = n_regressors + (1 if has_intercept else 0) + 1
     return n_obs * math.log(max(rss, RSS_FLOOR) / n_obs) + k * math.log(n_obs)
+
+
+def flagged(condition):
+    """Degenerate: condition (never negative) NaN or above CONDITION_LIMIT; float or array."""
+    return (condition > CONDITION_LIMIT) | (condition != condition)  # no numpy call on a float
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +192,7 @@ class Workspace:
             n_obs=self.n_obs,
             bic=bic_from_parts(rss, self.n_obs, len(sel), self.with_intercept),
             condition=float(cond),
-            condition_flag=not math.isfinite(cond) or cond > CONDITION_LIMIT,
+            condition_flag=bool(flagged(cond)),
             _state=(self, sel, chol, zvec),
         )
 
@@ -205,8 +211,8 @@ class Workspace:
     def extend(self, parent: RegressionModel, j: int) -> RegressionModel:
         """Fit parent's regressors plus candidate j by updating its factor.
 
-        A parent without a factor (a degenerate fit, or a model a ModelSet
-        built on access) is refitted from the Gram matrix instead.
+        A parent without a factor (a degenerate fit) is refitted from the Gram
+        matrix instead.
         """
         st = parent._state
         if st is None or st[0] is not self:
@@ -247,7 +253,7 @@ class Workspace:
         """
         w, _ = lapack.dtrtrs(chol, cross, 1)
         pivot = gjj - float(w.dot(w))
-        if pivot <= 0 or pivot <= 1e-14 * gjj:
+        if pivot <= 0 or pivot <= PIVOT_TOL * gjj:
             return None  # numerically dependent column
         m = w.size
         root = math.sqrt(pivot)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import SpectralLibrary, Spectrum
 from .errors import AlignmentError, InputError, SearchError
-from .regression import CONDITION_LIMIT, RSS_FLOOR, ModelPrior, Workspace, bic_from_parts
+from .regression import (PIVOT_TOL, RSS_FLOOR, ModelPrior, Workspace, bic_from_parts,
+                         flagged)
 
 STRATEGIES = ("exhaustive", "occam", "mc3")
 
@@ -55,8 +55,11 @@ class SearchConfig:
                 raise InputError("%s must be an integer, got %r" % (name, value))
         if self.max_size < 1:
             raise InputError("max_size must be >= 1, got %r" % self.max_size)
-        if not self.window_ratio > 1:
-            raise InputError("window_ratio must be > 1, got %r" % self.window_ratio)
+        ratio = self.window_ratio
+        if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real) or not ratio > 1:
+            raise InputError("window_ratio must be a number > 1, got %r" % (ratio,))
+        if not isinstance(self.prior, ModelPrior):
+            raise InputError("prior must be a ModelPrior, got %r" % (self.prior,))
         if self.strategy not in STRATEGIES:
             raise InputError("strategy must be one of %r, got %r"
                              % (STRATEGIES, self.strategy))
@@ -72,10 +75,6 @@ class SearchConfig:
         return 2.0 * math.log(self.window_ratio)
 
 
-# a ModelSet's columns, in the order _columns returns them
-_COLUMNS = ("index", "coefficients", "intercepts", "bic", "rss", "condition")
-
-
 class ModelSet:
     """Fitted models retained by one search run, held as columns.
 
@@ -85,92 +84,47 @@ class ModelSet:
       intercepts    float64, NaN for a model without an intercept
       bic, rss, condition  float64
       sizes         intp: how many candidates it holds
-    `models` is the sequence of RegressionModel objects. A set made from
-    RegressionModels keeps them; a search's set builds model i each time it
-    is read (`models[i]`, iteration), with no factor to extend.
+    Model i holds the names `candidates[j] for j in index[i, :sizes[i]]`.
+    A search's rows are in (bic, sorted names) order; a set built by hand
+    keeps the order given. `best_bic` is the lowest bic. The set keeps the
+    arrays given, in its dtypes, and makes them read-only.
 
     `candidates` is the full pool the search drew from, so downstream code
     can tell "never retained" apart from "not a known regressor".
     """
 
-    def __init__(self, models, best_bic: float, candidates, strategy: str,
-                 strategy_metadata: dict | None = None):
-        models = tuple(models)
-        candidates = tuple(candidates)
-        if not models:
-            raise SearchError("a ModelSet needs at least one model")
-        keys = [m.key() for m in models]
-        if len(set(keys)) != len(keys):
-            raise SearchError("ModelSet contains duplicate regressor sets")
-        pool = frozenset(candidates)
-        if not all(len(set(k)) == len(k) and pool.issuperset(k) for k in keys):
-            raise InputError("every model must hold distinct names from the candidates")
-        self._set(_columns(models, candidates), best_bic, candidates, strategy,
-                  strategy_metadata, models)
-
-    @classmethod
-    def _of_columns(cls, columns, ws: Workspace, strategy: str, metadata: dict) -> "ModelSet":
-        """A search's set: its rows already in (bic, key) order."""
-        self = cls.__new__(cls)
-        self._set(columns, float(columns[3][0]), ws.names, strategy, metadata, ws)
-        return self
-
-    def _set(self, columns, best_bic, candidates, strategy, metadata, source):
-        for name, column in zip(_COLUMNS, columns):
-            column.flags.writeable = False
-            setattr(self, name, column)
-        self.sizes = np.count_nonzero(self.index >= 0, axis=1)
-        self.sizes.flags.writeable = False
-        self.best_bic = best_bic
-        self.candidates = candidates
+    def __init__(self, index, coefficients, intercepts, bic, rss, condition, candidates,
+                 strategy: str, strategy_metadata: dict | None = None):
+        columns = [np.asarray(index, np.intp)] + [
+            np.asarray(c, np.float64) for c in (coefficients, intercepts, bic, rss, condition)]
+        (self.index, self.coefficients, self.intercepts, self.bic, self.rss,
+         self.condition) = columns
+        self.candidates = tuple(candidates)
         self.strategy = strategy
-        self.strategy_metadata = {} if metadata is None else metadata
-        self._source = source  # the given models, or the search's Workspace
-
-    @property
-    def models(self) -> Sequence:
-        source = self._source
-        return source if isinstance(source, tuple) else _BuiltModels(self, source)
+        self.strategy_metadata = {} if strategy_metadata is None else strategy_metadata
+        index = self.index
+        if index.ndim != 2 or self.coefficients.shape != index.shape or any(
+                column.shape != (len(index),) for column in columns[2:]):
+            raise InputError("index and coefficients must be (models, width), the rest (models,)")
+        if not len(index):
+            raise SearchError("a ModelSet needs at least one model")
+        held = index >= 0
+        ranked = np.sort(index, axis=1)
+        if (np.any(index < -1) or np.any(index >= len(self.candidates))
+                or np.any(held[:, 1:] & ~held[:, :-1])
+                or np.any((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] >= 0))):
+            raise InputError("each index row must hold distinct candidates, then only -1")
+        self.sizes = np.count_nonzero(held, axis=1)
+        # equal regressor sets sort to equal rows; sizes is a key even at width 0
+        ranked = ranked[np.lexsort([*ranked.T[::-1], self.sizes])]
+        if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
+            raise SearchError("ModelSet contains duplicate regressor sets")
+        for column in (*columns, self.sizes):
+            column.flags.writeable = False
+        self.best_bic = float(self.bic.min())
 
     def __len__(self) -> int:
         return self.bic.size
-
-
-class _BuiltModels(Sequence):
-    """A search's models as RegressionModels, each built when it is read."""
-
-    def __init__(self, owner: ModelSet, ws: Workspace):
-        self._owner = owner
-        self._ws = ws
-
-    def __len__(self) -> int:
-        return len(self._owner)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        i = range(len(self))[i]
-        s, ws = self._owner, self._ws
-        k = int(s.sizes[i])
-        beta = s.coefficients[i, :k]
-        beta = np.concatenate(([s.intercepts[i]], beta)) if ws.with_intercept else beta.copy()
-        return ws._model(s.index[i, :k].tolist(), beta, float(s.rss[i]),
-                         float(s.condition[i]), None, None)
-
-
-def _columns(models, candidates) -> tuple:
-    """A ModelSet's columns for RegressionModels whose names are in candidates."""
-    where = {name: j for j, name in enumerate(candidates)}
-    index = np.full((len(models), max(m.size for m in models)), -1, dtype=np.intp)
-    coefficients = np.zeros(index.shape)
-    for row, m in enumerate(models):
-        index[row, :m.size] = [where[name] for name in m.regressors]
-        coefficients[row, :m.size] = m.coefficients
-    intercepts = np.array([math.nan if m.intercept is None else m.intercept
-                           for m in models], dtype=np.float64)
-    return (index, coefficients, intercepts,
-            *(np.array([getattr(m, name) for m in models], dtype=np.float64)
-              for name in ("bic", "rss", "condition")))
 
 
 def make_workspace(y, library, with_intercept: bool = False) -> Workspace:
@@ -225,11 +179,6 @@ def _ranked(bic: np.ndarray, index: np.ndarray, names: tuple) -> np.ndarray:
     return order
 
 
-def _ranked_set(columns, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
-    order = _ranked(columns[3], columns[0], ws.names)
-    return ModelSet._of_columns(tuple(c[order] for c in columns), ws, strategy, metadata)
-
-
 @dataclass(eq=False, slots=True)
 class _Level:
     """The exact fits of one search level; row i fits the candidates sel[i].
@@ -250,10 +199,6 @@ class _Level:
 
     def __len__(self) -> int:
         return len(self.sel)
-
-    @property
-    def flagged(self) -> np.ndarray:
-        return ~np.isfinite(self.condition) | (self.condition > CONDITION_LIMIT)
 
     def take(self, rows) -> "_Level":
         rows = np.asarray(rows, dtype=np.intp)
@@ -329,7 +274,6 @@ def _finish_levels(levels: list, ws: Workspace, strategy: str, metadata: dict) -
     levels = [lv for lv in levels if len(lv)]
     if not levels:
         raise SearchError("no usable models: every candidate design is degenerate")
-    off = ws._off
     index = np.full((sum(map(len, levels)), max(lv.sel.shape[1] for lv in levels)), -1,
                     dtype=np.intp)
     coefficients = np.zeros(index.shape)
@@ -337,14 +281,17 @@ def _finish_levels(levels: list, ws: Workspace, strategy: str, metadata: dict) -
     for lv in levels:
         k = lv.sel.shape[1]
         index[lo:lo + len(lv), :k] = lv.sel
-        coefficients[lo:lo + len(lv), :k] = lv.beta[:, off:]
+        coefficients[lo:lo + len(lv), :k] = lv.beta[:, ws._off:]
         lo += len(lv)
-    intercepts = (np.concatenate([lv.beta[:, 0] for lv in levels]) if off
+    intercepts = (np.concatenate([lv.beta[:, 0] for lv in levels]) if ws._off
                   else np.full(len(index), math.nan))
-    return _ranked_set((index, coefficients, intercepts,
-                        *(np.concatenate([getattr(lv, name) for lv in levels])
-                          for name in ("bic", "rss", "condition"))),
-                       ws, strategy, metadata)
+    columns = (index, coefficients, intercepts,
+               *(np.concatenate([getattr(lv, name) for lv in levels])
+                 for name in ("bic", "rss", "condition")))
+    order = _ranked(columns[3], index, ws.names)
+    for column in columns:  # one column at a time, so one is copied at once
+        column[:] = column[order]
+    return ModelSet(*columns, ws.names, strategy, metadata)
 
 
 def _first_level(ws: Workspace, keep: bool) -> _Level:
@@ -387,18 +334,11 @@ def exhaustive_search(y, library, config: SearchConfig = None) -> ModelSet:
         levels.append(_fit(ws, _children(parents, parent, col), parents, parent,
                            keep=size < limit))
         parents.chol = parents.zvec = None  # only the level being extended keeps them
-    flagged = [lv.flagged for lv in levels]
-    degenerate = sum(int(np.count_nonzero(f)) for f in flagged)
-    kept = [lv.take(np.flatnonzero(~f)) for lv, f in zip(levels, flagged)]
+    flags = [flagged(lv.condition) for lv in levels]
+    degenerate = sum(int(np.count_nonzero(f)) for f in flags)
+    kept = [lv.take(np.flatnonzero(~f)) for lv, f in zip(levels, flags)]
     meta = {"fits": total, "exact_fits": total, "degenerate": degenerate}
     return _finish_levels(kept, ws, "exhaustive", meta)
-
-
-def filter_window(models: ModelSet, window: float) -> tuple:
-    """Models within `window` BIC units of the set's best, sorted as stored."""
-    inside = np.flatnonzero(models.bic - models.best_bic <= window).tolist()
-    built = models.models
-    return tuple(built[i] for i in inside)
 
 
 # Occam screen: a child's BIC is first scored from its parent's factor in one
@@ -406,7 +346,6 @@ def filter_window(models: ModelSet, window: float) -> tuple:
 _SCREEN_CHUNK = 4096    # (parent, candidate) pairs per batched solve
 _SCREEN_TOL = 1e-12     # rounding allowed per factor row and unit of parent condition
 _SCREEN_MARGIN = 1e-3   # BIC units added to the window before a child is skipped
-_PIVOT_TOL = 1e-14      # Workspace.extend's dependence test
 
 
 def _first_parents(sel: np.ndarray, p: int) -> tuple:
@@ -465,7 +404,7 @@ def _screen(ws: Workspace, survivors: _Level, parent, col) -> np.ndarray:
         # |w|^2 <= G_jj, |x_j'y| <= sqrt(G_jj y'y) and |z_S|^2 <= y'y bound the
         # rounding of the pivot (err) and of the new z entry (dz)
         err = 3.0 * rho[pi] * gjj
-        clear = pivot > _PIVOT_TOL * gjj + err
+        clear = pivot > PIVOT_TOL * gjj + err
         with np.errstate(invalid="ignore", divide="ignore"):
             piv_lo = pivot - err
             z = (ws.xty[dj] - np.einsum("ij,ij->i", w, zvecs[pi])) / np.sqrt(pivot)
@@ -504,7 +443,7 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
     capped = False
 
     level = _first_level(ws, keep=limit > 1)
-    usable = np.flatnonzero(~level.flagged)
+    usable = np.flatnonzero(~flagged(level.condition))
     degenerate = p - usable.size
     if not usable.size:
         raise SearchError("every single-regressor model is degenerate")
@@ -538,7 +477,7 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
             pick = order[done:stop]
             fitted = _fit(ws, _children(survivors, parent[pick], col[pick]), survivors,
                           parent[pick], keep=size < limit)
-            usable = np.flatnonzero(~fitted.flagged)
+            usable = np.flatnonzero(~flagged(fitted.condition))
             degenerate += len(fitted) - usable.size
             best = min([best] + fitted.bic[usable].tolist())
             passes.append(fitted.take(usable))
@@ -602,7 +541,7 @@ def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
         ws._check_size(len(key))
         beta, rss, cond, _, _ = ws._factor(key)
         fit = cache[key] = (bic_from_parts(rss, n, len(key), with_intercept),
-                            not math.isfinite(cond) or cond > CONDITION_LIMIT,
+                            bool(flagged(cond)),
                             beta, rss, cond)
         return fit
 

@@ -1,8 +1,11 @@
-"""Shared test helpers: ENVI fixture writing and the acceptance summary block."""
+"""Shared test helpers: ENVI fixture writing, ModelSets from rows, and the
+acceptance summary block."""
 
 import csv
 import json
+import math
 import os
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +84,36 @@ def write_library_csv(dirpath, library, stem="library"):
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump({s.name: list(s.class_path) for s in library.spectra}, fh)
     return csv_path, json_path
+
+
+# one model of a ModelSet; an intercept of None means the model has none
+ModelRow = namedtuple("ModelRow", "regressors coefficients intercept bic")
+
+
+def make_model_set(rows, candidates, strategy="exhaustive", metadata=None):
+    """A ModelSet of (regressors, coefficients, intercept, bic) rows, in the
+    order given; every rss and condition is 1.0."""
+    from specid.search import ModelSet  # imported here: perfbench imports this module
+    rows, candidates = list(rows), tuple(candidates)
+    index = np.full((len(rows), max((len(r[0]) for r in rows), default=0)), -1, dtype=np.intp)
+    coefficients = np.zeros(index.shape)
+    for i, (regressors, coefs, _, _) in enumerate(rows):
+        index[i, :len(regressors)] = [candidates.index(name) for name in regressors]
+        coefficients[i, :len(regressors)] = coefs
+    intercepts = [math.nan if r[2] is None else r[2] for r in rows]
+    ones = np.ones(len(rows))
+    return ModelSet(index, coefficients, intercepts, [r[3] for r in rows], ones, ones,
+                    candidates, strategy, metadata)
+
+
+def model_rows(models) -> list:
+    """The ModelRows of a ModelSet, as make_model_set takes them."""
+    names = models.candidates
+    return [ModelRow(tuple(names[j] for j in sel[:k]), coefs[:k],
+                     None if math.isnan(intercept) else intercept, bic)
+            for sel, coefs, k, intercept, bic in zip(
+                models.index.tolist(), models.coefficients.tolist(), models.sizes.tolist(),
+                models.intercepts.tolist(), models.bic.tolist())]
 
 
 def pytest_configure(config):

@@ -23,11 +23,15 @@ from specid.aggregate import (ModelPosterior, build_tree, class_probability,
 from specid.core import ClassHierarchy, Spectrum, average_pixels, extract_pixel
 from specid.detection import (annulus_coordinates, background_removal,
                               background_stats, detect)
-from specid.regression import RegressionModel, Workspace, check_residual, fit
-from specid.search import (ModelSet, SearchConfig, exhaustive_search,
-                           filter_window, make_workspace, mc3_search,
+from specid.regression import Workspace, check_residual, fit
+from specid.search import (SearchConfig, exhaustive_search, make_workspace, mc3_search,
                            occam_search, run_search)
 from synth import make_scene, make_table_instance
+
+
+def keys(rows) -> list:
+    """Each ModelRow's regressor names, sorted, in row order."""
+    return [tuple(sorted(row.regressors)) for row in rows]
 
 
 def record(num: int, passed: bool, detail: str) -> None:
@@ -81,14 +85,9 @@ def crime_run(tmp_path_factory):
 
 def rebuild_posterior(results: dict) -> ModelPosterior:
     """Reconstruct a posterior object from a results.json payload."""
-    models = tuple(
-        RegressionModel(regressors=tuple(m["regressors"]),
-                        coefficients=np.asarray(m["coefficients"]),
-                        intercept=None, rss=1.0, n_obs=47, bic=m["bic"],
-                        condition=1.0, condition_flag=False)
-        for m in results["models"])
-    model_set = ModelSet(models=models, best_bic=min(m.bic for m in models),
-                         candidates=tuple(results["inclusion"]), strategy="occam")
+    model_set = conftest.make_model_set(
+        [(m["regressors"], m["coefficients"], None, m["bic"]) for m in results["models"]],
+        tuple(results["inclusion"]), "occam")
     return ModelPosterior(model_set,
                           np.array([m["probability"] for m in results["models"]]))
 
@@ -154,13 +153,8 @@ TOY_PATHS = {
 
 
 def singleton_posterior(weights: dict) -> ModelPosterior:
-    models = tuple(
-        RegressionModel(regressors=(name,), coefficients=np.ones(1),
-                        intercept=None, rss=1.0, n_obs=10, bic=0.0,
-                        condition=1.0, condition_flag=False)
-        for name in weights)
-    model_set = ModelSet(models=models, best_bic=0.0,
-                         candidates=tuple(TOY_PATHS), strategy="occam")
+    model_set = conftest.make_model_set([((name,), [1.0], None, 0.0) for name in weights],
+                                        tuple(TOY_PATHS), "occam")
     return ModelPosterior(model_set, np.array(list(weights.values())))
 
 
@@ -193,14 +187,13 @@ def test_criterion_4_search_oracles():
         occ = occam_search(y, Workspace(y, X, names=names), cfg)
         exh = exhaustive_search(y, Workspace(y, X, names=names),
                                 SearchConfig(max_size=3, strategy="exhaustive"))
-        kept = filter_window(exh, cfg.window)
-        if sorted(m.key() for m in occ.models) != sorted(m.key() for m in kept):
+        kept = [row for row in conftest.model_rows(exh)
+                if row.bic - exh.best_bic <= cfg.window]
+        if sorted(keys(conftest.model_rows(occ))) != sorted(keys(kept)):
             mismatched.append(seed)
             continue
         post_occ = normalize(occ)
-        post_win = normalize(ModelSet(models=kept,
-                                      best_bic=min(m.bic for m in kept),
-                                      candidates=exh.candidates, strategy="occam"))
+        post_win = normalize(conftest.make_model_set(kept, exh.candidates, "occam"))
         post_exh = normalize(exh)
         post_mc3 = normalize(mc3_search(
             y, Workspace(y, X, names=names),
@@ -345,11 +338,12 @@ def test_criterion_8_numerical_invariants(tmp_path):
         base = normalize(occam_search(y, Workspace(y, X, names=names), cfg))
         worst_norm = max(worst_norm,
                          abs(float(base.probabilities.sum()) - 1.0))
-        probs = {m.key(): p for m, p in base.items()}
+        probs = dict(zip(keys(conftest.model_rows(base.models)), base.probabilities))
         for alpha in (7.0, 0.03):
             scaled = normalize(occam_search(
                 alpha * y, Workspace(alpha * y, X, names=names), cfg))
-            rescaled = {m.key(): p for m, p in scaled.items()}
+            rescaled = dict(zip(keys(conftest.model_rows(scaled.models)),
+                                scaled.probabilities))
             if set(rescaled) != set(probs):
                 worst_scale = 1.0
             else:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_model_set, model_rows
 from specid.aggregate import (IdentificationTree, InclusionReport, ModelPosterior,
                               TreeNode, UnknownRegressorWarning,
                               averaged_coefficients, build_tree, class_probability,
@@ -15,32 +16,29 @@ from specid.aggregate import (IdentificationTree, InclusionReport, ModelPosterio
                               member_probability_sum, normalize)
 from specid.core import ROOT_LABEL, ClassHierarchy
 from specid.errors import InputError
-from specid.regression import ModelPrior, RegressionModel, Workspace
-from specid.search import ModelSet, SearchConfig, exhaustive_search
+from specid.regression import ModelPrior, Workspace
+from specid.search import SearchConfig, exhaustive_search
 from synth import make_table_instance
 
 
 def make_model(regs, bic, coefs=None, intercept=None):
-    coefs = np.ones(len(regs)) if coefs is None else np.asarray(coefs, dtype=float)
-    return RegressionModel(regressors=tuple(regs), coefficients=coefs,
-                           intercept=intercept, rss=1.0, n_obs=10, bic=float(bic),
-                           condition=1.0, condition_flag=False)
+    """A (regressors, coefficients, intercept, bic) row; coefficients default to 1."""
+    return tuple(regs), np.ones(len(regs)) if coefs is None else coefs, intercept, bic
 
 
-def make_set(models, candidates):
-    models = tuple(models)
-    return ModelSet(models=models, best_bic=min(m.bic for m in models),
-                    candidates=tuple(candidates), strategy="exhaustive")
+def items(posterior):
+    """(model row, probability) pairs in model order."""
+    return zip(model_rows(posterior.models), posterior.probabilities)
 
 
 class TestNormalize:
     def test_equal_bics_split_evenly(self):
-        ms = make_set([make_model(("a",), 5.0), make_model(("b",), 5.0)], "ab")
+        ms = make_model_set([make_model(("a",), 5.0), make_model(("b",), 5.0)], "ab")
         np.testing.assert_array_equal(normalize(ms).probabilities, [0.5, 0.5])
 
     def test_two_ln_nine_gives_nine_to_one(self):
-        ms = make_set([make_model(("a",), 0.0),
-                       make_model(("b",), 2.0 * math.log(9.0))], "ab")
+        ms = make_model_set([make_model(("a",), 0.0),
+                             make_model(("b",), 2.0 * math.log(9.0))], "ab")
         post = normalize(ms)
         assert post.probabilities[0] == pytest.approx(0.9, abs=1e-12)
         assert post.probabilities[1] == pytest.approx(0.1, abs=1e-12)
@@ -50,33 +48,33 @@ class TestNormalize:
         names = tuple("abcdefghij")
         for _ in range(20):
             bics = rng.uniform(-30.0, 50.0, 10)
-            ms = make_set([make_model((n,), b) for n, b in zip(names, bics)], names)
+            ms = make_model_set([make_model((n,), b) for n, b in zip(names, bics)], names)
             post = normalize(ms)
             w = np.exp(-(bics - bics.min()) / 2.0)
             np.testing.assert_allclose(post.probabilities, w / w.sum(), rtol=1e-12)
             assert abs(float(post.probabilities.sum()) - 1.0) <= 1e-12
 
     def test_size_prior_reweights(self):
-        ms = make_set([make_model(("a",), 3.0), make_model(("a", "b"), 3.0)], "ab")
+        ms = make_model_set([make_model(("a",), 3.0), make_model(("a", "b"), 3.0)], "ab")
         post = normalize(ms, ModelPrior(size_weights=(1.0, 3.0)))
         assert post.probabilities[0] == pytest.approx(0.25, abs=1e-12)
         assert post.probabilities[1] == pytest.approx(0.75, abs=1e-12)
 
     def test_rejects_nonfinite_bic(self):
-        ms = make_set([make_model(("a",), math.inf)], "a")
+        ms = make_model_set([make_model(("a",), math.inf)], "a")
         with pytest.raises(InputError):
             normalize(ms)
 
     def test_huge_bic_shift_is_harmless(self):
         # shifted-log form: absolute BIC magnitude cannot overflow the weights
-        ms = make_set([make_model(("a",), 1e6), make_model(("b",), 1e6 + 2.0)], "ab")
+        ms = make_model_set([make_model(("a",), 1e6), make_model(("b",), 1e6 + 2.0)], "ab")
         post = normalize(ms)
         assert post.probabilities[0] == pytest.approx(1
                                                       / (1 + math.exp(-1)), rel=1e-12)
 
 
 def test_model_posterior_validation():
-    ms = make_set([make_model(("a",), 0.0), make_model(("b",), 1.0)], "ab")
+    ms = make_model_set([make_model(("a",), 0.0), make_model(("b",), 1.0)], "ab")
     with pytest.raises(InputError):
         ModelPosterior(ms, np.array([1.0]))
     with pytest.raises(InputError):
@@ -85,15 +83,15 @@ def test_model_posterior_validation():
         ModelPosterior(ms, np.array([0.7, 0.4]))
     post = ModelPosterior(ms, np.array([0.25, 0.75]))
     assert not post.probabilities.flags.writeable
-    assert [p for _, p in post.items()] == [0.25, 0.75]
+    assert post.probabilities.tolist() == [0.25, 0.75]
 
 
 class TestInclusion:
     def three_way(self):
         """{a}, {b}, {a,b} with equal posteriors of 1/3."""
-        return make_set([make_model(("a",), 0.0, coefs=[2.0]),
-                         make_model(("b",), 0.0, coefs=[4.0]),
-                         make_model(("a", "b"), 0.0, coefs=[1.0, 3.0])], "ab")
+        return make_model_set([make_model(("a",), 0.0, coefs=[2.0]),
+                               make_model(("b",), 0.0, coefs=[4.0]),
+                               make_model(("a", "b"), 0.0, coefs=[1.0, 3.0])], "ab")
 
     def test_inclusion_oracle(self):
         post = normalize(self.three_way())
@@ -115,8 +113,8 @@ class TestInclusion:
         assert report.intercept is None
 
     def test_intercept_averaged_when_present(self):
-        ms = make_set([make_model(("a",), 0.0, intercept=3.0),
-                       make_model(("b",), 0.0, intercept=1.0)], "ab")
+        ms = make_model_set([make_model(("a",), 0.0, intercept=3.0),
+                             make_model(("b",), 0.0, intercept=1.0)], "ab")
         report = averaged_coefficients(normalize(ms))
         assert report.intercept == pytest.approx(2.0, abs=1e-12)
 
@@ -131,11 +129,11 @@ class TestInclusion:
         out = exhaustive_search(None, ws, SearchConfig(max_size=3,
                                                        strategy="exhaustive"))
         post = normalize(out)
-        bics = np.array([m.bic for m in out.models])
+        bics = out.bic
         w = np.exp(-(bics - bics.min()) / 2.0)
         w /= w.sum()
         for name in names:
-            direct = float(sum(wi for wi, m in zip(w, out.models)
+            direct = float(sum(wi for wi, m in zip(w, model_rows(out))
                                if name in m.regressors))
             assert inclusion_probability(post, name) == pytest.approx(
                 direct, abs=1e-10)
@@ -143,7 +141,7 @@ class TestInclusion:
 
 class TestGroups:
     def test_multi_member_model_counts_once(self):
-        ms = make_set([make_model(("a", "b"), 0.0)], "ab")
+        ms = make_model_set([make_model(("a", "b"), 0.0)], "ab")
         post = normalize(ms)
         assert group_probability(post, ["a", "b"]) == pytest.approx(1.0, abs=1e-15)
         assert group_probability(post, []) == 0.0
@@ -157,7 +155,7 @@ class TestGroups:
                 size = int(rng.integers(1, 4))
                 regs = tuple(sorted(rng.choice(names, size=size, replace=False)))
                 pool[regs] = make_model(regs, float(rng.uniform(0, 20)))
-            post = normalize(make_set(pool.values(), names))
+            post = normalize(make_model_set(pool.values(), names))
             for name in names:
                 assert group_probability(post, [name]) == pytest.approx(
                     inclusion_probability(post, name), abs=1e-14)
@@ -171,7 +169,7 @@ class TestGroups:
                 size = int(rng.integers(1, 5))
                 regs = tuple(sorted(rng.choice(names, size=size, replace=False)))
                 pool[regs] = make_model(regs, float(rng.uniform(0, 30)))
-            post = normalize(make_set(pool.values(), names))
+            post = normalize(make_model_set(pool.values(), names))
             s = list(rng.choice(names, size=2, replace=False))
             t = list(rng.choice(names, size=3, replace=False))
             gs, gt = group_probability(post, s), group_probability(post, t)
@@ -187,8 +185,8 @@ class TestHierarchyProbabilities:
              ("c1", ("Fabric", "Cotton")), ("v1", ("Vegetation",))]
 
     def posterior(self):
-        ms = make_set([make_model(("n1", "n2"), 0.0), make_model(("v1",), 0.0)],
-                      ("n1", "n2", "c1", "v1"))
+        ms = make_model_set([make_model(("n1", "n2"), 0.0), make_model(("v1",), 0.0)],
+                            ("n1", "n2", "c1", "v1"))
         return normalize(ms), ClassHierarchy(self.paths)
 
     def test_class_probability_counts_models_once(self):
@@ -226,8 +224,8 @@ class TestHierarchyProbabilities:
                 class_probability(post, h, path), abs=1e-15)
 
     def test_children_sorted_ascending_by_probability(self):
-        ms = make_set([make_model(("n1",), 0.0), make_model(("c1",), 2.0)],
-                      ("n1", "n2", "c1", "v1"))
+        ms = make_model_set([make_model(("n1",), 0.0), make_model(("c1",), 2.0)],
+                            ("n1", "n2", "c1", "v1"))
         tree = build_tree(normalize(ms), ClassHierarchy(self.paths))
         fabric = next(n for _, n in tree.walk() if n.name == "Fabric")
         probs = [c.probability for c in fabric.children]
@@ -249,9 +247,9 @@ def test_response_scaling_leaves_posterior_unchanged():
     for alpha in (7.0, 0.03):
         scaled = normalize(exhaustive_search(
             None, Workspace(alpha * y, X, names=names), config))
-        lookup = {m.key(): p for m, p in scaled.items()}
-        for model, p in base.items():
-            assert lookup[model.key()] == pytest.approx(p, abs=1e-12)
+        lookup = {m.regressors: p for m, p in items(scaled)}
+        for model, p in items(base):
+            assert lookup[model.regressors] == pytest.approx(p, abs=1e-12)
 
 
 # The per-model loops that aggregation ran before the incidence matrix, kept
@@ -262,7 +260,7 @@ def reference_inclusion_probability(posterior, regressor):
         warnings.warn("regressor %r is not in the candidate library" % regressor,
                       UnknownRegressorWarning, stacklevel=2)
         return 0.0
-    return float(sum(p for m, p in posterior.items() if regressor in m.regressors))
+    return float(sum(p for m, p in items(posterior) if regressor in m.regressors))
 
 
 def reference_averaged_coefficients(posterior):
@@ -272,7 +270,7 @@ def reference_averaged_coefficients(posterior):
     coefs = np.zeros(len(names))
     has_intercept = False
     intercept = 0.0
-    for model, p in posterior.items():
+    for model, p in items(posterior):
         for name, beta in zip(model.regressors, model.coefficients):
             probs[index[name]] += p
             coefs[index[name]] += p * beta
@@ -287,14 +285,14 @@ def reference_group_probability(posterior, names):
     group = frozenset(names)
     if not group:
         return 0.0
-    return float(sum(p for m, p in posterior.items()
+    return float(sum(p for m, p in items(posterior)
                      if not group.isdisjoint(m.regressors)))
 
 
 def reference_member_probability_sum(posterior, hierarchy, node):
     members = hierarchy.members(node)
     return float(sum(p * len(members.intersection(m.regressors))
-                     for m, p in posterior.items()
+                     for m, p in items(posterior)
                      if not members.isdisjoint(m.regressors)))
 
 
@@ -342,7 +340,7 @@ def aggregation_problems(draw):
         models.append(make_model(regs, bic, coefs, draw(finite) if has else None))
     groups = draw(st.lists(st.lists(st.sampled_from(pool + ["out0", "zz"])),
                            max_size=4))
-    return normalize(make_set(models, pool)), ClassHierarchy(paths), groups
+    return normalize(make_model_set(models, pool)), ClassHierarchy(paths), groups
 
 
 class TestMatchesModelLoops:

@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +227,19 @@ class TestIdentify:
                    "--background-removal", "--target", "ldpe_1",
                    "--backgrounds", "0,0; 0,45; 45,0; 88,88"])
         assert rc == 0
+
+    @pytest.mark.parametrize("strategy", ["occam", "exhaustive"])
+    def test_summary_names_the_first_model(self, scene, detect_dir, tmp_path, capsys,
+                                           strategy):
+        rc = main(["--output-dir", str(tmp_path), "identify",
+                   "--cube", scene.hdr, "--roi", str(detect_dir / "rois.json"),
+                   "--library", scene.lib_csv, "--hierarchy", scene.lib_json,
+                   "--strategy", strategy, "--max-size", "3"])
+        assert rc == 0
+        first = json.loads((tmp_path / "results.json").read_text())["models"][0]
+        best = re.search(r"\(best: (.*)\); wrote", capsys.readouterr().out).group(1)
+        assert best == "+".join(first["regressors"])
+        assert len(first["regressors"]) > 1
 
     def test_mc3_same_seed_is_byte_identical(self, scene, detect_dir, tmp_path):
         outs = []

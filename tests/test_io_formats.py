@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_envi_cube, write_library_csv
+from conftest import make_model_set, write_envi_cube, write_library_csv
 import specid.core
 from specid.aggregate import (IdentificationTree, InclusionReport, ModelPosterior,
                               TreeNode, normalize)
@@ -478,17 +478,8 @@ class TestTreeDot:
 
 
 def small_posterior():
-    from specid.regression import RegressionModel
-    from specid.search import ModelSet
-    m1 = RegressionModel(regressors=("a",), coefficients=np.array([2.0]),
-                         intercept=None, rss=1.0, n_obs=10, bic=0.0,
-                         condition=1.0, condition_flag=False)
-    m2 = RegressionModel(regressors=("a", "b"), coefficients=np.array([1.0, 3.0]),
-                         intercept=None, rss=1.0, n_obs=10, bic=2.0,
-                         condition=1.0, condition_flag=False)
-    ms = ModelSet(models=(m1, m2), best_bic=0.0, candidates=("a", "b"),
-                  strategy="exhaustive")
-    return normalize(ms)
+    return normalize(make_model_set([(("a",), [2.0], None, 0.0),
+                                     (("a", "b"), [1.0, 3.0], None, 2.0)], ("a", "b")))
 
 
 # the streamed writer's chunk size while the byte test runs, so that model
@@ -505,8 +496,6 @@ json_floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
 def results_inputs(draw):
     """A posterior, report and tree (or None) holding every value that json
     spells in its own way."""
-    from specid.regression import RegressionModel
-    from specid.search import ModelSet
     names = draw(st.lists(st.sampled_from(ESCAPED_NAMES) | st.text(max_size=6),
                           min_size=3, max_size=5, unique=True))
     subsets = [s for k in range(len(names) + 1)
@@ -516,17 +505,13 @@ def results_inputs(draw):
     models = []
     for subset in draw(st.permutations(subsets))[:count]:
         regressors = draw(st.permutations(subset))
-        models.append(RegressionModel(
-            regressors=regressors,
-            coefficients=[draw(json_floats) for _ in regressors],
-            intercept=draw(st.none() | json_floats), rss=1.0, n_obs=10,
-            bic=draw(json_floats | st.integers(-3, 3)),
-            condition=1.0, condition_flag=False))
+        models.append((regressors, [draw(json_floats) for _ in regressors],
+                       draw(st.none() | json_floats), draw(json_floats | st.integers(-3, 3))))
     weights = np.array(draw(st.lists(st.sampled_from([0.0, 1e-300, 1.0 / 3, 1.0, 7.5]),
                                      min_size=count, max_size=count)))
     if not weights.any():
         weights[draw(st.integers(0, count - 1))] = 1.0
-    models = ModelSet(models=models, best_bic=0.0, candidates=names, strategy="occam")
+    models = make_model_set(models, names, "occam")
     posterior = ModelPosterior(models, weights / weights.sum())
     report = InclusionReport(names, [draw(json_floats) for _ in names],
                              [draw(json_floats) for _ in names])

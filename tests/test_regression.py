@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 
 from specid.errors import InputError
 from specid.regression import (CONDITION_LIMIT, ModelPrior, RegressionModel,
-                               Workspace, bic_from_parts, check_residual, fit)
+                               Workspace, bic_from_parts, check_residual, fit, flagged)
 
 
 def random_instance(rng, n=24, p=6):
@@ -416,6 +416,16 @@ def test_coefficients_are_read_only_and_never_shared():
     assert given_coefs.flags.writeable
     with pytest.raises(ValueError):
         model.coefficients[1] = 0.0
+
+
+def test_flagged_on_floats_and_arrays():
+    values = [0.0, 1.0, CONDITION_LIMIT, np.nextafter(CONDITION_LIMIT, math.inf),
+              math.inf, math.nan]
+    want = [not math.isfinite(c) or c > CONDITION_LIMIT for c in values]
+    assert want == [False, False, False, True, True, True]
+    assert [flagged(float(c)) for c in values] == want
+    assert all(type(flagged(float(c))) is bool for c in values)
+    assert flagged(np.array(values)).tolist() == want
 
 
 def test_response_scaling_shifts_all_bics_equally():

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from specid.aggregate import averaged_coefficients, inclusion_probability, normalize
 from specid.core import BandGrid, Spectrum, SpectralLibrary, extract_pixel
 from specid.errors import AlignmentError, InputError, SearchError
-from specid.regression import ModelPrior, RegressionModel, Workspace, check_residual
-from specid.search import (ModelSet, SearchConfig, _checked, _children, _columns,
-                           _first_level, _first_parents, _fit, _ranked_set, _screen,
-                           exhaustive_search,
-                           filter_window, make_workspace, mc3_search,
-                           occam_search, run_search)
+from conftest import model_rows
+from specid.regression import ModelPrior, Workspace, flagged
+from specid.search import (ModelSet, SearchConfig, _checked, _children, _first_level,
+                           _first_parents, _fit, _screen, exhaustive_search,
+                           make_workspace, mc3_search, occam_search, run_search)
 from synth import make_scene, make_table_instance
 
 
@@ -26,14 +25,33 @@ def table_workspace(seed):
 
 
 def keys(model_set):
-    return {m.key() for m in model_set.models}
+    return {tuple(sorted(row.regressors)) for row in model_rows(model_set)}
 
 
-def _finish(pool: dict, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
-    """The ModelSet of the RegressionModels in pool, as the reference searches built it."""
+def _finish(pool: dict, ws: Workspace, strategy: str, metadata: dict) -> tuple:
+    """The reference searches' RegressionModels in (bic, key) order, and their metadata."""
     if not pool:
         raise SearchError("no usable models: every candidate design is degenerate")
-    return _ranked_set(_columns(tuple(pool.values()), ws.names), ws, strategy, metadata)
+    return sorted(pool.values(), key=lambda m: (m.bic, m.key())), metadata
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_rows_are(got: ModelSet, want: list, ws: Workspace):
+    """Row i of got holds want[i]: its candidates in fit order and every number, bit
+    for bit."""
+    assert got.index.shape == (len(want), max(m.size for m in want))
+    assert bits(got.best_bic) == bits(want[0].bic)
+    for i, m in enumerate(want):
+        k = got.sizes[i]
+        assert got.index[i, :k].tolist() == [ws.names.index(n) for n in m.regressors]
+        assert (got.index[i, k:] == -1).all() and (got.coefficients[i, k:] == 0).all()
+        assert got.coefficients[i, :k].tobytes() == m.coefficients.tobytes()
+        for name in ("bic", "rss", "condition"):
+            assert bits(getattr(got, name)[i]) == bits(getattr(m, name)), name
+        assert bits(got.intercepts[i]) == bits(math.nan if m.intercept is None else m.intercept)
 
 
 class TestSearchConfig:
@@ -54,6 +72,9 @@ class TestSearchConfig:
         {"mc3_iterations": True},
         {"enumeration_cap": 2e6},
         {"beam_cap": 50_000.0},
+        {"prior": None},
+        {"prior": (1.0, 2.0)},
+        {"window_ratio": "20"},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InputError):
@@ -150,9 +171,9 @@ class TestExhaustive:
     def test_models_sorted_by_bic_then_key(self):
         out = exhaustive_search(None, table_workspace(5),
                                 SearchConfig(max_size=3, strategy="exhaustive"))
-        ranks = [(m.bic, m.key()) for m in out.models]
+        ranks = [(row.bic, tuple(sorted(row.regressors))) for row in model_rows(out)]
         assert ranks == sorted(ranks)
-        assert out.best_bic == out.models[0].bic
+        assert out.best_bic == out.bic[0] == out.bic.min()
 
     def test_exact_tie_broken_by_name(self):
         # a column and its negation fit identically; the key orders them
@@ -161,40 +182,52 @@ class TestExhaustive:
         y = rng.normal(0, 1, 18)
         ws = Workspace(y, np.column_stack([col, -col]), names=("pos", "neg"))
         out = exhaustive_search(None, ws, SearchConfig(max_size=1, strategy="exhaustive"))
-        assert out.models[0].bic == out.models[1].bic
-        assert out.models[0].key() == ("neg",)
+        assert out.bic[0] == out.bic[1]
+        assert model_rows(out)[0].regressors == ("neg",)
 
 
-def test_model_set_validation():
-    ws = table_workspace(7)
-    model = ws.fit_subset((0,))
-    with pytest.raises(SearchError):
-        ModelSet(models=(), best_bic=0.0, candidates=ws.names, strategy="occam")
-    with pytest.raises(SearchError):
-        ModelSet(models=(model, model), best_bic=model.bic,
-                 candidates=ws.names, strategy="occam")
-    # the aggregation's incidence matrix needs each model's names to be
-    # distinct candidates
-    with pytest.raises(InputError, match="distinct names"):
-        ModelSet(models=(model,), best_bic=model.bic,
-                 candidates=ws.names[1:], strategy="occam")
-    twice = RegressionModel(regressors=(ws.names[0],) * 2, coefficients=np.ones(2),
-                            intercept=None, rss=1.0, n_obs=10, bic=0.0,
-                            condition=1.0, condition_flag=False)
-    with pytest.raises(InputError, match="distinct names"):
-        ModelSet(models=(twice,), best_bic=0.0, candidates=ws.names, strategy="occam")
+def test_model_set_columns():
+    out = exhaustive_search(None, table_workspace(7),
+                            SearchConfig(max_size=2, strategy="exhaustive"))
+    names = ("index", "coefficients", "intercepts", "bic", "rss", "condition")
+    given = [getattr(out, name).copy() for name in names]
+    again = ModelSet(*given, out.candidates, "occam")
+    for name, column in zip(names, given):
+        assert getattr(again, name) is column and not column.flags.writeable
+        assert column.tobytes() == getattr(out, name).tobytes()
+    assert again.sizes.tobytes() == out.sizes.tobytes() and not again.sizes.flags.writeable
+    assert again.best_bic == out.best_bic == out.bic[0]
+    assert again.strategy == "occam" and again.strategy_metadata == {}
+    # lists take the set's dtypes; a row's set is the same in any order, and
+    # no row need be full
+    mixed = ModelSet([[0, 2], [1, -1], [2, 1]], [[1, 2], [3, 0], [4, 5]], [0, 0, 0],
+                     [3, 1, 2], [1, 1, 1], [1, 1, 1], ("a", "b", "c"), "occam")
+    assert mixed.index.dtype == np.intp and mixed.bic.dtype == np.float64
+    assert mixed.sizes.tolist() == [2, 1, 2] and mixed.best_bic == 1.0
 
 
-def test_filter_window():
-    out = exhaustive_search(None, table_workspace(8),
-                            SearchConfig(max_size=3, strategy="exhaustive"))
-    best = out.best_bic
-    for window in (0.0, 2.0, 6.0, 1e9):
-        inside = filter_window(out, window)
-        assert all(m.bic - best <= window for m in inside)
-        cut = {m.key() for m in inside}
-        assert all(m.bic - best > window for m in out.models if m.key() not in cut)
-    assert len(filter_window(out, 1e9)) == len(out)
+def columns(index, width=None, rows=None):
+    """A model set's columns around index, the others of the given lengths."""
+    index = np.array(index, dtype=np.intp).reshape(-1, 2)
+    rows = len(index) if rows is None else rows
+    coefficients = np.zeros((len(index), index.shape[1] if width is None else width))
+    return index, coefficients, np.zeros(rows), np.zeros(rows), np.ones(rows), np.ones(rows)
+
+
+@pytest.mark.parametrize("given, error", [
+    pytest.param(columns([]), SearchError, id="no-rows"),
+    pytest.param(columns([[0, 1]], rows=2), InputError, id="column-lengths"),
+    pytest.param(columns([[0, 1]], width=3), InputError, id="coefficient-width"),
+    pytest.param(columns([[0, 3]]), InputError, id="index-past-candidates"),
+    pytest.param(columns([[0, -2]]), InputError, id="index-below-minus-one"),
+    pytest.param(columns([[1, 1]]), InputError, id="candidate-twice"),
+    pytest.param(columns([[-1, 1]]), InputError, id="padding-before-index"),
+    pytest.param(columns([[0, 2], [2, 0]]), SearchError, id="set-reordered-in-two-rows"),
+    pytest.param(columns([[0, -1], [1, 2], [0, -1]]), SearchError, id="set-in-two-rows"),
+])
+def test_model_set_validation(given, error):
+    with pytest.raises(error):
+        ModelSet(*given, candidates=("a", "b", "c"), strategy="occam")
 
 
 class TestOccam:
@@ -203,7 +236,7 @@ class TestOccam:
     def test_retained_set_obeys_window(self):
         for seed in range(6):
             out = occam_search(None, table_workspace(seed), self.config)
-            spread = max(m.bic for m in out.models) - out.best_bic
+            spread = out.bic.max() - out.best_bic
             assert spread <= self.config.window + 1e-9
             meta = out.strategy_metadata
             assert meta["window"] == pytest.approx(self.config.window)
@@ -219,18 +252,18 @@ class TestOccam:
             beam = occam_search(None, ws, self.config)
             full = exhaustive_search(
                 None, ws, SearchConfig(max_size=4, strategy="exhaustive"))
-            brute = filter_window(full, self.config.window)
-            assert keys(beam) == {m.key() for m in brute}
-            brute_bic = {m.key(): m.bic for m in brute}
-            for m in beam.models:
-                assert m.bic == pytest.approx(brute_bic[m.key()], abs=1e-8)
+            brute = {tuple(sorted(row.regressors)): row.bic for row in model_rows(full)
+                     if row.bic - full.best_bic <= self.config.window}
+            assert keys(beam) == set(brute)
+            for row in model_rows(beam):
+                assert row.bic == pytest.approx(brute[tuple(sorted(row.regressors))],
+                                                abs=1e-8)
 
     def test_repeat_run_is_identical(self):
         ws = table_workspace(9)
         a = occam_search(None, ws, self.config)
         b = occam_search(None, ws, self.config)
-        assert [(m.key(), m.bic) for m in a.models] == \
-               [(m.key(), m.bic) for m in b.models]
+        assert model_rows(a) == model_rows(b)
 
     def test_beam_cap_flagged(self):
         config = SearchConfig(max_size=3, window_ratio=1e6, beam_cap=2)
@@ -255,7 +288,7 @@ class TestOccam:
         assert dropped == len(plain) - len(strict) >= 1
         assert keys(strict) <= keys(plain)
         # no kept model is beaten by one of its own kept sub-models
-        kept = {m.key(): m.bic for m in strict.models}
+        kept = {tuple(sorted(row.regressors)): row.bic for row in model_rows(strict)}
         for big, big_bic in kept.items():
             for small, small_bic in kept.items():
                 if set(small) < set(big):
@@ -348,18 +381,14 @@ def outcome(search, ws, config):
 def assert_same_search(ws, config):
     got = outcome(occam_search, ws, config)
     want = outcome(reference_occam, ws, config)
-    if not isinstance(want, ModelSet):
+    if isinstance(want, type):
         assert got is want
         return
-    assert [m.key() for m in got.models] == [m.key() for m in want.models]
-    for a, b in zip(got.models, want.models):
-        assert a.bic == b.bic
-        assert a.coefficients.tobytes() == b.coefficients.tobytes()
-        assert a.intercept == b.intercept
-        assert a.condition == b.condition
+    want, want_meta = want
+    assert_rows_are(got, want, ws)
     meta = got.strategy_metadata
     for name in ("fits", "beam_capped", "submodel_excluded", "window"):
-        assert meta[name] == want.strategy_metadata[name]
+        assert meta[name] == want_meta[name]
     assert len(ws.names) <= meta["exact_fits"] <= meta["fits"]
 
 
@@ -428,12 +457,12 @@ class TestOccamScreen:
             ws = Workspace(y, X, with_intercept=bool(seed % 2))
             level = _first_level(ws, keep=True)
             for _ in range(3):
-                level = level.take(np.flatnonzero(~level.flagged))
+                level = level.take(np.flatnonzero(~flagged(level.condition)))
                 parent, col = _first_parents(level.sel, 6)
                 bound = _screen(ws, level, parent, col)
                 level = _fit(ws, _children(level, parent, col), level, parent)
-                for b, bic, flagged in zip(bound, level.bic, level.flagged):
-                    assert flagged or b <= bic
+                for b, bic, flag in zip(bound, level.bic, flagged(level.condition)):
+                    assert flag or b <= bic
 
     def test_flagged_child_with_the_lowest_bic(self):
         # x1 is tiny and orthogonal to x0: extend's pivot test is scale-free and
@@ -456,7 +485,7 @@ class TestOccamScreen:
                                                 submodel_exclusion=exclusion))
 
 
-def reference_exhaustive(y, library, config: SearchConfig = None) -> ModelSet:
+def reference_exhaustive(y, library, config: SearchConfig = None) -> tuple:
     """Fit every regressor subset of size 1..max_size.
 
     Refuses to run when the subset count exceeds config.enumeration_cap.
@@ -491,39 +520,17 @@ def reference_exhaustive(y, library, config: SearchConfig = None) -> ModelSet:
     return _finish(pool, ws, "exhaustive", {"fits": total})
 
 
-def bits(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
 def assert_same_exhaustive(ws, config):
     got = outcome(exhaustive_search, ws, config)
     want = outcome(reference_exhaustive, ws, config)
-    if not isinstance(want, ModelSet):
+    if isinstance(want, type):
         assert got is want
         return
-    assert [m.key() for m in got.models] == [m.key() for m in want.models]
-    assert got.best_bic == want.best_bic
-    for i, (a, b) in enumerate(zip(got.models, want.models)):
-        assert a.regressors == b.regressors
-        for name in ("bic", "rss", "condition"):
-            assert bits(getattr(a, name)) == bits(getattr(b, name)), name
-        assert a.coefficients.tobytes() == b.coefficients.tobytes()
-        assert (a.intercept is None) == (b.intercept is None)
-        if b.intercept is not None:
-            assert bits(a.intercept) == bits(b.intercept)
-        assert a.condition_flag is b.condition_flag is False
-        # built on access: read-only, and equal to the stored columns
-        with pytest.raises(ValueError):
-            a.coefficients[0] = 0.0
-        k = got.sizes[i]
-        assert got.index[i, :k].tolist() == [ws.names.index(n) for n in a.regressors]
-        assert (got.index[i, k:] == -1).all()
-        assert got.coefficients[i, :k].tobytes() == a.coefficients.tobytes()
-        assert bits(got.bic[i]) == bits(a.bic) and bits(got.rss[i]) == bits(a.rss)
-        if a.intercept is not None:
-            assert bits(got.intercepts[i]) == bits(a.intercept)
+    want, want_meta = want
+    assert_rows_are(got, want, ws)
+    assert not any(m.condition_flag for m in want)
     meta = got.strategy_metadata
-    assert meta["fits"] == meta["exact_fits"] == want.strategy_metadata["fits"]
+    assert meta["fits"] == meta["exact_fits"] == want_meta["fits"]
     assert meta["degenerate"] == meta["fits"] - len(got)
 
 
@@ -582,22 +589,6 @@ class TestExhaustiveReference:
         assert (0, 2) in fallbacks and (0, 2, 4) in fallbacks
 
 
-def test_models_built_on_access():
-    ws = Workspace(*make_table_instance(3)[:2], with_intercept=True)
-    out = exhaustive_search(None, ws, SearchConfig(max_size=3, strategy="exhaustive"))
-    best = out.models[0]
-    assert out.models[-1].key() == out.models[len(out) - 1].key()
-    assert [m.key() for m in out.models[:3]] == [out.models[i].key() for i in range(3)]
-    # no factor is kept: extend refits from the Gram matrix, and the residual
-    # check still reaches the workspace
-    assert check_residual(best) <= 1e-8
-    child = ws.extend(best, next(j for j in range(ws.n_candidates)
-                                 if ws.names[j] not in best.regressors))
-    fresh = ws.fit_subset(child._state[1])
-    assert child.regressors == fresh.regressors
-    assert child.coefficients.tobytes() == fresh.coefficients.tobytes()
-
-
 class TestDegenerateCount:
     """strategy_metadata["degenerate"] counts the flagged designs dropped."""
 
@@ -646,13 +637,12 @@ class TestMC3:
         ws = table_workspace(11)
         a = mc3_search(None, ws, self.config)
         b = mc3_search(None, ws, self.config)
-        assert [(m.key(), m.bic) for m in a.models] == \
-               [(m.key(), m.bic) for m in b.models]
+        assert model_rows(a) == model_rows(b)
         assert a.strategy_metadata == b.strategy_metadata
 
     def test_respects_max_size(self):
         out = mc3_search(None, table_workspace(12), self.config)
-        assert max(m.size for m in out.models) <= self.config.max_size
+        assert out.sizes.max() <= self.config.max_size
         meta = out.strategy_metadata
         assert meta["iterations"] == 20000
         assert 0 < meta["accepted"] <= 20000
@@ -680,7 +670,7 @@ class TestMC3:
                 assert delta <= 0.05, "seed %d, %s off by %.4f" % (seed, name, delta)
 
 
-def reference_mc3(y, library, config: SearchConfig = None) -> ModelSet:
+def reference_mc3(y, library, config: SearchConfig = None) -> tuple:
     """Metropolis walk over subsets (add / remove / swap moves).
 
     Proposals are uniform over the legal neighbor moves of the current model;
@@ -792,16 +782,14 @@ def mc3_problems(draw):
 def assert_same_mc3(ws, config):
     got = outcome(mc3_search, ws, config)
     want = outcome(reference_mc3, ws, config)
-    if not isinstance(want, ModelSet):
+    if isinstance(want, type):
         assert got is want
         return
-    for name in ("index", "coefficients", "intercepts", "bic", "rss", "condition", "sizes"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    assert bits(got.best_bic) == bits(want.best_bic)
+    want, want_meta = want
+    assert_rows_are(got, want, ws)
     # the reference reported the configured count even when its chain had no move
     ran = config.mc3_iterations if ws.n_candidates > 1 else 0
-    assert got.strategy_metadata == dict(want.strategy_metadata, iterations=ran)
+    assert got.strategy_metadata == dict(want_meta, iterations=ran)
 
 
 class TestMC3Reference:
@@ -852,7 +840,7 @@ def test_degenerate_candidate_never_retained():
     for search in (exhaustive_search, occam_search, mc3_search):
         out = search(None, ws, SearchConfig(max_size=3, strategy="mc3",
                                             mc3_iterations=2000))
-        assert all("dead" not in m.regressors for m in out.models)
+        assert all("dead" not in row.regressors for row in model_rows(out))
         assert "dead" in out.candidates
         assert inclusion_probability(normalize(out), "dead") == 0.0
 
