@@ -5,8 +5,10 @@ in shifted-log form. A class node's probability is the summed posterior of
 every model containing at least one spectrum from the node's member set; a
 model with two members of the class still counts once. Sibling classes may
 therefore sum above their parent (one model can hit several siblings) and
-are never renormalized. Every posterior sum selects models by an incidence
-matrix and adds their terms in model order, one at a time from +0.0.
+are never renormalized. Every posterior sum is one kernel, `_sums`: it adds
+each column's terms p_i * w_i in model order from +0.0, SUM_ROWS models at a
+time. An absent term has w_i = +0.0, so p_i * w_i = +0.0 (p_i >= 0), and adding
++0.0 to a total begun at +0.0 leaves it as it was: each sum equals the loop's.
 """
 
 from __future__ import annotations
@@ -28,41 +30,23 @@ class UnknownRegressorWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class ModelPosterior:
-    """Normalized probabilities over the models of a ModelSet.
-
-    `incidence[i, j]` is True when model i holds candidate j; `_coefficients`
-    lists its True entries column by column, then each intercept (NaN: none).
-    """
+    """Normalized probabilities over the models of a ModelSet."""
 
     models: ModelSet
     probabilities: np.ndarray
     prior: ModelPrior = field(default_factory=ModelPrior.uniform)
-    incidence: np.ndarray = field(init=False, repr=False)
-    _coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        models = self.models
         probs = np.asarray(self.probabilities, dtype=np.float64).copy()
-        if probs.ndim != 1 or probs.size != len(models):
+        if probs.ndim != 1 or probs.size != len(self.models):
             raise InputError("need one probability per model (%d models, %d given)"
-                             % (len(models), probs.size))
+                             % (len(self.models), probs.size))
         if np.any(probs < 0) or np.any(probs > 1):
             raise InputError("model probabilities must lie in [0, 1]")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise InputError("model probabilities sum to %r, not 1" % float(probs.sum()))
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
-        held = models.index >= 0
-        rows, _ = np.nonzero(held)  # model by model, each in its regressor order
-        cols = models.index[held]
-        incidence = np.zeros((len(models), len(models.candidates)), dtype=bool, order="F")
-        incidence[rows, cols] = True
-        incidence.flags.writeable = False
-        values = np.empty(cols.size + len(models))
-        values[:cols.size] = models.coefficients[held][np.argsort(cols, kind="stable")]
-        values[cols.size:] = models.intercepts
-        object.__setattr__(self, "incidence", incidence)
-        object.__setattr__(self, "_coefficients", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,21 +109,39 @@ class IdentificationTree:
 def normalize(models: ModelSet, prior: ModelPrior = None) -> ModelPosterior:
     """Posterior P(M) from BIC weights and the prior, in shifted-log form."""
     prior = prior or ModelPrior.uniform()
-    bics = models.bic
-    if not np.all(np.isfinite(bics)):
+    if not np.all(np.isfinite(models.bic)):
         raise InputError("cannot normalize: non-finite BIC in model set")
     sizes, first, inverse = np.unique(models.sizes, return_index=True, return_inverse=True)
     log_prior = np.empty(sizes.size)
     for i in np.argsort(first).tolist():  # in model order, so the first bad size raises
         log_prior[i] = prior.log_weight(int(sizes[i]))
-    logw = -bics / 2.0 + log_prior[inverse]
+    logw = -models.bic / 2.0 + log_prior[inverse]
     weights = np.exp(logw - logw.max())
     return ModelPosterior(models, weights / weights.sum(), prior)
 
 
-def _ordered_sum(terms) -> float:
-    """Sum in order, one addition at a time from +0.0, as a loop would add."""
-    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+SUM_ROWS = 256  # models per block of _sums; a block's weights are SUM_ROWS x columns
+
+
+def _sums(posterior: ModelPosterior, weights) -> np.ndarray:
+    """Column sums of p_i * weights(rows)[i], added in model order from +0.0."""
+    p, total = posterior.probabilities, 0.0
+    for rows in (slice(start, start + SUM_ROWS) for start in range(0, p.size, SUM_ROWS)):
+        terms = p[rows, None] * weights(rows)
+        terms[0] += total
+        total = np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
+    return total
+
+
+def _group_sums(posterior: ModelPosterior, groups, counted: bool = False) -> np.ndarray:
+    """Per group of names, the summed posterior of the models holding any of
+    them, or with `counted` each model's posterior times how many it holds."""
+    candidates, index = posterior.models.candidates, posterior.models.index
+    # row j marks the groups holding candidate j; the last, all False, is index -1's
+    member = np.array([[name in names for names in groups] for name in candidates]
+                      + [[False] * len(groups)])
+    hits = np.sum if counted else np.any
+    return _sums(posterior, lambda rows: hits(member[index[rows]], axis=1))
 
 
 def inclusion_probability(posterior: ModelPosterior, regressor: str) -> float:
@@ -152,14 +154,22 @@ def inclusion_probability(posterior: ModelPosterior, regressor: str) -> float:
 
 def averaged_coefficients(posterior: ModelPosterior) -> InclusionReport:
     """Inclusion probability and averaged coefficient for every candidate."""
-    p, columns = posterior.probabilities, posterior.incidence.T
-    *values, intercepts = np.split(posterior._coefficients,
-                                   np.cumsum(np.count_nonzero(columns, axis=1)))
-    held = ~np.isnan(intercepts)
-    probs = [_ordered_sum(p[c]) for c in columns]
-    coefs = [_ordered_sum(p[c] * v) for c, v in zip(columns, values)]
-    return InclusionReport(posterior.models.candidates, probs, coefs,
-                           _ordered_sum(p[held] * intercepts[held]) if held.any() else None)
+    models, n = posterior.models, len(posterior.models.candidates)
+
+    def weights(rows):
+        # inclusion 0..n-1, spare n, coefficients n+1..2n, intercept 2n+1; index -1
+        # puts its 1.0 on the intercept, written last, and its 0.0 on the spare
+        index, intercepts = models.index[rows], models.intercepts[rows]
+        w = np.zeros((len(index), 2 * n + 2))
+        at = np.arange(len(index))[:, None]
+        w[at, index], w[at, index + n + 1] = 1.0, models.coefficients[rows]
+        w[:, -1] = np.where(np.isnan(intercepts), 0.0, intercepts)
+        return w
+
+    sums = _sums(posterior, weights)
+    held = not np.isnan(np.fmin.reduce(models.intercepts))  # fmin skips NaN
+    return InclusionReport(models.candidates, sums[:n], sums[n + 1:-1],
+                           float(sums[-1]) if held else None)
 
 
 def group_probability(posterior: ModelPosterior, names) -> float:
@@ -167,9 +177,9 @@ def group_probability(posterior: ModelPosterior, names) -> float:
 
     The set-membership rule: a model with several group members counts once.
     """
-    group = frozenset(names)
-    held = posterior.incidence[:, [name in group for name in posterior.models.candidates]]
-    return _ordered_sum(posterior.probabilities[held.any(axis=1)])
+    if isinstance(names, str):
+        raise InputError("names must be a collection of names, not the string %r" % names)
+    return float(_group_sums(posterior, [frozenset(names)])[0])
 
 
 def class_probability(posterior: ModelPosterior, hierarchy: ClassHierarchy,
@@ -185,10 +195,7 @@ def member_probability_sum(posterior: ModelPosterior, hierarchy: ClassHierarchy,
     Equals class_probability when every model holds at most one member of the
     class; exceeds it (and may pass 1) when models bundle same-class spectra.
     """
-    members = hierarchy.members(node)
-    counts = np.count_nonzero(posterior.incidence[
-        :, [name in members for name in posterior.models.candidates]], axis=1)
-    return _ordered_sum(posterior.probabilities[counts > 0] * counts[counts > 0])
+    return float(_group_sums(posterior, [hierarchy.members(node)], counted=True)[0])
 
 
 def build_tree(posterior: ModelPosterior, hierarchy: ClassHierarchy) -> IdentificationTree:
@@ -197,12 +204,13 @@ def build_tree(posterior: ModelPosterior, hierarchy: ClassHierarchy) -> Identifi
     Children at each branch are ordered ascending by probability (ties by
     name); values are absolute, never renormalized within a sibling group.
     """
+    nodes = hierarchy.nodes()
+    sums = _group_sums(posterior, [hierarchy.members(node) for node in nodes])
+    probability = dict(zip(nodes, sums.tolist()))
 
     def build(path) -> TreeNode:
         kids = [build(child) for child in hierarchy.children(path)]
         kids.sort(key=lambda n: (n.probability, n.name))
-        return TreeNode(hierarchy.label(path),
-                        class_probability(posterior, hierarchy, path),
-                        tuple(kids))
+        return TreeNode(hierarchy.label(path), probability[path], tuple(kids))
 
     return IdentificationTree(build(()))

@@ -186,16 +186,7 @@ def cmd_identify(args) -> None:
         pixel = removal.spectrum
         print("identify: background removed (target abundance %.4f over %d spectra)"
               % (removal.target_coefficient, len(backgrounds)))
-    config = SearchConfig(
-        max_size=args.max_size, window_ratio=args.window_c,
-        strategy=args.strategy, mc3_iterations=args.iterations,
-        seed=args.seed, submodel_exclusion=args.occam_strict)
-    models = run_search(pixel, library, config)
-    _warn_if_capped(models, config)
-    posterior = normalize(models)
-    report = averaged_coefficients(posterior)
-    tree = build_tree(posterior, library.hierarchy)
-    write_results_json(posterior, report, tree, os.path.join(out, "results.json"))
+    models, _, tree = _aggregate(args, out, pixel, library, args.max_size, library.hierarchy)
     write_tree_dot(tree, os.path.join(out, "tree.dot"),
                    conditional=args.conditional_tree)
     best = models.index[0, :models.sizes[0]].tolist()
@@ -203,11 +194,21 @@ def cmd_identify(args) -> None:
           % (len(models), "+".join(models.candidates[j] for j in best), out))
 
 
-def _warn_if_capped(models, config: SearchConfig) -> None:
-    """One stderr line when the beam cap dropped models from the search."""
+def _aggregate(args, out: str, y, library, max_size: int, hierarchy=None):
+    """Search (a stderr line if the beam cap cut it), average, write results.json."""
+    config = SearchConfig(
+        max_size=max_size, window_ratio=args.window_c, strategy=args.strategy,
+        mc3_iterations=args.iterations, seed=args.seed,
+        submodel_exclusion=args.occam_strict)
+    models = run_search(y, library, config)
     if models.strategy_metadata.get("beam_capped"):
         print("warning: the Occam search was cut to a beam of %d per level; the "
               "posterior is approximate" % config.beam_cap, file=sys.stderr)
+    posterior = normalize(models)
+    report = averaged_coefficients(posterior)
+    tree = None if hierarchy is None else build_tree(posterior, hierarchy)
+    write_results_json(posterior, report, tree, os.path.join(out, "results.json"))
+    return models, report, tree
 
 
 def _parse_coords(text: str):
@@ -232,17 +233,8 @@ def cmd_bma_table(args) -> None:
     out = _outdir(args)
     y, X, names = read_table(args.csv, args.response)
     workspace = Workspace(y, X, names, with_intercept=True)
-    max_size = args.max_size or len(names)
-    config = SearchConfig(
-        max_size=max_size, window_ratio=args.window_c, strategy=args.strategy,
-        mc3_iterations=args.iterations, seed=args.seed,
-        submodel_exclusion=args.occam_strict)
-    models = run_search(None, workspace, config)
-    _warn_if_capped(models, config)
-    posterior = normalize(models)
-    report = averaged_coefficients(posterior)
+    models, report, _ = _aggregate(args, out, None, workspace, args.max_size or len(names))
     write_inclusion_csv(report, os.path.join(out, "inclusion.csv"))
-    write_results_json(posterior, report, None, os.path.join(out, "results.json"))
     print("bma-table: %d models retained over %d predictors; wrote inclusion.csv, "
           "results.json to %s" % (len(models), len(names), out))
 

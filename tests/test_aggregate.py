@@ -1,6 +1,8 @@
 """Posterior normalization, inclusion/group probabilities, and class trees."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_model_set, model_rows
+from specid import aggregate
 from specid.aggregate import (IdentificationTree, InclusionReport, ModelPosterior,
                               TreeNode, UnknownRegressorWarning,
                               averaged_coefficients, build_tree, class_probability,
@@ -17,7 +20,7 @@ from specid.aggregate import (IdentificationTree, InclusionReport, ModelPosterio
 from specid.core import ROOT_LABEL, ClassHierarchy
 from specid.errors import InputError
 from specid.regression import ModelPrior, Workspace
-from specid.search import SearchConfig, exhaustive_search
+from specid.search import ModelSet, SearchConfig, exhaustive_search
 from synth import make_table_instance
 
 
@@ -179,6 +182,16 @@ class TestGroups:
             assert union <= 1.0 + 1e-12
             assert group_probability(post, s + s) == pytest.approx(gs, abs=1e-15)
 
+    def test_bare_string_is_refused_not_split(self):
+        # split into characters, "ab" would be the group {"a", "b"}
+        ms = make_model_set([make_model(("ab",), 0.0), make_model(("a",), 1.0),
+                             make_model(("b",), 2.0)], ("ab", "a", "b"))
+        post = normalize(ms)
+        with pytest.raises(InputError):
+            group_probability(post, "ab")
+        assert group_probability(post, ["ab"]) == post.probabilities[0]
+        assert inclusion_probability(post, "ab") == post.probabilities[0]
+
 
 class TestHierarchyProbabilities:
     paths = [("n1", ("Fabric", "Nylon")), ("n2", ("Fabric", "Nylon")),
@@ -252,8 +265,8 @@ def test_response_scaling_leaves_posterior_unchanged():
             assert lookup[model.regressors] == pytest.approx(p, abs=1e-12)
 
 
-# The per-model loops that aggregation ran before the incidence matrix, kept
-# verbatim as the bit-for-bit reference for the matrix form.
+# The per-model loops that aggregation ran before it summed arrays, kept
+# verbatim as the bit-for-bit reference for the blocked sums.
 
 def reference_inclusion_probability(posterior, regressor):
     if regressor not in posterior.models.candidates:
@@ -344,7 +357,7 @@ def aggregation_problems(draw):
 
 
 class TestMatchesModelLoops:
-    """Every sum on the incidence matrix equals the per-model loop, bit for bit."""
+    """Every blocked sum equals the per-model loop, bit for bit."""
 
     def assert_same(self, posterior, hierarchy, groups=()):
         with warnings.catch_warnings():
@@ -376,6 +389,15 @@ class TestMatchesModelLoops:
     def test_matches_reference_loops(self, problem):
         self.assert_same(*problem)
 
+    # blocks of one model, totals carried over several blocks, and a short tail
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(problem=aggregation_problems())
+    def test_matches_reference_loops_in_small_blocks(self, rows, problem):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(aggregate, "SUM_ROWS", rows)
+            self.assert_same(*problem)
+
     def test_exhaustive_table_posterior(self):
         y, X, names = make_table_instance(5)
         for with_intercept in (False, True):
@@ -385,3 +407,45 @@ class TestMatchesModelLoops:
             hierarchy = ClassHierarchy([(name, ("even" if j % 2 else "odd",))
                                         for j, name in enumerate(names)])
             self.assert_same(normalize(out), hierarchy, [names[:3], names[-2:]])
+
+
+class TestMemory:
+    """normalize holds a few model-length arrays; averaging and the class tree
+    hold blocks of SUM_ROWS models, however many models there are."""
+
+    candidates = tuple("c%d" % j for j in range(30))
+    hierarchy = ClassHierarchy([(name, ("odd" if j % 2 else "even", "r%d" % (j % 5)))
+                                for j, name in enumerate(candidates)])
+
+    def posterior(self, n):
+        """n distinct models of four candidates each, with intercepts."""
+        index = np.array(list(itertools.islice(
+            itertools.combinations(range(len(self.candidates)), 4), n)))
+        rng = np.random.default_rng(n)
+        ones = np.ones(n)
+        return normalize(ModelSet(index, rng.normal(size=index.shape), rng.normal(size=n),
+                                  rng.uniform(0.0, 30.0, n), ones, ones, self.candidates,
+                                  "exhaustive"))
+
+    @staticmethod
+    def peak(call, *args):
+        """Bytes allocated at the peak of call(*args), above what was held before."""
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            call(*args)
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [2048, 16384])
+    def test_normalize_holds_a_few_model_arrays(self, n):
+        models = self.posterior(n).models
+        assert self.peak(normalize, models) <= 8 * n * 8  # eight float64 arrays
+
+    def test_averaging_and_tree_peaks_do_not_grow_with_models(self):
+        small, large = self.posterior(2048), self.posterior(8 * 2048)
+        block = aggregate.SUM_ROWS * 8 * (2 * len(self.candidates) + 2)
+        for call, args in ((averaged_coefficients, ()), (build_tree, (self.hierarchy,))):
+            assert self.peak(call, large, *args) <= self.peak(call, small, *args) + block
