@@ -124,12 +124,18 @@ SUM_ROWS = 256  # models per block of _sums; a block's weights are SUM_ROWS x co
 
 
 def _sums(posterior: ModelPosterior, weights) -> np.ndarray:
-    """Column sums of p_i * weights(rows)[i], added in model order from +0.0."""
+    """Column sums of p_i * weights(rows)[i], added in model order from +0.0.
+
+    numpy reduces a C-contiguous block over axis 0 a row at a time, so with
+    the running total added into its first row each block continues the
+    sums in order; it needs at least 2 columns, for numpy sums a single
+    column pairwise.
+    """
     p, total = posterior.probabilities, 0.0
     for rows in (slice(start, start + SUM_ROWS) for start in range(0, p.size, SUM_ROWS)):
         terms = p[rows, None] * weights(rows)
         terms[0] += total
-        total = np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
+        total = np.add.reduce(terms, axis=0)
     return total
 
 
@@ -137,11 +143,12 @@ def _group_sums(posterior: ModelPosterior, groups, counted: bool = False) -> np.
     """Per group of names, the summed posterior of the models holding any of
     them, or with `counted` each model's posterior times how many it holds."""
     candidates, index = posterior.models.candidates, posterior.models.index
-    # row j marks the groups holding candidate j; the last, all False, is index -1's
-    member = np.array([[name in names for names in groups] for name in candidates]
-                      + [[False] * len(groups)])
+    # row j marks the groups holding candidate j; the last, all False, is index
+    # -1's; so does the last column, an empty group that gives _sums 2 columns
+    member = np.array([[name in names for names in groups] + [False] for name in candidates]
+                      + [[False] * (len(groups) + 1)])
     hits = np.sum if counted else np.any
-    return _sums(posterior, lambda rows: hits(member[index[rows]], axis=1))
+    return _sums(posterior, lambda rows: hits(member[index[rows]], axis=1))[:-1]
 
 
 def inclusion_probability(posterior: ModelPosterior, regressor: str) -> float:

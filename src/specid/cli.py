@@ -9,6 +9,11 @@ error. Outputs are deterministic for a given seed regardless of --threads, at
 a fixed BLAS thread count: the bits of scores.bin depend on the number of
 OpenBLAS threads.
 A search whose beam cap dropped models prints a "warning:" line on stderr.
+Cubes are read from their files a few rows at a time, never held whole. A
+cube value that is not finite exits 2: detect meets every pixel in its first
+pass, before it writes any file; identify --cube reads only the rows that
+hold the ROI's pixels and its background pixels, so a non-finite value in
+any other row does not stop it.
 """
 
 from __future__ import annotations

@@ -215,35 +215,79 @@ class SpectralLibrary:
         raise InputError("no spectrum named %r in library" % name)
 
 
-@dataclass(frozen=True, eq=False)
 class ImageCube:
-    """Image data as (rows, cols, bands) float64 on a band grid."""
+    """Image data as (rows, cols, bands) float64 on a band grid.
 
-    grid: BandGrid
-    data: np.ndarray
+    A cube holds its values as an array, or leaves them where `source` keeps
+    them and converts rows when they are read (io_formats.read_envi's cube,
+    backed by its file). Consumers read rows through `reader()`. `data` is the
+    whole cube as one array; a source-backed cube converts it once, on first
+    use, and then reads from it.
 
-    def __post_init__(self):
-        # canonical C layout: equal-valued cubes reduce in the same order no
-        # matter which interleave they were loaded from
-        data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if data.ndim != 3:
+    A source has `shape`, the cube's (rows, cols, bands), and `reader()`,
+    which returns a function with the contract of `ImageCube.reader`.
+    """
+
+    def __init__(self, grid: BandGrid, data: np.ndarray | None = None, source=None):
+        if (data is None) == (source is None):
+            raise InputError("a cube needs exactly one of data and source")
+        if source is None:
+            # canonical C layout: equal-valued cubes reduce in the same order
+            # no matter which interleave they were loaded from
+            data = np.ascontiguousarray(data, dtype=np.float64)
+            shape = data.shape
+        else:
+            shape = tuple(source.shape)
+        if len(shape) != 3:
             raise InputError("cube data must be (rows, cols, bands), got shape %r"
-                             % (data.shape,))
-        if data.shape[2] != len(self.grid):
-            raise InputError("cube has %d bands but grid has %d"
-                             % (data.shape[2], len(self.grid)))
+                             % (shape,))
+        if shape[2] != len(grid):
+            raise InputError("cube has %d bands but grid has %d" % (shape[2], len(grid)))
         # min and max carry any NaN or infinity, without a cube-sized mask
-        if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        if data is not None and data.size and not (np.isfinite(data.min())
+                                                   and np.isfinite(data.max())):
             raise InputError("cube contains non-finite values")
-        object.__setattr__(self, "data", data)
+        self.grid, self.shape = grid, shape
+        self._data, self._source = data, source
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
+
+    @property
+    def bands(self) -> int:
+        return self.shape[2]
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self._source.reader()(0, self.rows, out=np.empty(self.shape))
+        return self._data
+
+    def reader(self):
+        """A function `read(lo, hi, out=None)`: rows lo:hi, C-contiguous float64.
+
+        Given `out`, a C-contiguous (hi - lo, cols, bands) float64 array, the
+        rows are written into it and it is returned. Without, an array (or
+        `data`, once built) gives a view, and a source converts the rows into
+        a buffer of the reader's own, reused from call to call: such a block
+        holds until the next call, so each thread takes its own reader.
+        """
+        data = self._data
+        if data is None:
+            return self._source.reader()
+
+        def read(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+            if out is None:
+                return data[lo:hi]
+            out[...] = data[lo:hi]
+            return out
+
+        return read
 
 
 def block_rows(values_per_row: int) -> int:
@@ -330,21 +374,33 @@ def mix(components, noise_sigma: float = 0.0, seed: int = 0) -> Spectrum:
 
 def extract_pixel(cube: ImageCube, row: int, col: int) -> Spectrum:
     """Pixel (row, col) as a Spectrum with an empty class path."""
-    if not (0 <= row < cube.rows and 0 <= col < cube.cols):
-        raise BoundsError("pixel (%d, %d) outside %dx%d cube"
-                          % (row, col, cube.rows, cube.cols))
-    return Spectrum("pixel_%d_%d" % (row, col), cube.grid, cube.data[row, col])
+    values, = _pixel_values(cube, [(row, col)])
+    return Spectrum("pixel_%d_%d" % (row, col), cube.grid, values)
 
 
 def average_pixels(cube: ImageCube, coords) -> Spectrum:
-    """Mean spectrum over a set of (row, col) coordinates."""
+    """Mean spectrum over a set of (row, col) coordinates, summed in their order."""
     coords = list(coords)
     if not coords:
         raise InputError("average_pixels needs at least one coordinate")
     acc = np.zeros(len(cube.grid))
+    for values in _pixel_values(cube, coords):
+        acc += values
+    return Spectrum("avg_%dpx" % len(coords), cube.grid, acc / len(coords))
+
+
+def _pixel_values(cube: ImageCube, coords):
+    """Each coordinate's values in turn, valid until the next is drawn.
+
+    A row is read once for each run of coordinates on it, so coordinates
+    in row-major order read each of their rows once.
+    """
+    read = cube.reader()
+    current = None
     for row, col in coords:
         if not (0 <= row < cube.rows and 0 <= col < cube.cols):
             raise BoundsError("pixel (%d, %d) outside %dx%d cube"
                               % (row, col, cube.rows, cube.cols))
-        acc += cube.data[row, col]
-    return Spectrum("avg_%dpx" % len(coords), cube.grid, acc / len(coords))
+        if row != current:
+            line, current = read(row, row + 1)[0], row
+        yield line[col]

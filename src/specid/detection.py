@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ImageCube, Spectrum, average_pixels, block_bounds, block_pixels,
-                   block_rows)
+from .core import ImageCube, Spectrum, block_bounds, block_pixels, block_rows
 from .errors import AlignmentError, InputError, NumericalError
 from . import regression
 
@@ -104,11 +103,13 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
 
     The selected pixels are summed in blocks of core.block_pixels(bands), a
     multiple of core.PIXEL_BLOCK_STEP; a short last block joins the one
-    before it (core.block_bounds). Beside the cube, one block and its centred
-    copy are held at a time, and the bits equal the whole-array
+    before it (core.block_bounds). Each pass reads a block's rows
+    (ImageCube.reader) into one buffer, or with a mask gathers its pixels
+    there from at most core.block_rows rows at a time; a row that two
+    blocks share is read for each. The bits equal the whole-array
     `flat.mean(axis=0)` and `centred.T @ centred`:
     - numpy sums over axis 0 row by row, so each block's sum starts from the
-      running total as its first row;
+      running total, put in the buffer's row before the block's pixels;
     - numpy's `A.T @ A` is OpenBLAS's `dsyrk`, lower triangle, called here
       once per block through scipy and accumulated in place. OpenBLAS sums
       over pixels in panels (256 to 768 pixels, by CPU) and halves a last
@@ -120,31 +121,58 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
 
     if not 0.0 <= shrinkage <= 1.0:
         raise InputError("shrinkage must be in [0, 1], got %r" % shrinkage)
-    bands = cube.data.shape[2]
-    flat = cube.data.reshape(-1, bands)
+    cols, bands = cube.cols, cube.bands
     index = None
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (cube.rows, cube.cols):
+        if mask.shape != (cube.rows, cols):
             raise InputError("pixel mask shape %r does not match cube %r"
-                             % (mask.shape, (cube.rows, cube.cols)))
+                             % (mask.shape, (cube.rows, cols)))
         index = np.flatnonzero(mask)
-    count = flat.shape[0] if index is None else index.size
+    count = cube.rows * cols if index is None else index.size
     if count < 2:
         raise InputError("need at least 2 pixels for background statistics, got %d"
                          % count)
     bounds = block_bounds(count, block_pixels(bands))
+    read = cube.reader()
+    # a block's pixels sit at buffer[pad:]; before them, the part of their
+    # first row that precedes them, or the running total
+    pad = cols
+    buffer = np.empty((pad + max(hi - lo for lo, hi in bounds) + cols, bands))
 
     def pixels(lo, hi):
-        return flat[lo:hi] if index is None else flat[index[lo:hi]]
+        """The selected pixels lo:hi, put at buffer[pad:pad + hi - lo]."""
+        if index is None:
+            top, skip = divmod(lo, cols)
+            rows = (hi - 1) // cols + 1 - top
+            start = pad - skip
+            read(top, top + rows, out=buffer[start:start + rows * cols].reshape(
+                rows, cols, bands))
+        else:
+            where, done = index[lo:hi], 0
+            step = block_rows(cols * bands)
+            for top in range(where[0] // cols, where[-1] // cols + 1, step):
+                stop = int(np.searchsorted(where, (top + step) * cols))
+                if stop > done:
+                    block = read(top, min(top + step, cube.rows)).reshape(-1, bands)
+                    # in range by construction; the default mode="raise"
+                    # would copy through a temporary as large as `out`
+                    np.take(block, where[done:stop] - top * cols, axis=0, mode="clip",
+                            out=buffer[pad + done:pad + stop])
+                    done = stop
+        return buffer[pad:pad + hi - lo]
 
-    total = np.add.reduce(pixels(*bounds[0]), axis=0)
-    for lo, hi in bounds[1:]:
-        total = np.add.reduce(np.concatenate([total[None], pixels(lo, hi)]), axis=0)
+    for lo, hi in bounds:
+        pixels(lo, hi)
+        if lo:  # the first block's sum starts from its first pixel
+            buffer[pad - 1] = total
+        total = np.add.reduce(buffer[pad - (1 if lo else 0):pad + hi - lo], axis=0)
     mean = total / count
     gram = np.zeros((bands, bands), order="F")
     for lo, hi in bounds:
-        gram = dsyrk(1.0, (pixels(lo, hi) - mean).T, beta=0.0 if lo == 0 else 1.0,
+        centred = pixels(lo, hi)
+        centred -= mean
+        gram = dsyrk(1.0, centred.T, beta=0.0 if lo == 0 else 1.0,
                      c=gram, trans=0, lower=1, overwrite_c=1)
     upper = np.triu_indices(bands, 1)
     gram[upper] = gram.T[upper]
@@ -190,14 +218,17 @@ def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
     Returns (DetectionMap, list of RegionOfInterest sorted by peak score,
     descending). Connectivity is 8-neighbor; each ROI carries its pixel
     coordinates and average spectrum. Pixels are scored in row blocks of
-    about 2**20 values (core.block_rows), `threads` blocks at a time; the
-    blocks do not depend on `threads`, so neither do the scores. A short
-    last block joins the one before it, so none is shorter than
-    core.block_rows unless the cube is one block: a block of a few dozen
-    pixels would take OpenBLAS's small-matrix kernels. With OpenBLAS on one
-    thread, the scores equal one whole-cube call bit for bit; on several,
-    the last pixels of each BLAS thread's share take a remainder kernel, so
-    a whole-cube call's bits already depend on the BLAS thread count.
+    about 2**20 values (core.block_rows), each a C-contiguous
+    (rows, cols, bands) array. The blocks are dealt in turn to up to
+    `threads` workers, each reading its own through its own
+    ImageCube.reader. The blocks do not depend on `threads`, so neither do
+    the scores. A short last block joins the one before it, so none is
+    shorter than core.block_rows unless the cube is one block: a block of a
+    few dozen pixels would take OpenBLAS's small-matrix kernels. With
+    OpenBLAS on one thread, the scores equal one whole-cube call bit for
+    bit; on several, the last pixels of each BLAS thread's share take a
+    remainder kernel, so a whole-cube call's bits already depend on the BLAS
+    thread count.
     """
     from scipy import ndimage  # imported here: the other subcommands never label
 
@@ -211,30 +242,49 @@ def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
     if np.linalg.norm(twhite) == 0.0:
         raise NumericalError("whitened target has zero norm")
     scores = np.empty((cube.rows, cube.cols))
-    bounds = block_bounds(cube.rows, block_rows(cube.cols * cube.data.shape[2]))
+    bounds = block_bounds(cube.rows, block_rows(cube.cols * cube.bands))
 
-    def work(bound):
-        lo, hi = bound
-        scores[lo:hi] = _score_block(cube.data[lo:hi], stats, twhite)
+    def work(share):
+        read = cube.reader()  # each worker converts its blocks into its own buffer
+        for lo, hi in share:
+            scores[lo:hi] = _score_block(read(lo, hi), stats, twhite)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, bounds))
+    workers = min(threads, len(bounds))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, [bounds[i::workers] for i in range(workers)]))
     dmap = DetectionMap(scores)
     labels, _ = ndimage.label(scores > threshold, structure=EIGHT_CONNECTED)
-    rois = []
+    found = []
     for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
         rr, cc = np.nonzero(labels[rows, cols] == lab)
         rr += rows.start
         cc += cols.start
-        pixels = tuple(zip(rr.tolist(), cc.tolist()))
         vals = scores[rr, cc]
-        rois.append(RegionOfInterest(
-            pixels=pixels,
-            peak_score=float(vals.max()),
-            mean_score=float(vals.mean()),
-            average=average_pixels(cube, pixels)))
+        found.append((tuple(zip(rr.tolist(), cc.tolist())), vals))
+    averages = _averages(cube, [pixels for pixels, _ in found])
+    rois = [RegionOfInterest(pixels=pixels, peak_score=float(vals.max()),
+                             mean_score=float(vals.mean()), average=average)
+            for (pixels, vals), average in zip(found, averages)]
     rois.sort(key=lambda r: (-r.peak_score, r.pixels[0]))
     return dmap, rois
+
+
+def _averages(cube: ImageCube, pixel_sets) -> list:
+    """average_pixels of each set of row-major pixels, reading each row once.
+
+    Walking down the rows, each set's pixels are added in their own order,
+    as average_pixels adds them, so the bits are the same.
+    """
+    sums = np.zeros((len(pixel_sets), cube.bands))
+    read = cube.reader()
+    current = None
+    for row, i, col in sorted((row, i, col) for i, pixels in enumerate(pixel_sets)
+                              for row, col in pixels):
+        if row != current:
+            line, current = read(row, row + 1)[0], row
+        sums[i] += line[col]
+    return [Spectrum("avg_%dpx" % len(pixels), cube.grid, total / len(pixels))
+            for pixels, total in zip(pixel_sets, sums)]
 
 
 @dataclass(frozen=True, eq=False)

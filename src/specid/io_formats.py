@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import weakref
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .aggregate import IdentificationTree, InclusionReport, ModelPosterior
 from .core import BandGrid, ImageCube, Spectrum, SpectralLibrary, block_rows
-from .errors import ParseError
+from .errors import InputError, ParseError
 
 DATA_TYPES = {2: np.dtype("int16"), 4: np.dtype("float32"),
               5: np.dtype("float64"), 12: np.dtype("uint16")}
@@ -157,17 +158,14 @@ def _find_data_file(header_path: str) -> str:
 
 
 def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
-    """Load an ENVI cube into canonical (row, col, band) float64 order.
+    """Open an ENVI cube in canonical (row, col, band) float64 order.
 
-    Integer cubes are divided by the reflectance scale factor (default
-    10000); bad bands listed in bbl are dropped and the grid adjusted. The
-    float64 cube is allocated once and filled in row blocks of about 2**20
-    values (core.block_rows). Each block's bytes are read into one
-    block-sized buffer: one read for BIL and BIP, one read per band for BSQ.
-    The memory used is the cube plus about two blocks; the raw file is never
-    held whole. Casting, band selection and division act element by element,
-    so the values equal a whole-cube conversion bit for bit. A read that
-    returns fewer bytes than asked for raises ParseError.
+    The header and the data file's size are checked now, and the file's last
+    byte read, so a short file fails here. The values stay in the file: the
+    cube converts rows only when they are read (see _EnviRows), so opening
+    it holds no part of it. Integer cubes are divided by the reflectance
+    scale factor (default 10000); bad bands listed in bbl are dropped and the
+    grid adjusted.
     """
     with open(header_path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
@@ -192,41 +190,101 @@ def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
     if header.bbl is not None and 0 in header.bbl:
         good = np.array([b != 0 for b in header.bbl])
         wavelengths = wavelengths[good]
-    grid = BandGrid(wavelengths)
-    factor = ((header.reflectance_scale_factor or INTEGER_SCALE_DEFAULT)
-              if dtype.kind in "iu" else None)
-    cube = np.empty((lines, samples, len(grid)))
-    step = block_rows(samples * bands)
-    row_bytes = samples * bands * dtype.itemsize
-    buffer = np.empty(min(step, lines) * row_bytes, dtype=np.uint8)
-    with open(data_path, "rb") as fh:
-        for lo in range(0, lines, step):
-            rows = min(step, lines - lo)
-            raw = buffer[:rows * row_bytes]
-            if header.interleave == "bsq":
-                plane = rows * samples * dtype.itemsize
-                for band in range(bands):
-                    start = (band * lines + lo) * samples * dtype.itemsize
-                    _read_into(fh, header.header_offset + start,
-                               raw[band * plane:(band + 1) * plane], data_path)
-                block = raw.view(dtype).reshape(bands, rows, samples).transpose(1, 2, 0)
-            else:
-                _read_into(fh, header.header_offset + lo * row_bytes, raw, data_path)
-                if header.interleave == "bil":
-                    block = raw.view(dtype).reshape(rows, bands, samples).transpose(0, 2, 1)
-                else:  # bip
-                    block = raw.view(dtype).reshape(rows, samples, bands)
-            out = cube[lo:lo + rows]
-            out[...] = block if good is None else block[:, :, good]
-            if factor is not None:
-                out /= factor
-    return ImageCube(grid, cube)
+    return ImageCube(BandGrid(wavelengths), source=_EnviRows(header, data_path, dtype, good))
 
 
-def _read_into(fh, position: int, out: np.ndarray, path: str) -> None:
-    """Fill the byte array `out` from `position` of the open file `fh`."""
-    fh.seek(position)
-    got = fh.readinto(out)
+class _EnviRows:
+    """The rows of an ENVI data file, converted to float64 when read.
+
+    A read converts its rows a row block at a time, about 2**20 values
+    (core.block_rows): the block's bytes go into one block-sized buffer, by
+    one positional read for BIL and BIP and one per band for BSQ, so threads
+    can read the file at once. Casting, band selection and division act
+    element by element, so the values equal a whole-cube conversion bit for
+    bit, whatever the rows read. Each row's values are checked to be finite
+    the first time it is converted (threads at once may check a row twice,
+    never skip it); integers divided by a factor that keeps the widest of
+    them finite need no check. A read that returns fewer bytes than asked
+    for raises ParseError.
+    """
+
+    def __init__(self, header: EnviHeader, path: str, dtype: np.dtype, good):
+        self.header, self.path, self.dtype, self.good = header, path, dtype, good
+        # the file stays open, and readable even once unlinked, until the
+        # cube is collected
+        self.fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self.fd)
+        # read the last byte, so that data shorter than its reported size
+        # fails now, as it would when the whole cube is read
+        end = header.lines * header.samples * header.bands * dtype.itemsize
+        _read_into(self.fd, header.header_offset + end - 1, np.empty(1, dtype=np.uint8), path)
+        kept = header.bands if good is None else int(good.sum())
+        self.shape = (header.lines, header.samples, kept)
+        self.factor, finite = None, False   # finite: no value can be NaN or infinite
+        if dtype.kind in "iu":
+            self.factor = header.reflectance_scale_factor or INTEGER_SCALE_DEFAULT
+            info = np.iinfo(dtype)
+            finite = math.isfinite(max(-float(info.min), float(info.max)) / self.factor)
+        self.row_bytes = header.samples * header.bands * dtype.itemsize
+        self.checked = np.full(header.lines, finite)   # rows known to be finite
+
+    def reader(self):
+        """read(lo, hi, out=None): rows lo:hi converted into `out` or a reused buffer."""
+        raw = np.empty(0, dtype=np.uint8)
+        values = np.empty(0)
+
+        def read(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+            nonlocal raw, values
+            rows = hi - lo
+            if out is None:
+                size = rows * self.shape[1] * self.shape[2]
+                if values.size < size:
+                    values = None  # drop the old buffer before taking the new one
+                    values = np.empty(size)
+                out = values[:size].reshape(rows, *self.shape[1:])
+            step = block_rows(self.header.samples * self.header.bands)
+            size = min(rows, step) * self.row_bytes
+            if raw.size < size:
+                raw = None
+                raw = np.empty(size, dtype=np.uint8)
+            for start in range(lo, hi, step):
+                stop = min(start + step, hi)
+                self._convert(start, stop, raw, out[start - lo:stop - lo])
+            return out
+
+        return read
+
+    def _convert(self, lo: int, hi: int, buffer: np.ndarray, out: np.ndarray) -> None:
+        header, dtype = self.header, self.dtype
+        rows, samples, bands = hi - lo, header.samples, header.bands
+        raw = buffer[:rows * self.row_bytes]
+        if header.interleave == "bsq":
+            plane = rows * samples * dtype.itemsize
+            for band in range(bands):
+                start = (band * header.lines + lo) * samples * dtype.itemsize
+                _read_into(self.fd, header.header_offset + start,
+                           raw[band * plane:(band + 1) * plane], self.path)
+            block = raw.view(dtype).reshape(bands, rows, samples).transpose(1, 2, 0)
+        else:
+            _read_into(self.fd, header.header_offset + lo * self.row_bytes, raw, self.path)
+            if header.interleave == "bil":
+                block = raw.view(dtype).reshape(rows, bands, samples).transpose(0, 2, 1)
+            else:  # bip
+                block = raw.view(dtype).reshape(rows, samples, bands)
+        out[...] = block if self.good is None else block[:, :, self.good]
+        if self.factor is not None:
+            out /= self.factor
+        if not self.checked[lo:hi].all():
+            # min and max carry any NaN or infinity, without a block-sized mask
+            if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+                raise InputError("cube contains non-finite values (%r, rows %d-%d)"
+                                 % (self.path, lo, hi - 1))
+            self.checked[lo:hi] = True
+
+
+def _read_into(fd: int, position: int, out: np.ndarray, path: str) -> None:
+    """Fill the byte array `out` from `position` of the open file descriptor `fd`."""
+    got = os.preadv(fd, [out], position)
     if got != out.nbytes:
         raise ParseError("data file %r ended early: read %d of %d bytes at offset %d"
                          % (path, got, out.nbytes, position))

@@ -398,6 +398,18 @@ class TestMatchesModelLoops:
             monkeypatch.setattr(aggregate, "SUM_ROWS", rows)
             self.assert_same(*problem)
 
+    def test_one_group_over_many_models_adds_in_model_order(self):
+        # numpy sums a one-column block pairwise past 8 rows, so a single
+        # group's block must not be one column wide
+        names = tuple("c%d" % j for j in range(12))
+        subsets = [regs for k in (1, 2) for regs in itertools.combinations(names, k)]
+        bics = np.random.default_rng(23).uniform(-20.0, 20.0, len(subsets))
+        posterior = normalize(make_model_set(
+            [make_model(regs, bic) for regs, bic in zip(subsets, bics)], names))
+        for group in ([names[0]], names[:5], names):
+            assert bits(group_probability(posterior, group)) == \
+                bits(reference_group_probability(posterior, group))
+
     def test_exhaustive_table_posterior(self):
         y, X, names = make_table_instance(5)
         for with_intercept in (False, True):

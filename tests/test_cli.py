@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -305,6 +306,96 @@ class TestIdentify:
                    "--library", scene.lib_csv])
         assert rc == 2
         assert "no regions" in capsys.readouterr().err
+
+
+def one_error_line(capsys, fragment):
+    """The run printed one stderr line holding `fragment`, and no traceback."""
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def write_cube_with_nan(root, scene, pixel):
+    """The scene's cube as float32 ENVI, with a NaN in one band of `pixel`."""
+    values = scene.cube.data.copy()
+    values[pixel + (3,)] = np.nan
+    # write_envi_cube reads only these four attributes; an ImageCube would
+    # refuse the values
+    cube = SimpleNamespace(grid=scene.cube.grid, data=values, rows=scene.cube.rows,
+                           cols=scene.cube.cols)
+    hdr, _ = write_envi_cube(root, cube, interleave="bil", data_type=4, stem="nan")
+    return str(hdr)
+
+
+class TestCubeValues:
+    """Non-finite cube values and pixels outside the cube exit 2 in one line."""
+
+    def identify(self, scene, cube, rois, tmp_path, extra=()):
+        return main(["--output-dir", str(tmp_path / "out"), "identify", "--cube", cube,
+                     "--roi", str(rois), "--library", scene.lib_csv] + list(extra))
+
+    def test_detect_on_a_nan_exits_2_and_writes_nothing(self, scene, tmp_path, capsys):
+        hdr = write_cube_with_nan(tmp_path, scene, (5, 7))
+        out = tmp_path / "out"
+        rc = main(["--output-dir", str(out), "detect", "--cube", hdr,
+                   "--target-lib", scene.target_csv, "--target", "ldpe_mean"])
+        assert rc == 2
+        one_error_line(capsys, "cube contains non-finite values")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_identify_with_a_nan_in_the_roi_exits_2(self, scene, detect_dir, tmp_path,
+                                                     capsys):
+        hdr = write_cube_with_nan(tmp_path, scene, min(scene.implant))
+        rc = self.identify(scene, hdr, detect_dir / "rois.json", tmp_path)
+        assert rc == 2
+        one_error_line(capsys, "cube contains non-finite values")
+
+    def test_identify_reads_only_the_rows_it_uses(self, scene, detect_dir, tmp_path):
+        # the ROI and its annulus lie within 5 rows of the implant; a NaN in
+        # a row outside them is never read
+        top = min(r for r, _ in scene.implant)
+        far = 0 if top > 6 else scene.cube.rows - 1
+        assert not any(abs(far - r) <= 6 for r, _ in scene.implant)
+        hdr = write_cube_with_nan(tmp_path, scene, (far, 0))
+        rc = self.identify(scene, hdr, detect_dir / "rois.json", tmp_path,
+                           ["--background-removal", "--target", "ldpe_1"])
+        assert rc == 0
+
+    def test_roi_pixel_outside_the_cube_exits_2(self, scene, tmp_path, capsys):
+        rois = tmp_path / "rois.json"
+        rois.write_text('[{"pixels": [[3, 4], [3, %d]]}]' % scene.cube.cols)
+        rc = self.identify(scene, scene.hdr, rois, tmp_path)
+        assert rc == 2
+        one_error_line(capsys, "pixel (3, %d) outside 92x92 cube" % scene.cube.cols)
+
+    def test_background_outside_the_cube_exits_2(self, scene, detect_dir, tmp_path,
+                                                 capsys):
+        rc = self.identify(scene, scene.hdr, detect_dir / "rois.json", tmp_path,
+                           ["--background-removal", "--target", "ldpe_1",
+                            "--backgrounds", "0,0; -1,5"])
+        assert rc == 2
+        one_error_line(capsys, "pixel (-1, 5) outside 92x92 cube")
+
+    def test_identify_peaks_alike_on_a_cube_four_times_taller(self, scene, detect_dir,
+                                                              tmp_path):
+        # the pixels identify reads sit in the top copy of each cube
+        from specid.core import ImageCube
+        rois = detect_dir / "rois.json"
+        peaks = []
+        for times in (1, 4):
+            tall = ImageCube(scene.cube.grid, np.concatenate([scene.cube.data] * times))
+            hdr, _ = write_envi_cube(tmp_path / str(times), tall, interleave="bil",
+                                     data_type=2, stem="tall")
+            extra = ["--background-removal", "--target", "ldpe_1"]
+            assert self.identify(scene, str(hdr), rois, tmp_path, extra) == 0
+            tracemalloc.start()
+            try:
+                assert self.identify(scene, str(hdr), rois, tmp_path, extra) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the taller cube holds 6 MB more than the other; a row is 22 KB
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
 
 def write_table_csv(path, y, X, names):

@@ -392,6 +392,100 @@ for mask in (None, rng.random((97, 193)) < 0.9):
 """
 
 
+# A 97 x 193 cube as an int16 BIL file whose one bad band leaves 124, opened
+# file-backed (and read once its directory is gone): 97 x 193 pixels are 3
+# pixel blocks of 6,144 and a tail, and 6,144 is no multiple of 193, so every
+# block boundary falls inside a row; row blocks of 40 rows
+# (block_rows(193 * 124)) make 2 scoring blocks, one per worker at 3 threads.
+FILE_BACKED_MATCHES_WHOLE = """
+import tempfile
+import numpy as np
+from conftest import write_envi_cube
+from specid.core import BandGrid, ImageCube, average_pixels, block_rows
+from specid.detection import _score_block, background_stats, detect
+from specid.io_formats import read_envi
+from test_detection import reference_background_stats, stats_bytes
+from test_io_formats import reference_read_envi
+
+assert block_rows(193 * 124) == 40
+rng = np.random.default_rng(24)
+grid = BandGrid(np.linspace(0.4, 2.4, 125))
+source = ImageCube(grid, rng.normal(0.5, 0.05, (97, 193, 125)))
+with tempfile.TemporaryDirectory() as tmp:
+    hdr, _ = write_envi_cube(tmp, source, interleave="bil", data_type=2,
+                             bbl=[1] * 60 + [0] + [1] * 64)
+    cube = read_envi(str(hdr))
+    whole = reference_read_envi(str(hdr))
+for mask in (None, rng.random((97, 193)) < 0.9):
+    got = stats_bytes(background_stats, cube, 0.01, mask)
+    assert got == stats_bytes(reference_background_stats, whole, 0.01, mask)
+stats = background_stats(cube)
+target = whole.data[50, 60]
+want = _score_block(whole.data, stats, stats.whiten(target))
+for threads in (1, 3):
+    dmap, rois = detect(cube, target, stats, threshold=0.5, threads=threads)
+    assert dmap.scores.tobytes() == want.tobytes(), threads
+    assert rois and all(roi.average.values.tobytes() == average_pixels(whole, roi.pixels)
+                        .values.tobytes() for roi in rois)
+assert cube._data is None   # read a block at a time, never whole
+"""
+
+
+@st.composite
+def file_cubes(draw):
+    """An ENVI file of a cube a few pixel blocks long, and a mask or None."""
+    rows, cols = draw(st.integers(20, 90)), draw(st.integers(40, 130))
+    bands = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = BandGrid(np.linspace(0.4, 2.4, bands))
+    cube = ImageCube(grid, rng.uniform(0.0, 0.6, (rows, cols, bands)))
+    layout = {"interleave": draw(st.sampled_from(["bsq", "bil", "bip"])),
+              "data_type": draw(st.sampled_from([2, 4, 5, 12])),
+              "byte_order": draw(st.sampled_from([0, 1])),
+              "header_offset": draw(st.sampled_from([0, 9]))}
+    mask = None
+    if draw(st.booleans()):
+        mask = rng.random((rows, cols)) < draw(st.sampled_from([0.05, 0.5, 0.97]))
+    block_values = draw(st.integers(1, 16 * cols * bands))
+    return cube, layout, mask, block_values
+
+
+class TestFileBacked:
+    """A file-backed cube gives the bits of the same values held as an array."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(file_cubes())
+    def test_stats_and_detect_match_an_array_cube(self, tmp_path_factory, inputs):
+        source, layout, mask, block_values = inputs
+        hdr, _ = write_envi_cube(tmp_path_factory.mktemp("cube"), source, **layout)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specid.core, "BLOCK_VALUES", block_values)
+            cube = read_envi(str(hdr))
+            array = ImageCube(cube.grid, read_envi(str(hdr)).data)
+            got = stats_bytes(background_stats, cube, 0.01, mask)
+            assert got == stats_bytes(reference_background_stats, array, 0.01, mask)
+            if isinstance(got[0], type):
+                return
+            stats = background_stats(array, 0.01, mask)
+            target = array.data[-1, -1]
+            want, _ = detect(array, target, stats, threshold=0.2)
+            for threads in (1, 3):
+                dmap, rois = detect(cube, target, stats, threshold=0.2, threads=threads)
+                assert dmap.scores.tobytes() == want.scores.tobytes()
+                for roi in rois:
+                    assert roi.average.values.tobytes() == \
+                        average_pixels(array, roi.pixels).values.tobytes()
+        assert cube._data is None
+
+    def test_real_size_blocks_match_whole_arrays_on_one_blas_thread(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", FILE_BACKED_MATCHES_WHOLE],
+                              capture_output=True, text=True, env=env,
+                              cwd=os.path.dirname(__file__))
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestRowBlocks:
     """detect() scores, and read_envi() converts, a cube a row block at a time."""
 
@@ -423,6 +517,8 @@ class TestRowBlocks:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
+    # read_envi opens the file; the two tests below bind the conversion of
+    # the whole cube, on first use of .data
     @pytest.mark.parametrize("data_type", [2, 5])
     def test_read_envi_holds_the_raw_data_the_cube_and_two_blocks(
             self, tmp_path, monkeypatch, data_type):
@@ -431,11 +527,11 @@ class TestRowBlocks:
                                     data_type=data_type, bbl=[1] * 31 + [0])
         tracemalloc.start()
         try:
-            cube = read_envi(str(hdr))
+            data_bytes = read_envi(str(hdr)).data.nbytes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (os.path.getsize(data) + cube.data.nbytes + 2 * block
+        assert peak <= (os.path.getsize(data) + data_bytes + 2 * block
                         + self.ufunc_buffer + self.objects)
 
     @pytest.mark.parametrize("data_type", [2, 5])
@@ -447,13 +543,28 @@ class TestRowBlocks:
                                  data_type=data_type, bbl=[1] * 31 + [0])
         tracemalloc.start()
         try:
-            cube = read_envi(str(hdr))
+            data_bytes = read_envi(str(hdr)).data.nbytes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one block's bytes as read, and its kept bands as selected; no
         # value is wider than the float64 the block size counts
-        assert peak <= cube.data.nbytes + 2 * block + self.ufunc_buffer + self.objects
+        assert peak <= data_bytes + 2 * block + self.ufunc_buffer + self.objects
+
+    @pytest.mark.parametrize("data_type", [2, 4, 5])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_read_envi_holds_no_cube(self, tmp_path, monkeypatch, interleave, data_type):
+        self.patch_blocks(monkeypatch)
+        hdr, _ = write_envi_cube(tmp_path, self.cube(20), interleave=interleave,
+                                 data_type=data_type, bbl=[1] * 31 + [0])
+        tracemalloc.start()
+        try:
+            cube = read_envi(str(hdr))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cube.shape == (self.rows, self.cols, self.bands - 1)
+        assert peak <= self.objects
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_detect_holds_the_scores_and_two_blocks_per_worker(self, monkeypatch,
@@ -477,6 +588,46 @@ class TestRowBlocks:
         # and one ROI's boolean mask, 6 bytes a pixel
         scoring = threads * (2 * block + self.ufunc_buffer)
         assert peak <= 8 * pixels + max(scoring, 6 * pixels) + self.objects
+
+
+class TestFileBackedMemory:
+    """detect() on a file-backed cube holds the scores, the labels and a few
+    blocks per worker, whatever the cube's rows and bands."""
+
+    cols = 100
+    block_values = 8 * 100 * 32          # blocks of 8 rows of 32 bands
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("rows,bands", [(240, 32), (480, 64), (960, 16)])
+    def test_detect_holds_the_scores_and_four_blocks_per_worker(
+            self, tmp_path, monkeypatch, rows, bands, threads):
+        monkeypatch.setattr(specid.core, "BLOCK_VALUES", self.block_values)
+        block = 8 * self.block_values
+        rng = np.random.default_rng(16)
+        grid = BandGrid(np.linspace(0.4, 2.4, bands))
+        source = ImageCube(grid, rng.uniform(0.1, 0.6, (rows, self.cols, bands)))
+        hdr, _ = write_envi_cube(tmp_path, source, interleave="bil", data_type=5,
+                                 bbl=[1] * (bands - 1) + [0])
+        cube = read_envi(str(hdr))
+        stats = background_stats(cube)
+        target = source.data[3, 4, :-1]
+        _, rois = detect(cube, target, stats, threshold=0.9, threads=threads)
+        assert len(rois) == 1   # and the lazy imports are done
+        tracemalloc.start()
+        try:
+            detect(cube, target, stats, threshold=0.9, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pixels = rows * self.cols
+        # every row block is whole, at most `block` as float64. Each worker
+        # keeps a reader's buffers, a block's raw bytes and its float64
+        # values, and scores through a centred and a whitened copy; while
+        # converting, the kept bands as selected take the copies' place.
+        # Labelling then holds 6 bytes a pixel (see TestRowBlocks).
+        scoring = threads * (4 * block + TestRowBlocks.ufunc_buffer)
+        assert peak <= 8 * pixels + max(scoring, 6 * pixels) + TestRowBlocks.objects
+        assert cube._data is None
 
 
 class TestBackgroundRemoval:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,9 +17,10 @@ from conftest import make_model_set, write_envi_cube, write_library_csv
 import specid.core
 from specid.aggregate import (IdentificationTree, InclusionReport, ModelPosterior,
                               TreeNode, normalize)
-from specid.core import BandGrid, ImageCube, Spectrum, SpectralLibrary
+from specid.core import (BandGrid, ImageCube, Spectrum, SpectralLibrary, average_pixels,
+                         extract_pixel)
 from specid.detection import RegionOfInterest
-from specid.errors import ParseError
+from specid.errors import InputError, ParseError
 from specid.io_formats import (DATA_TYPES, INTEGER_SCALE_DEFAULT, EnviHeader,
                                _find_data_file, parse_envi_header, read_envi,
                                read_library,
@@ -211,6 +213,48 @@ class TestReadEnvi:
         with pytest.raises(ParseError, match="ended early"):
             read_envi(str(hdr))
 
+    def test_file_shrunk_after_opening(self, tmp_path, small_cube):
+        # the size is checked when the cube is opened; a read past the new
+        # end fails then, and leaves no half-converted rows behind
+        hdr, data = write_envi_cube(tmp_path, small_cube, interleave="bil", data_type=2)
+        cube = read_envi(str(hdr))
+        with open(data, "r+b") as fh:
+            fh.truncate(os.path.getsize(data) - 3)
+        read = cube.reader()
+        np.testing.assert_array_equal(read(0, 2), small_cube.data[:2])
+        with pytest.raises(ParseError, match="ended early"):
+            read(2, 3)
+        with pytest.raises(ParseError, match="ended early"):
+            cube.data
+
+    @pytest.mark.parametrize("data_type", [4, 5])
+    def test_non_finite_value_fails_the_rows_that_hold_it(self, tmp_path, small_cube,
+                                                          data_type):
+        values = small_cube.data.copy()
+        values[1, 2, 3] = np.nan if data_type == 4 else -np.inf
+        # write_envi_cube reads only these four attributes; an ImageCube
+        # would refuse the values
+        raw = SimpleNamespace(grid=small_cube.grid, data=values, rows=3, cols=4)
+        hdr, _ = write_envi_cube(tmp_path, raw, data_type=data_type)
+        cube = read_envi(str(hdr))   # opening converts nothing
+        want = values.astype(DATA_TYPES[data_type]).astype(np.float64)
+        read = cube.reader()
+        np.testing.assert_array_equal(read(0, 1), want[:1])
+        np.testing.assert_array_equal(read(2, 3), want[2:])
+        for rows in ((1, 2), (0, 3)):
+            with pytest.raises(InputError, match="cube contains non-finite values"):
+                read(*rows)
+        with pytest.raises(InputError, match="cube contains non-finite values"):
+            cube.data
+
+    def test_integers_overflowing_their_scale_are_refused(self, tmp_path, small_cube):
+        # a scale factor so small that the integers overflow float64
+        hdr, _ = write_envi_cube(tmp_path, small_cube, data_type=12)
+        hdr.write_text(hdr.read_text() + "reflectance scale factor = 1e-310\n")
+        with np.errstate(over="ignore"), \
+                pytest.raises(InputError, match="cube contains non-finite values"):
+            read_envi(str(hdr)).data
+
     def test_data_file_discovery(self, tmp_path, small_cube):
         hdr, data = write_envi_cube(tmp_path, small_cube)
         assert read_envi(str(hdr), str(data)).rows == 3
@@ -310,6 +354,42 @@ def test_blocked_read_matches_whole_cube_read(files):
     assert got.grid == want.grid
     assert got.data.shape == want.data.shape
     assert got.data.tobytes() == want.data.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(envi_files(), st.data())
+def test_file_backed_reads_match_whole_cube_read(files, data):
+    header, raw, block_values = files
+    with tempfile.TemporaryDirectory() as tmp:
+        hdr = os.path.join(tmp, "cube.hdr")
+        with open(hdr, "w", encoding="utf-8") as fh:
+            fh.write(header)
+        with open(os.path.join(tmp, "cube.img"), "wb") as fh:
+            fh.write(raw)
+        want = reference_read_envi(hdr)
+        rows, cols, bands = want.data.shape
+        with mock.patch.object(specid.core, "BLOCK_VALUES", block_values):
+            cube = read_envi(hdr)
+            assert cube.grid == want.grid and cube.shape == want.data.shape
+            read = cube.reader()   # one reader, its buffer reused and regrown
+            for _ in range(data.draw(st.integers(1, 4))):
+                lo = data.draw(st.integers(0, rows - 1))
+                hi = data.draw(st.integers(lo + 1, rows))
+                out = np.empty((hi - lo, cols, bands)) if data.draw(st.booleans()) else None
+                block = read(lo, hi, out=out)
+                assert out is None or block is out
+                assert block.flags.c_contiguous and block.shape == (hi - lo, cols, bands)
+                assert block.tobytes() == want.data[lo:hi].tobytes()
+            coords = data.draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                                  st.integers(0, cols - 1)),
+                                        min_size=1, max_size=6))
+            assert average_pixels(cube, coords).values.tobytes() == \
+                average_pixels(want, coords).values.tobytes()
+            for row, col in coords:
+                assert extract_pixel(cube, row, col).values.tobytes() == \
+                    want.data[row, col].tobytes()
+            assert cube.data.tobytes() == want.data.tobytes()
+            assert cube.reader()(lo, hi).base is cube.data   # a view, once built
 
 
 @pytest.fixture

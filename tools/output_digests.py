@@ -17,6 +17,8 @@ the same for both runs:
   scene11 synth scene 11 at 300 x 250, a big-endian int16 BSQ cube after a
           128-byte header offset, so read_envi reads it band by band in
           several row blocks;
+  scene13 synth scene 13 at 300 x 250, a float32 BIP cube with one bad
+          band, so the finite check of every converted row runs;
   crime   tests/data/uscrime.csv with every column but So logged;
   names   synth table instance 5, its columns renamed so that the results
           writer must escape them: non-ASCII, a '"', a '\\', and one named
@@ -26,7 +28,9 @@ Every command runs in process through specid.cli.main:
   identify --cube --roi on the top ROI of scenes 1 and 7: occam, occam
   --occam-strict, mc3, exhaustive at max size 3, occam with background
   removal, occam with --conditional-tree; on scene 1's also exhaustive at
-  max size 4 and mc3 at max size 40; on scene 11's: occam;
+  max size 4 and mc3 at max size 40; on scene 11's: occam; on scene 13's:
+  occam, and background removal with explicit --backgrounds pixels spread
+  over the cube, out of row order;
   bma-table on the crime table: occam --occam-strict, occam and mc3; on the
   names table: occam.
 The exhaustive runs at max size 3 keep 10,700 models each, so they cover
@@ -64,13 +68,18 @@ IDENTIFY_RUNS = (
 )
 EXHAUSTIVE_4 = ("exhaustive4", ["--strategy", "exhaustive", "--max-size", "4"])
 MC3_WIDE = ("mc3-wide", ["--strategy", "mc3", "--iterations", "3000", "--max-size", "40"])
+BACKGROUNDS = ("backgrounds", ["--background-removal", "--target", "{target}", "--backgrounds",
+                               "299,249;0,0;150,3;150,200;7,120;0,249;299,0;150,4"])
 # (seed, scene size, ENVI layout, identify runs on the top ROI)
 SCENES = ((1, {}, {}, IDENTIFY_RUNS + (EXHAUSTIVE_4, MC3_WIDE)),
           (7, {"rows": 300, "cols": 250},
            {"interleave": "bil", "data_type": 2, "bad_bands": (3, 17)}, IDENTIFY_RUNS),
           (11, {"rows": 300, "cols": 250},
            {"interleave": "bsq", "data_type": 2, "byte_order": 1, "header_offset": 128},
-           IDENTIFY_RUNS[:1]))
+           IDENTIFY_RUNS[:1]),
+          (13, {"rows": 300, "cols": 250},
+           {"interleave": "bip", "data_type": 4, "bad_bands": (20,)},
+           IDENTIFY_RUNS[:1] + (BACKGROUNDS,)))
 BMA_RUNS = (
     ("occam", ["--occam-strict"]),
     ("occam-window", []),
