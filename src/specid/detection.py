@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ImageCube, Spectrum, block_bounds, block_pixels, block_rows
+from .core import (ImageCube, Spectrum, average_pixels, block_bounds, block_pixels,
+                   block_rows)
 from .errors import AlignmentError, InputError, NumericalError
 from . import regression
 
@@ -254,37 +255,20 @@ def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
         list(pool.map(work, [bounds[i::workers] for i in range(workers)]))
     dmap = DetectionMap(scores)
     labels, _ = ndimage.label(scores > threshold, structure=EIGHT_CONNECTED)
-    found = []
+    rois = []
     for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
         rr, cc = np.nonzero(labels[rows, cols] == lab)
         rr += rows.start
         cc += cols.start
+        pixels = tuple(zip(rr.tolist(), cc.tolist()))
         vals = scores[rr, cc]
-        found.append((tuple(zip(rr.tolist(), cc.tolist())), vals))
-    averages = _averages(cube, [pixels for pixels, _ in found])
-    rois = [RegionOfInterest(pixels=pixels, peak_score=float(vals.max()),
-                             mean_score=float(vals.mean()), average=average)
-            for (pixels, vals), average in zip(found, averages)]
+        rois.append(RegionOfInterest(
+            pixels=pixels,
+            peak_score=float(vals.max()),
+            mean_score=float(vals.mean()),
+            average=average_pixels(cube, pixels)))
     rois.sort(key=lambda r: (-r.peak_score, r.pixels[0]))
     return dmap, rois
-
-
-def _averages(cube: ImageCube, pixel_sets) -> list:
-    """average_pixels of each set of row-major pixels, reading each row once.
-
-    Walking down the rows, each set's pixels are added in their own order,
-    as average_pixels adds them, so the bits are the same.
-    """
-    sums = np.zeros((len(pixel_sets), cube.bands))
-    read = cube.reader()
-    current = None
-    for row, i, col in sorted((row, i, col) for i, pixels in enumerate(pixel_sets)
-                              for row, col in pixels):
-        if row != current:
-            line, current = read(row, row + 1)[0], row
-        sums[i] += line[col]
-    return [Spectrum("avg_%dpx" % len(pixels), cube.grid, total / len(pixels))
-            for pixels, total in zip(pixel_sets, sums)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -204,8 +204,8 @@ class _EnviRows:
     bit, whatever the rows read. Each row's values are checked to be finite
     the first time it is converted (threads at once may check a row twice,
     never skip it); integers divided by a factor that keeps the widest of
-    them finite need no check. A read that returns fewer bytes than asked
-    for raises ParseError.
+    them finite need no check. A file that ends before the rows read raises
+    ParseError.
     """
 
     def __init__(self, header: EnviHeader, path: str, dtype: np.dtype, good):
@@ -283,11 +283,20 @@ class _EnviRows:
 
 
 def _read_into(fd: int, position: int, out: np.ndarray, path: str) -> None:
-    """Fill the byte array `out` from `position` of the open file descriptor `fd`."""
-    got = os.preadv(fd, [out], position)
-    if got != out.nbytes:
-        raise ParseError("data file %r ended early: read %d of %d bytes at offset %d"
-                         % (path, got, out.nbytes, position))
+    """Fill the byte array `out` from `position` of the open file descriptor `fd`.
+
+    A read may return fewer bytes than asked for (Linux caps one read near
+    2 GiB; network and FUSE file systems stop short), so it is repeated
+    until `out` is full; only a read that returns nothing means the file
+    ended.
+    """
+    done = 0
+    while done < out.nbytes:
+        got = os.preadv(fd, [out[done:]], position + done)
+        if got == 0:
+            raise ParseError("data file %r ended early: read %d of %d bytes at offset %d"
+                             % (path, done, out.nbytes, position))
+        done += got
 
 
 def read_library(csv_path: str, hierarchy_path: str | None = None) -> SpectralLibrary:

@@ -213,6 +213,26 @@ class TestReadEnvi:
         with pytest.raises(ParseError, match="ended early"):
             read_envi(str(hdr))
 
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_reads_that_stop_short_are_resumed(self, tmp_path, monkeypatch, small_cube,
+                                               interleave):
+        # network file systems may return fewer bytes than asked for before
+        # the end of the file; only a read that returns nothing is an end
+        hdr, _ = write_envi_cube(tmp_path, small_cube, interleave=interleave,
+                                 data_type=4, header_offset=16)
+        preadv = os.preadv
+        calls = []
+
+        def short(fd, buffers, position):
+            calls.append(position)
+            head = memoryview(buffers[0]).cast("B")[:3]
+            return preadv(fd, [head], position)
+
+        monkeypatch.setattr(os, "preadv", short)
+        cube = read_envi(str(hdr))
+        np.testing.assert_array_equal(cube.data, small_cube.data.astype(np.float32))
+        assert len(calls) > small_cube.data.size  # 4-byte values, 3 bytes a read
+
     def test_file_shrunk_after_opening(self, tmp_path, small_cube):
         # the size is checked when the cube is opened; a read past the new
         # end fails then, and leaves no half-converted rows behind
