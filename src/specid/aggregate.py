@@ -111,13 +111,23 @@ def normalize(models: ModelSet, prior: ModelPrior = None) -> ModelPosterior:
     prior = prior or ModelPrior.uniform()
     if not np.all(np.isfinite(models.bic)):
         raise InputError("cannot normalize: non-finite BIC in model set")
-    sizes, first, inverse = np.unique(models.sizes, return_index=True, return_inverse=True)
-    log_prior = np.empty(sizes.size)
-    for i in np.argsort(first).tolist():  # in model order, so the first bad size raises
-        log_prior[i] = prior.log_weight(int(sizes[i]))
-    logw = -models.bic / 2.0 + log_prior[inverse]
-    weights = np.exp(logw - logw.max())
-    return ModelPosterior(models, weights / weights.sum(), prior)
+    held = np.zeros(int(models.sizes.max()) + 1, dtype=bool)
+    held[models.sizes] = True
+    try:
+        log_prior = np.array([prior.log_weight(k) if held[k] else 0.0
+                              for k in range(held.size)])
+    except InputError:
+        for k in models.sizes.tolist():  # in model order, so the first bad size raises
+            prior.log_weight(k)
+        raise
+    # -bic/2 + log prior, less its maximum, exponentiated and divided by its sum,
+    # each step in place on one array
+    weights = models.bic / -2.0
+    weights += log_prior[models.sizes]
+    weights -= weights.max()
+    np.exp(weights, out=weights)
+    weights /= weights.sum()
+    return ModelPosterior(models, weights, prior)
 
 
 SUM_ROWS = 256  # models per block of _sums; a block's weights are SUM_ROWS x columns

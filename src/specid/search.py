@@ -14,6 +14,7 @@ distinct proposal with the same kernel and keeps the fits as rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -26,6 +27,7 @@ from .regression import (PIVOT_TOL, RSS_FLOOR, ModelPrior, Workspace, bic_from_p
                          flagged)
 
 STRATEGIES = ("exhaustive", "occam", "mc3")
+_WORD = (1 << 32) - 1  # the low half of a PCG64 output
 
 
 @dataclass(frozen=True)
@@ -518,6 +520,56 @@ def _exclude_submodels(levels: list) -> tuple:
     return kept, sum(beaten)
 
 
+def _pcg64_draws(rng: np.random.Generator, block: int = 1024) -> tuple:
+    """`integers(n)` and `random()` equal to rng.integers(n) and rng.random(), bit for bit.
+
+    Both read rng's raw PCG64 stream, fetched `block` values at a time from the
+    state rng is in; rng's own state runs ahead of them, so rng must not be
+    drawn from afterwards. As numpy does for n <= 2**32: a range of one draws
+    nothing; any other is Lemire's draw on a 32-bit word, where each raw
+    value gives its low half and keeps its high half for the next word (the
+    state's `has_uint32` / `uinteger`), and a word is rejected while the low
+    half of its product with n is below (2**32 - n) % n. random() is
+    (value >> 11) * 2**-53 and leaves a kept half alone. (The chain's move
+    counts stay below 2**32: reaching it takes about 2**17 candidates, whose
+    Gram matrix alone is 128 GiB.)
+    """
+    state = rng.bit_generator.state
+    half = state["uinteger"] if state["has_uint32"] else None
+    refill = rng.bit_generator.random_raw
+    raw = itertools.chain.from_iterable(iter(lambda: refill(block).tolist(), None)).__next__
+
+    def integers(n: int) -> int:
+        nonlocal half
+        if n == 1:
+            return 0
+        while True:
+            if half is None:
+                word = raw()
+                half = word >> 32
+                word &= _WORD
+            else:
+                word, half = half, None
+            m = word * n
+            if m & _WORD >= n or m & _WORD >= ((1 << 32) - n) % n:
+                return m >> 32
+
+    def random() -> float:
+        return (raw() >> 11) * 2.0 ** -53
+
+    return integers, random
+
+
+def _members(mask: int) -> tuple:
+    """The positions of mask's set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
     """Metropolis walk over subsets (add / remove / swap moves).
 
@@ -527,22 +579,27 @@ def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
     its exactly computed BIC; degenerate proposals are rejected outright
     (`degenerate` counts the distinct ones). Each distinct proposal is fitted
     once with the Workspace's exact-fit kernel and cached as its BIC, its
-    flag and its fit; the move counts change only when a move is accepted.
+    flag and its fit, keyed by the bitmask of its candidates; the move lists
+    change only when a move is accepted. The draws are rng.integers and
+    rng.random of a `default_rng(seed)`, taken from its raw stream
+    (`_pcg64_draws`). The size limit is checked before the chain starts, so
+    whether a search fails does not depend on where the walk goes.
     """
     config = config or SearchConfig(strategy="mc3")
     ws = make_workspace(y, library)
     limit = _checked(ws, config)
+    ws._check_size(limit)
     p = ws.n_candidates
     n, with_intercept = ws.n_obs, ws.with_intercept
     rng = np.random.default_rng(config.seed)
-    cache = {}  # key -> (bic, flagged, beta, rss, condition)
+    cache = {}  # candidate bitmask -> (bic, flagged, beta, rss, condition)
 
-    def fitted(key):
-        ws._check_size(len(key))
+    def fitted(mask):
+        key = _members(mask)
         beta, rss, cond, _, _ = ws._factor(key)
-        fit = cache[key] = (bic_from_parts(rss, n, len(key), with_intercept),
-                            bool(flagged(cond)),
-                            beta, rss, cond)
+        fit = cache[mask] = (bic_from_parts(rss, n, len(key), with_intercept),
+                             bool(flagged(cond)),
+                             beta, rss, cond)
         return fit
 
     def moves(k: int) -> tuple:
@@ -551,13 +608,14 @@ def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
         removes = k if k > 1 else 0
         return adds, removes, adds + removes + k * (p - k)
 
-    key = None
-    for j in rng.permutation(p):
-        fit = fitted((int(j),))
+    bits = [1 << j for j in range(p)]
+    mask = None
+    for j in rng.permutation(p).tolist():
+        fit = fitted(bits[j])
         if not fit[1]:
-            key, bic = (int(j),), fit[0]
+            mask, bic = bits[j], fit[0]
             break
-    if key is None:
+    if mask is None:
         raise SearchError("every single-regressor model is degenerate")
 
     # a one-candidate pool has no legal move, so its chain stops at once
@@ -565,44 +623,45 @@ def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
     log_weight = {k: config.prior.log_weight(k) for k in sizes}
     log_moves = {k: math.log(moves(k)[2]) for k in sizes}
     iterations = config.mc3_iterations if sizes else 0
-    visited = {key}
+    integers, random = _pcg64_draws(rng)
+    visited = {mask}
     accepted = 0
     k = 1
     adds, removes, total = moves(k)
-    outside = [j for j in range(p) if j != key[0]]
+    inside = [mask]  # the bits of the model's candidates, ascending, and of the others
+    outside = [b for b in bits if b != mask]
     for _ in range(iterations):
-        move = int(rng.integers(total))
+        move = integers(total)
         if move < adds:
-            proposal = tuple(sorted(key + (outside[move],)))
+            proposal, size = mask | outside[move], k + 1
         elif move < adds + removes:
-            slot = move - adds
-            proposal = key[:slot] + key[slot + 1:]
+            proposal, size = mask ^ inside[move - adds], k - 1
         else:
             slot, target = divmod(move - adds - removes, p - k)
-            proposal = tuple(sorted(key[:slot] + (outside[target],) + key[slot + 1:]))
+            proposal, size = mask ^ inside[slot] ^ outside[target], k
         fit = cache.get(proposal) or fitted(proposal)
         if fit[1]:
             continue  # zero-posterior state; reject
-        size = len(proposal)
         log_alpha = (-(fit[0] - bic) / 2.0 + log_weight[size] - log_weight[k]
                      + log_moves[k] - log_moves[size])
-        if log_alpha >= 0 or math.log(rng.random()) < log_alpha:
-            key, bic = proposal, fit[0]
-            visited.add(key)
+        if log_alpha >= 0 or math.log(random()) < log_alpha:
+            mask, bic = proposal, fit[0]
+            visited.add(mask)
             accepted += 1
             k = size
             adds, removes, total = moves(k)
-            inside = set(key)
-            outside = [j for j in range(p) if j not in inside]
+            inside = [b for b in bits if mask & b]
+            outside = [b for b in bits if not mask & b]
 
     by_size = {}
-    for key in visited:
-        by_size.setdefault(len(key), []).append(key)
+    for mask in visited:
+        by_size.setdefault(mask.bit_count(), []).append(mask)
     levels = []
-    for keys in by_size.values():
-        bics, _, betas, rss, conds = zip(*map(cache.get, keys))
-        levels.append(_Level(np.array(keys, dtype=np.intp), np.array(betas), np.array(rss),
-                             np.array(bics), np.array(conds), None, None))
+    for masks in by_size.values():
+        bics, _, betas, rss, conds = zip(*map(cache.get, masks))
+        levels.append(_Level(np.array(list(map(_members, masks)), dtype=np.intp),
+                             np.array(betas), np.array(rss), np.array(bics), np.array(conds),
+                             None, None))
     meta = {"iterations": iterations, "accepted": accepted, "unique_fits": len(cache),
             "degenerate": sum(f[1] for f in cache.values())}
     return _finish_levels(levels, ws, "mc3", meta)

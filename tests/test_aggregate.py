@@ -63,6 +63,12 @@ class TestNormalize:
         assert post.probabilities[0] == pytest.approx(0.25, abs=1e-12)
         assert post.probabilities[1] == pytest.approx(0.75, abs=1e-12)
 
+    def test_prior_error_names_the_first_bad_size_in_model_order(self):
+        ms = make_model_set([make_model(("a", "b", "c", "d"), 1.0), make_model(("a",), 2.0),
+                             make_model(("a", "b", "c"), 3.0)], "abcd")
+        with pytest.raises(InputError, match="model size 4 "):
+            normalize(ms, ModelPrior(size_weights=(1.0, 2.0)))
+
     def test_rejects_nonfinite_bic(self):
         ms = make_model_set([make_model(("a",), math.inf)], "a")
         with pytest.raises(InputError):
@@ -455,6 +461,11 @@ class TestMemory:
     def test_normalize_holds_a_few_model_arrays(self, n):
         models = self.posterior(n).models
         assert self.peak(normalize, models) <= 8 * n * 8  # eight float64 arrays
+
+    def test_normalize_peak_is_three_model_arrays(self):
+        n = 16384
+        models = self.posterior(n).models
+        assert self.peak(normalize, models) <= 3 * n * 8
 
     def test_averaging_and_tree_peaks_do_not_grow_with_models(self):
         small, large = self.posterior(2048), self.posterior(8 * 2048)

@@ -456,6 +456,21 @@ class TestBmaTable:
             blobs.append((out / "results.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mc3_size_limit_the_rows_cannot_fit_exits_2_at_every_seed(self, tmp_path,
+                                                                    capsys, seed):
+        # 5 predictors and the intercept on 7 rows: the full model needs 7
+        # parameters; the chain refuses before it starts, wherever it would walk
+        rng = np.random.default_rng(0)
+        X = rng.normal(0, 1, (7, 5))
+        path = tmp_path / "seven.csv"
+        write_table_csv(path, X @ [1.0, -1.0, 0.5, 0.0, 0.0] + 0.1 * rng.normal(0, 1, 7), X,
+                        ("a", "b", "c", "d", "e"))
+        rc = main(["--seed", str(seed), "bma-table", "--csv", str(path), "--response", "y",
+                   "--strategy", "mc3", "--iterations", "20", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        one_error_line(capsys, "model with 7 parameters needs more than 7 observations")
+
     def test_out_flag_overrides_output_dir(self, table_csv, tmp_path):
         main_dir, override = tmp_path / "main", tmp_path / "override"
         rc = main(["--output-dir", str(main_dir), "bma-table", "--csv", table_csv,

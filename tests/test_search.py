@@ -14,7 +14,7 @@ from specid.errors import AlignmentError, InputError, SearchError
 from conftest import model_rows
 from specid.regression import ModelPrior, Workspace, flagged
 from specid.search import (ModelSet, SearchConfig, _checked, _children, _first_level,
-                           _first_parents, _fit, _screen, exhaustive_search,
+                           _first_parents, _fit, _pcg64_draws, _screen, exhaustive_search,
                            make_workspace, mc3_search, occam_search, run_search)
 from synth import make_scene, make_table_instance
 
@@ -658,6 +658,20 @@ class TestMC3:
         assert out.strategy_metadata == {"iterations": 0, "accepted": 0,
                                          "unique_fits": 1, "degenerate": 0}
 
+    def test_size_limit_the_rows_cannot_fit_fails_at_every_seed(self):
+        # the full model of 5 candidates and an intercept has 7 parameters,
+        # too many for 7 rows, so the chain fails before its first move
+        rng = np.random.default_rng(21)
+        X = rng.normal(0, 1, (7, 5))
+        ws = Workspace(X @ rng.normal(0, 1, 5) + 0.1 * rng.normal(0, 1, 7), X,
+                       with_intercept=True)
+        for seed in range(8):
+            config = SearchConfig(max_size=5, strategy="mc3", mc3_iterations=1, seed=seed)
+            with pytest.raises(InputError, match="7 parameters needs more than 7 obs"):
+                mc3_search(None, ws, config)
+        fits = mc3_search(None, ws, SearchConfig(max_size=4, strategy="mc3", mc3_iterations=1))
+        assert fits.strategy_metadata["iterations"] == 1
+
     def test_inclusion_close_to_exhaustive(self):
         for seed in range(3):
             ws = table_workspace(seed)
@@ -668,6 +682,33 @@ class TestMC3:
                 delta = abs(inclusion_probability(walk, name)
                             - inclusion_probability(full, name))
                 assert delta <= 0.05, "seed %d, %s off by %.4f" % (seed, name, delta)
+
+
+class TestPCG64Draws:
+    """The chain's draws are Generator.integers(n) and Generator.random(), bit for bit."""
+
+    # 2**31 + 1 and 3 * 2**30 + 7 reject about half and a quarter of their
+    # 32-bit words; 2**32 takes a word whole
+    RANGES = (1, 2, 3, 2**31 + 1, 3 * 2**30 + 7, 2**32)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), shuffled=st.integers(0, 12), kept=st.booleans(),
+           block=st.integers(1, 8),
+           calls=st.lists(st.none() | st.sampled_from(RANGES) | st.integers(1, 2**32),
+                          max_size=80))
+    def test_equal_the_generators_draws(self, seed, shuffled, kept, block, calls):
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (want, got):
+            rng.permutation(shuffled)  # as the chain starts
+            if rng.bit_generator.state["has_uint32"] != kept:
+                rng.integers(2)  # one 32-bit word: keeps a half, or uses the kept one
+        assert got.bit_generator.state["has_uint32"] == kept
+        integers, random = _pcg64_draws(got, block)
+        for n in calls:  # None draws random()
+            if n is None:
+                assert bits(random()) == bits(want.random())
+            else:
+                assert integers(n) == int(want.integers(n))
 
 
 def reference_mc3(y, library, config: SearchConfig = None) -> tuple:
@@ -781,6 +822,12 @@ def mc3_problems(draw):
 
 def assert_same_mc3(ws, config):
     got = outcome(mc3_search, ws, config)
+    limit = min(config.max_size, ws.n_candidates)
+    if limit + ws.with_intercept + 1 >= ws.n_obs:
+        # the chain checks its size limit before it starts; the reference
+        # failed only if its walk reached that size
+        assert got is InputError
+        return
     want = outcome(reference_mc3, ws, config)
     if isinstance(want, type):
         assert got is want

@@ -27,18 +27,22 @@ Every command runs in process through specid.cli.main:
   detect on each scene (and on each --detect input) at --threads 1, 2 and 4;
   identify --cube --roi on the top ROI of scenes 1 and 7: occam, occam
   --occam-strict, mc3, exhaustive at max size 3, occam with background
-  removal, occam with --conditional-tree; on scene 1's also exhaustive at
-  max size 4 and mc3 at max size 40; on scene 11's: occam; on scene 13's:
-  occam, and background removal with explicit --backgrounds pixels spread
-  over the cube, out of row order;
-  bma-table on the crime table: occam --occam-strict, occam and mc3; on the
-  names table: occam.
+  removal, occam with --conditional-tree, all at --seed 0; on scene 1's
+  also exhaustive at max size 4, mc3 at max size 28 and mc3 at --seed 11; on
+  scene 11's: occam; on scene 13's: occam, and background removal with
+  explicit --backgrounds pixels spread over the cube, out of row order;
+  bma-table on the crime table: occam --occam-strict, occam and mc3 at
+  --seed 3, and mc3 at the benchmark's size (100,000 iterations, no size
+  cap) at --seed 5 and --seed 4294967296 (2**32), whose chains start
+  without and with a kept 32-bit half of PCG64's output; on the names
+  table: occam.
 The exhaustive runs at max size 3 keep 10,700 models each, so they cover
 several of the chunks in which io_formats.write_results_json writes
 results.json; the one at max size 4 keeps 102,090, so it covers the search's
-fourth level and about a hundred chunks. The mc3 run at max size 40 grows
-models large enough that its chain proposes flagged designs (134 of its
-2,940 distinct proposals), so it covers the rejection of degenerate moves.
+fourth level and about a hundred chunks. The mc3 run at max size 28 (the
+largest the 30 bands can fit) grows models large enough that its chain
+proposes flagged designs (134 of its 2,940 distinct proposals; its largest
+model holds 18 candidates), so it covers the rejection of degenerate moves.
 The printed object maps "<run>/<file>" to the file's sha256. Output files
 and inputs are kept under --work (default: a temporary directory).
 """
@@ -58,20 +62,23 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 THREADS = (1, 2, 4)
+# (label, --seed, subcommand options)
 IDENTIFY_RUNS = (
-    ("occam", []),
-    ("strict", ["--occam-strict"]),
-    ("mc3", ["--strategy", "mc3", "--iterations", "3000"]),
-    ("exhaustive", ["--strategy", "exhaustive", "--max-size", "3"]),
-    ("removal", ["--background-removal", "--target", "{target}"]),
-    ("conditional", ["--conditional-tree"]),
+    ("occam", 0, []),
+    ("strict", 0, ["--occam-strict"]),
+    ("mc3", 0, ["--strategy", "mc3", "--iterations", "3000"]),
+    ("exhaustive", 0, ["--strategy", "exhaustive", "--max-size", "3"]),
+    ("removal", 0, ["--background-removal", "--target", "{target}"]),
+    ("conditional", 0, ["--conditional-tree"]),
 )
-EXHAUSTIVE_4 = ("exhaustive4", ["--strategy", "exhaustive", "--max-size", "4"])
-MC3_WIDE = ("mc3-wide", ["--strategy", "mc3", "--iterations", "3000", "--max-size", "40"])
-BACKGROUNDS = ("backgrounds", ["--background-removal", "--target", "{target}", "--backgrounds",
-                               "299,249;0,0;150,3;150,200;7,120;0,249;299,0;150,4"])
+EXHAUSTIVE_4 = ("exhaustive4", 0, ["--strategy", "exhaustive", "--max-size", "4"])
+MC3_WIDE = ("mc3-wide", 0, ["--strategy", "mc3", "--iterations", "3000", "--max-size", "28"])
+MC3_SEEDED = ("mc3-seed11", 11, ["--strategy", "mc3", "--iterations", "3000"])
+BACKGROUNDS = ("backgrounds", 0, ["--background-removal", "--target", "{target}",
+                                  "--backgrounds",
+                                  "299,249;0,0;150,3;150,200;7,120;0,249;299,0;150,4"])
 # (seed, scene size, ENVI layout, identify runs on the top ROI)
-SCENES = ((1, {}, {}, IDENTIFY_RUNS + (EXHAUSTIVE_4, MC3_WIDE)),
+SCENES = ((1, {}, {}, IDENTIFY_RUNS + (EXHAUSTIVE_4, MC3_WIDE, MC3_SEEDED)),
           (7, {"rows": 300, "cols": 250},
            {"interleave": "bil", "data_type": 2, "bad_bands": (3, 17)}, IDENTIFY_RUNS),
           (11, {"rows": 300, "cols": 250},
@@ -81,9 +88,12 @@ SCENES = ((1, {}, {}, IDENTIFY_RUNS + (EXHAUSTIVE_4, MC3_WIDE)),
            {"interleave": "bip", "data_type": 4, "bad_bands": (20,)},
            IDENTIFY_RUNS[:1] + (BACKGROUNDS,)))
 BMA_RUNS = (
-    ("occam", ["--occam-strict"]),
-    ("occam-window", []),
-    ("mc3", ["--strategy", "mc3", "--iterations", "5000", "--max-size", "6"]),
+    ("occam", 3, ["--occam-strict"]),
+    ("occam-window", 3, []),
+    ("mc3", 3, ["--strategy", "mc3", "--iterations", "5000", "--max-size", "6"]),
+    # the benchmark's chain: its first draw without, then with, a kept 32-bit half
+    ("mc3-seed5", 5, ["--strategy", "mc3", "--iterations", "100000"]),
+    ("mc3-seed4294967296", 2**32, ["--strategy", "mc3", "--iterations", "100000"]),
 )
 ESCAPED_NAMES = ("Größe", 'say "hi"', "back\\slash", "models")
 
@@ -166,19 +176,19 @@ def collect(work: Path, detect_inputs) -> dict:
                         "--out", str(out)])
             _digests(out, run, digests)
         rois = str(work / ("%s/detect-t%d" % (name, THREADS[0])) / "rois.json")
-        for label, extra in identify_runs:
+        for label, seed, extra in identify_runs:
             run = "%s/identify-%s" % (name, label)
             out = work / run
-            _run(main, ["identify", "--cube", scene["hdr"], "--roi", rois,
+            _run(main, ["--seed", str(seed), "identify", "--cube", scene["hdr"], "--roi", rois,
                         "--library", scene["library"], "--hierarchy", scene["hierarchy"],
                         "--resample", "--out", str(out)]
                  + [arg.format(target=scene["target"]) for arg in extra])
             _digests(out, run, digests)
     table = _crime_table(work)
-    for label, extra in BMA_RUNS:
+    for label, seed, extra in BMA_RUNS:
         run = "crime/bma-%s" % label
         out = work / run
-        _run(main, ["--seed", "3", "bma-table", "--csv", table, "--response", "y",
+        _run(main, ["--seed", str(seed), "bma-table", "--csv", table, "--response", "y",
                     "--out", str(out)] + extra)
         _digests(out, run, digests)
     out = work / "names" / "bma-occam"
