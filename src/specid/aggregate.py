@@ -41,7 +41,7 @@ class ModelPosterior:
         if probs.ndim != 1 or probs.size != len(self.models):
             raise InputError("need one probability per model (%d models, %d given)"
                              % (len(self.models), probs.size))
-        if np.any(probs < 0) or np.any(probs > 1):
+        if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both comparisons
             raise InputError("model probabilities must lie in [0, 1]")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise InputError("model probabilities sum to %r, not 1" % float(probs.sum()))
@@ -111,15 +111,12 @@ def normalize(models: ModelSet, prior: ModelPrior = None) -> ModelPosterior:
     prior = prior or ModelPrior.uniform()
     if not np.all(np.isfinite(models.bic)):
         raise InputError("cannot normalize: non-finite BIC in model set")
-    held = np.zeros(int(models.sizes.max()) + 1, dtype=bool)
-    held[models.sizes] = True
-    try:
-        log_prior = np.array([prior.log_weight(k) if held[k] else 0.0
-                              for k in range(held.size)])
-    except InputError:
-        for k in models.sizes.tolist():  # in model order, so the first bad size raises
-            prior.log_weight(k)
-        raise
+    held = np.flatnonzero(np.bincount(models.sizes)).tolist()
+    log_prior = np.zeros(held[-1] + 1)
+    # by first occurrence, so the first bad size in model order raises; no sort
+    # of the models, whose temporaries would outgrow the weights below
+    for k in sorted(held, key=lambda k: int(np.argmax(models.sizes == k))):
+        log_prior[k] = prior.log_weight(k)
     # -bic/2 + log prior, less its maximum, exponentiated and divided by its sum,
     # each step in place on one array
     weights = models.bic / -2.0

@@ -218,37 +218,25 @@ class SpectralLibrary:
 class ImageCube:
     """Image data as (rows, cols, bands) float64 on a band grid.
 
-    A cube holds its values as an array, or leaves them where `source` keeps
-    them and converts rows when they are read (io_formats.read_envi's cube,
-    backed by its file). Consumers read rows through `reader()`. `data` is the
-    whole cube as one array; a source-backed cube converts it once, on first
-    use, and then reads from it.
-
-    A source has `shape`, the cube's (rows, cols, bands), and `reader()`,
-    which returns a function with the contract of `ImageCube.reader`.
+    Consumers read rows through `reader()`; `data` is the whole cube as one
+    array. io_formats.read_envi returns a subclass that leaves the values in
+    its file and converts rows when they are read.
     """
 
-    def __init__(self, grid: BandGrid, data: np.ndarray | None = None, source=None):
-        if (data is None) == (source is None):
-            raise InputError("a cube needs exactly one of data and source")
-        if source is None:
-            # canonical C layout: equal-valued cubes reduce in the same order
-            # no matter which interleave they were loaded from
-            data = np.ascontiguousarray(data, dtype=np.float64)
-            shape = data.shape
-        else:
-            shape = tuple(source.shape)
-        if len(shape) != 3:
+    def __init__(self, grid: BandGrid, data: np.ndarray):
+        # canonical C layout: equal-valued cubes reduce in the same order
+        # no matter which interleave they were loaded from
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        if data.ndim != 3:
             raise InputError("cube data must be (rows, cols, bands), got shape %r"
-                             % (shape,))
-        if shape[2] != len(grid):
-            raise InputError("cube has %d bands but grid has %d" % (shape[2], len(grid)))
+                             % (data.shape,))
+        if data.shape[2] != len(grid):
+            raise InputError("cube has %d bands but grid has %d"
+                             % (data.shape[2], len(grid)))
         # min and max carry any NaN or infinity, without a cube-sized mask
-        if data is not None and data.size and not (np.isfinite(data.min())
-                                                   and np.isfinite(data.max())):
+        if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise InputError("cube contains non-finite values")
-        self.grid, self.shape = grid, shape
-        self._data, self._source = data, source
+        self.grid, self.shape, self._data = grid, data.shape, data
 
     @property
     def rows(self) -> int:
@@ -264,22 +252,18 @@ class ImageCube:
 
     @property
     def data(self) -> np.ndarray:
-        if self._data is None:
-            self._data = self._source.reader()(0, self.rows, out=np.empty(self.shape))
         return self._data
 
     def reader(self):
         """A function `read(lo, hi, out=None)`: rows lo:hi, C-contiguous float64.
 
         Given `out`, a C-contiguous (hi - lo, cols, bands) float64 array, the
-        rows are written into it and it is returned. Without, an array (or
-        `data`, once built) gives a view, and a source converts the rows into
-        a buffer of the reader's own, reused from call to call: such a block
-        holds until the next call, so each thread takes its own reader.
+        rows are written into it and it is returned. Without, the rows of
+        `data` are returned as a view. A subclass that converts rows may
+        return a buffer of the reader's own, reused from call to call: such a
+        block holds until the next call, so each thread takes its own reader.
         """
-        data = self._data
-        if data is None:
-            return self._source.reader()
+        data = self.data
 
         def read(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
             if out is None:

@@ -110,7 +110,8 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
     blocks share is read for each. The bits equal the whole-array
     `flat.mean(axis=0)` and `centred.T @ centred`:
     - numpy sums over axis 0 row by row, so each block's sum starts from the
-      running total, put in the buffer's row before the block's pixels;
+      running total, added into the block's first pixel (IEEE addition is
+      commutative, so total + pixel and pixel + total are the same bits);
     - numpy's `A.T @ A` is OpenBLAS's `dsyrk`, lower triangle, called here
       once per block through scipy and accumulated in place. OpenBLAS sums
       over pixels in panels (256 to 768 pixels, by CPU) and halves a last
@@ -136,38 +137,34 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
                          % count)
     bounds = block_bounds(count, block_pixels(bands))
     read = cube.reader()
-    # a block's pixels sit at buffer[pad:]; before them, the part of their
-    # first row that precedes them, or the running total
-    pad = cols
-    buffer = np.empty((pad + max(hi - lo for lo, hi in bounds) + cols, bands))
+    # a block's whole rows: the block, and less than a row before and after it
+    buffer = np.empty((max(hi - lo for lo, hi in bounds) + 2 * cols, bands))
 
     def pixels(lo, hi):
-        """The selected pixels lo:hi, put at buffer[pad:pad + hi - lo]."""
+        """The selected pixels lo:hi, a view into the buffer."""
         if index is None:
             top, skip = divmod(lo, cols)
             rows = (hi - 1) // cols + 1 - top
-            start = pad - skip
-            read(top, top + rows, out=buffer[start:start + rows * cols].reshape(
-                rows, cols, bands))
-        else:
-            where, done = index[lo:hi], 0
-            step = block_rows(cols * bands)
-            for top in range(where[0] // cols, where[-1] // cols + 1, step):
-                stop = int(np.searchsorted(where, (top + step) * cols))
-                if stop > done:
-                    block = read(top, min(top + step, cube.rows)).reshape(-1, bands)
-                    # in range by construction; the default mode="raise"
-                    # would copy through a temporary as large as `out`
-                    np.take(block, where[done:stop] - top * cols, axis=0, mode="clip",
-                            out=buffer[pad + done:pad + stop])
-                    done = stop
-        return buffer[pad:pad + hi - lo]
+            read(top, top + rows, out=buffer[:rows * cols].reshape(rows, cols, bands))
+            return buffer[skip:skip + hi - lo]
+        where, done = index[lo:hi], 0
+        step = block_rows(cols * bands)
+        for top in range(where[0] // cols, where[-1] // cols + 1, step):
+            stop = int(np.searchsorted(where, (top + step) * cols))
+            if stop > done:
+                block = read(top, min(top + step, cube.rows)).reshape(-1, bands)
+                # in range by construction; the default mode="raise"
+                # would copy through a temporary as large as `out`
+                np.take(block, where[done:stop] - top * cols, axis=0, mode="clip",
+                        out=buffer[done:stop])
+                done = stop
+        return buffer[:hi - lo]
 
     for lo, hi in bounds:
-        pixels(lo, hi)
+        block = pixels(lo, hi)
         if lo:  # the first block's sum starts from its first pixel
-            buffer[pad - 1] = total
-        total = np.add.reduce(buffer[pad - (1 if lo else 0):pad + hi - lo], axis=0)
+            block[0] += total
+        total = np.add.reduce(block, axis=0)
     mean = total / count
     gram = np.zeros((bands, bands), order="F")
     for lo, hi in bounds:

@@ -162,7 +162,7 @@ def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
 
     The header and the data file's size are checked now, and the file's last
     byte read, so a short file fails here. The values stay in the file: the
-    cube converts rows only when they are read (see _EnviRows), so opening
+    cube converts rows only when they are read (see _EnviCube), so opening
     it holds no part of it. Integer cubes are divided by the reflectance
     scale factor (default 10000); bad bands listed in bbl are dropped and the
     grid adjusted.
@@ -177,24 +177,11 @@ def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
         data_path = _find_data_file(header_path)
     dtype = DATA_TYPES[header.data_type]
     dtype = dtype.newbyteorder("<" if header.byte_order == 0 else ">")
-    lines, samples, bands = header.lines, header.samples, header.bands
-    expected = lines * samples * bands * dtype.itemsize + header.header_offset
-    actual = os.path.getsize(data_path)
-    if actual != expected:
-        raise ParseError("data file %r holds %d bytes, expected %d "
-                         "(%dx%dx%d of %s plus offset %d)"
-                         % (data_path, actual, expected, lines,
-                            samples, bands, dtype, header.header_offset))
-    wavelengths = np.array(header.wavelength)
-    good = None
-    if header.bbl is not None and 0 in header.bbl:
-        good = np.array([b != 0 for b in header.bbl])
-        wavelengths = wavelengths[good]
-    return ImageCube(BandGrid(wavelengths), source=_EnviRows(header, data_path, dtype, good))
+    return _EnviCube(header, data_path, dtype)
 
 
-class _EnviRows:
-    """The rows of an ENVI data file, converted to float64 when read.
+class _EnviCube(ImageCube):
+    """An ENVI cube whose values stay in its data file, converted to float64 when read.
 
     A read converts its rows a row block at a time, about 2**20 values
     (core.block_rows): the block's bytes go into one block-sized buffer, by
@@ -205,31 +192,51 @@ class _EnviRows:
     the first time it is converted (threads at once may check a row twice,
     never skip it); integers divided by a factor that keeps the widest of
     them finite need no check. A file that ends before the rows read raises
-    ParseError.
+    ParseError. `data` converts the whole cube once, on first use; readers
+    taken after that read views of it.
     """
 
-    def __init__(self, header: EnviHeader, path: str, dtype: np.dtype, good):
-        self.header, self.path, self.dtype, self.good = header, path, dtype, good
+    def __init__(self, header: EnviHeader, path: str, dtype: np.dtype):
+        lines, samples, bands = header.lines, header.samples, header.bands
+        end = header.header_offset + lines * samples * bands * dtype.itemsize
+        actual = os.path.getsize(path)
+        if actual != end:
+            raise ParseError("data file %r holds %d bytes, expected %d "
+                             "(%dx%dx%d of %s plus offset %d)"
+                             % (path, actual, end, lines, samples, bands, dtype,
+                                header.header_offset))
+        self.header, self.path, self.dtype, self.good = header, path, dtype, None
+        wavelengths = np.array(header.wavelength)
+        if header.bbl is not None and 0 in header.bbl:
+            self.good = np.array([b != 0 for b in header.bbl])
+            wavelengths = wavelengths[self.good]
+        self.grid = BandGrid(wavelengths)
+        self.shape, self._data = (lines, samples, len(self.grid)), None
         # the file stays open, and readable even once unlinked, until the
         # cube is collected
         self.fd = os.open(path, os.O_RDONLY)
         weakref.finalize(self, os.close, self.fd)
         # read the last byte, so that data shorter than its reported size
         # fails now, as it would when the whole cube is read
-        end = header.lines * header.samples * header.bands * dtype.itemsize
-        _read_into(self.fd, header.header_offset + end - 1, np.empty(1, dtype=np.uint8), path)
-        kept = header.bands if good is None else int(good.sum())
-        self.shape = (header.lines, header.samples, kept)
+        _read_into(self.fd, end - 1, np.empty(1, dtype=np.uint8), path)
         self.factor, finite = None, False   # finite: no value can be NaN or infinite
         if dtype.kind in "iu":
             self.factor = header.reflectance_scale_factor or INTEGER_SCALE_DEFAULT
             info = np.iinfo(dtype)
             finite = math.isfinite(max(-float(info.min), float(info.max)) / self.factor)
-        self.row_bytes = header.samples * header.bands * dtype.itemsize
-        self.checked = np.full(header.lines, finite)   # rows known to be finite
+        self.row_bytes = samples * bands * dtype.itemsize
+        self.checked = np.full(lines, finite)   # rows known to be finite
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self.reader()(0, self.rows, out=np.empty(self.shape))
+        return self._data
 
     def reader(self):
-        """read(lo, hi, out=None): rows lo:hi converted into `out` or a reused buffer."""
+        """As ImageCube.reader; rows are converted into `out` or a reused buffer."""
+        if self._data is not None:
+            return super().reader()
         raw = np.empty(0, dtype=np.uint8)
         values = np.empty(0)
 
@@ -237,7 +244,7 @@ class _EnviRows:
             nonlocal raw, values
             rows = hi - lo
             if out is None:
-                size = rows * self.shape[1] * self.shape[2]
+                size = rows * self.cols * self.bands
                 if values.size < size:
                     values = None  # drop the old buffer before taking the new one
                     values = np.empty(size)
@@ -497,7 +504,6 @@ def write_results_json(posterior: ModelPosterior, report: InclusionReport,
     probs = posterior.probabilities.tolist()
     # json writes NaN and Infinity its own way, and an empty list as []
     by_json = ((models.sizes == 0) | ~np.isfinite(models.bic)
-               | ~np.isfinite(posterior.probabilities)
                | ~np.isfinite(models.coefficients).all(axis=1)).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{\n  "averaged_coefficients": %s,\n  "inclusion": %s,\n  "models": ['

@@ -129,7 +129,7 @@ class ModelSet:
         return self.bic.size
 
 
-def make_workspace(y, library, with_intercept: bool = False) -> Workspace:
+def make_workspace(y, library) -> Workspace:
     """Bind an observation to a candidate pool.
 
     `library` may be a SpectralLibrary (y must be a Spectrum or vector on its
@@ -156,8 +156,7 @@ def make_workspace(y, library, with_intercept: bool = False) -> Workspace:
                              % (yvec.size, len(library.grid)))
     if not mask.any():
         raise InputError("no usable bands shared by pixel and library")
-    return Workspace(yvec[mask], library.matrix()[mask], library.names,
-                     with_intercept=with_intercept)
+    return Workspace(yvec[mask], library.matrix()[mask], library.names)
 
 
 def _checked(ws: Workspace, config: SearchConfig) -> int:

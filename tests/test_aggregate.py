@@ -95,6 +95,13 @@ def test_model_posterior_validation():
     assert post.probabilities.tolist() == [0.25, 0.75]
 
 
+def test_model_posterior_refuses_nan_probabilities():
+    ms = make_model_set([make_model(("a",), 0.0), make_model(("b",), 1.0)], "ab")
+    for probs in ([math.nan, math.nan], [math.nan, 1.0], [0.5, math.nan]):
+        with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
+            ModelPosterior(ms, np.array(probs))
+
+
 class TestInclusion:
     def three_way(self):
         """{a}, {b}, {a,b} with equal posteriors of 1/3."""

@@ -107,6 +107,20 @@ class TestDetect:
         assert "--resample" in capsys.readouterr().err
         assert main(argv + ["--resample"]) == 0
 
+    def test_resampled_target_must_cover_the_cube(self, scene, tmp_path, capsys):
+        from specid.core import BandGrid
+        grid = BandGrid(np.linspace(0.6, 2.0, 30))
+        values = np.interp(grid.wavelengths, scene.library.grid.wavelengths,
+                           scene.library.spectrum("ldpe_1").values)
+        lib = SpectralLibrary(grid, (Spectrum("ldpe_short", grid, values, ("Target",)),))
+        csv_path, _ = write_library_csv(tmp_path, lib, "short")
+        rc = main(["--output-dir", str(tmp_path), "detect", "--cube", scene.hdr,
+                   "--target-lib", str(csv_path), "--target", "ldpe_short",
+                   "--threshold", "0.9", "--resample"])
+        assert rc == 2
+        one_error_line(capsys, "'ldpe_short' does not cover the cube's wavelength range")
+        assert not (tmp_path / "scores.bin").exists()
+
     def test_bad_threshold_is_an_input_error(self, scene, tmp_path, capsys):
         rc = main(["--output-dir", str(tmp_path), "detect", "--cube", scene.hdr,
                    "--target-lib", scene.target_csv, "--target", "ldpe_mean",
@@ -284,6 +298,45 @@ class TestIdentify:
                    "--library", scene.lib_csv] + extra)
         assert rc == 2
         assert fragment in capsys.readouterr().err
+
+    def test_library_on_another_grid_needs_resample(self, scene, detect_dir, tmp_path,
+                                                    capsys):
+        from specid.core import BandGrid, resample_library
+        dense = resample_library(scene.library, BandGrid(np.linspace(0.4, 2.5, 61)))
+        lib_csv, lib_json = write_library_csv(tmp_path, dense, "dense")
+        argv = ["--output-dir", str(tmp_path), "identify", "--cube", scene.hdr,
+                "--roi", str(detect_dir / "rois.json"), "--library", str(lib_csv),
+                "--hierarchy", str(lib_json)]
+        assert main(argv) == 2
+        one_error_line(capsys, "library grid differs from the pixel grid; pass --resample")
+        assert not (tmp_path / "results.json").exists()
+        assert main(argv + ["--resample"]) == 0
+        results = json.loads((tmp_path / "results.json").read_text())
+        assert tree_lookup(results["tree"], "LDPE")["p"] >= 0.9
+
+    def test_background_removal_needs_the_cube(self, scene, tmp_path, capsys):
+        grid = scene.cube.grid
+        pixel = SpectralLibrary(grid, (Spectrum("pixel", grid, scene.cube.data[0, 0],
+                                                ("Pixel",)),))
+        spec_csv, _ = write_library_csv(tmp_path, pixel, "pixel")
+        rc = main(["--output-dir", str(tmp_path), "identify", "--spectrum", str(spec_csv),
+                   "--library", scene.lib_csv, "--background-removal",
+                   "--target", "ldpe_1"])
+        assert rc == 2
+        one_error_line(capsys, "--background-removal needs --cube and --roi")
+
+    @pytest.mark.parametrize("backgrounds,fragment", [
+        ("0,0; 1,x", "bad coordinate '1,x'; expected integers"),
+        (";;", "no background coordinates given"),
+    ])
+    def test_bad_backgrounds_exit_2_in_one_line(self, scene, detect_dir, tmp_path, capsys,
+                                                backgrounds, fragment):
+        rc = main(["--output-dir", str(tmp_path), "identify",
+                   "--cube", scene.hdr, "--roi", str(detect_dir / "rois.json"),
+                   "--library", scene.lib_csv, "--background-removal",
+                   "--target", "ldpe_1", "--backgrounds", backgrounds])
+        assert rc == 2
+        one_error_line(capsys, fragment)
 
     def test_spectrum_and_cube_conflict(self, scene, detect_dir, tmp_path, capsys):
         rc = main(["--output-dir", str(tmp_path), "identify",

@@ -1,12 +1,14 @@
 """sha256 of every output file of a fixed set of specid commands, as JSON.
 
-    python tools/output_digests.py [--src DIR] [--work DIR]
+    python tools/output_digests.py [--src DIR] [--work DIR] [--against OTHER_SRC]
                                    [--detect HDR LIB TARGET THRESHOLD]...
 
 Compares two versions of specid output for output: run it once with --src
 pointing at each checkout's src directory (default: this checkout's) and
 compare the two JSON objects. They are equal exactly when every output file
-is byte-identical.
+is byte-identical. With --against, one command does both: the specid in
+OTHER_SRC runs in a child process on the same inputs, each differing
+"<run>/<file>" is printed, and the exit status is 1 on any difference.
 
 Inputs are built from this checkout's tests/synth.py and tests/conftest.py,
 the same for both runs:
@@ -56,6 +58,7 @@ import hashlib
 import io
 import json
 import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -207,15 +210,42 @@ def main() -> int:
     parser.add_argument("--detect", nargs=4, action="append", default=[],
                         metavar=("HDR", "LIB", "TARGET", "THRESHOLD"),
                         help="one more detect input (repeatable)")
+    parser.add_argument("--against", default=None, metavar="OTHER_SRC",
+                        help="compare with the specid package in OTHER_SRC: print "
+                             "each differing <run>/<file>, exit 1 on any difference")
     args = parser.parse_args()
     sys.path[:0] = [str(Path(args.src).resolve()), str(REPO / "tests")]
     with contextlib.ExitStack() as stack:
-        work = args.work or stack.enter_context(tempfile.TemporaryDirectory())
-        Path(work).mkdir(parents=True, exist_ok=True)
-        digests = collect(Path(work), args.detect)
-    json.dump(digests, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
-    return 0
+        work = Path(args.work or stack.enter_context(tempfile.TemporaryDirectory()))
+        work.mkdir(parents=True, exist_ok=True)
+        digests = collect(work, args.detect)
+        if args.against is not None:
+            other = _child_digests(args.against, work / "against", args.detect)
+    if args.against is None:
+        json.dump(digests, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+        return 0
+    keys = digests.keys() | other.keys()
+    differ = sorted(k for k in keys if digests.get(k) != other.get(k))
+    for key in differ:
+        print(key)
+    print("%d of %d sums differ" % (len(differ), len(keys)), file=sys.stderr)
+    return 1 if differ else 0
+
+
+def _child_digests(src: str, work: Path, detect_inputs) -> dict:
+    """This script's digests for the specid package in `src`, from a child process.
+
+    The child runs this same file, so it builds the same inputs from this
+    checkout's tests; one process cannot import two specid packages.
+    """
+    argv = [sys.executable, __file__, "--src", src, "--work", str(work)]
+    for inputs in detect_inputs:
+        argv += ["--detect", *inputs]
+    child = subprocess.run(argv, stdout=subprocess.PIPE, text=True)
+    if child.returncode != 0:
+        raise SystemExit("output_digests.py --src %s exited with %d" % (src, child.returncode))
+    return json.loads(child.stdout)
 
 
 if __name__ == "__main__":
