@@ -26,7 +26,7 @@ from . import __version__
 from .aggregate import averaged_coefficients, build_tree, normalize
 from .core import average_pixels, extract_pixel, resample, resample_library
 from .detection import (RegionOfInterest, annulus_coordinates, background_removal,
-                        background_stats, detect)
+                        background_stats, check_detect_options, detect)
 from .errors import InputError, NumericalError, SpecidError
 from .io_formats import (read_envi, read_library, read_rois_json, read_spectrum_csv,
                          read_table, write_inclusion_csv, write_results_json,
@@ -122,6 +122,7 @@ def _outdir(args) -> str:
 
 
 def cmd_detect(args) -> None:
+    check_detect_options(args.threshold, args.threads)  # before any pass over the cube
     out = _outdir(args)
     cube = read_envi(args.cube, args.data)
     library = read_library(args.target_lib)

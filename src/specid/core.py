@@ -14,8 +14,10 @@ import numpy as np
 from .errors import AlignmentError, BoundsError, InputError
 
 ROOT_LABEL = "Library"
-# about this many values per row block, where a whole cube is converted or scored
-BLOCK_VALUES = 1 << 20
+# about this many values per row block, where a cube is converted or scored
+# (2 MiB as float64). detect holds each worker's block a few times over, so
+# larger blocks raise its peak RSS; smaller ones lowered it no further
+BLOCK_VALUES = 1 << 18
 # pixel blocks of the background sums are multiples of this many pixels: a
 # multiple of the 256, 384, 512 and 768-pixel panels OpenBLAS sums a Gram over
 PIXEL_BLOCK_STEP = 3072

@@ -209,6 +209,14 @@ def _score_block(block: np.ndarray, stats: BackgroundStats,
     return np.clip(scores, -1.0, 1.0).reshape(block.shape[:-1])
 
 
+def check_detect_options(threshold: float, threads: int) -> None:
+    """Raise InputError unless threshold lies in (-1, 1) and threads >= 1."""
+    if not -1.0 < threshold < 1.0:
+        raise InputError("threshold must lie in (-1, 1), got %r" % threshold)
+    if threads < 1:
+        raise InputError("threads must be >= 1, got %r" % threads)
+
+
 def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
            threads: int = 1):
     """Score every pixel and group above-threshold pixels into ROIs.
@@ -216,7 +224,7 @@ def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
     Returns (DetectionMap, list of RegionOfInterest sorted by peak score,
     descending). Connectivity is 8-neighbor; each ROI carries its pixel
     coordinates and average spectrum. Pixels are scored in row blocks of
-    about 2**20 values (core.block_rows), each a C-contiguous
+    about 2**18 values (core.block_rows), each a C-contiguous
     (rows, cols, bands) array. The blocks are dealt in turn to up to
     `threads` workers, each reading its own through its own
     ImageCube.reader. The blocks do not depend on `threads`, so neither do
@@ -226,14 +234,11 @@ def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
     OpenBLAS on one thread, the scores equal one whole-cube call bit for
     bit; on several, the last pixels of each BLAS thread's share take a
     remainder kernel, so a whole-cube call's bits already depend on the BLAS
-    thread count.
+    thread count, and the scores' bits on core.BLOCK_VALUES.
     """
     from scipy import ndimage  # imported here: the other subcommands never label
 
-    if not -1.0 < threshold < 1.0:
-        raise InputError("threshold must lie in (-1, 1), got %r" % threshold)
-    if threads < 1:
-        raise InputError("threads must be >= 1, got %r" % threads)
+    check_detect_options(threshold, threads)
     if isinstance(target, Spectrum) and target.grid != cube.grid:
         raise AlignmentError("target %r is not on the cube grid" % target.name)
     twhite = stats.whiten(_values_on(stats, target, "target"))

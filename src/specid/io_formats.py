@@ -183,7 +183,7 @@ def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
 class _EnviCube(ImageCube):
     """An ENVI cube whose values stay in its data file, converted to float64 when read.
 
-    A read converts its rows a row block at a time, about 2**20 values
+    A read converts its rows a row block at a time, about 2**18 values
     (core.block_rows): the block's bytes go into one block-sized buffer, by
     one positional read for BIL and BIP and one per band for BSQ, so threads
     can read the file at once. Casting, band selection and division act
@@ -278,9 +278,11 @@ class _EnviCube(ImageCube):
                 block = raw.view(dtype).reshape(rows, bands, samples).transpose(0, 2, 1)
             else:  # bip
                 block = raw.view(dtype).reshape(rows, samples, bands)
-        out[...] = block if self.good is None else block[:, :, self.good]
-        if self.factor is not None:
-            out /= self.factor
+        block = block if self.good is None else block[:, :, self.good]
+        if self.factor is None:
+            out[...] = block
+        else:  # cast and divide in one pass: the cast of an integer is exact
+            np.divide(block, self.factor, out=out)
         if not self.checked[lo:hi].all():
             # min and max carry any NaN or infinity, without a block-sized mask
             if not (np.isfinite(out.min()) and np.isfinite(out.max())):
@@ -542,7 +544,7 @@ def write_scores(scores: np.ndarray, bin_path: str, json_path: str,
     """Flat float64 row-major dump plus a JSON metadata sidecar."""
     scores = np.asarray(scores, dtype=np.float64)
     with open(bin_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(scores).tobytes())
+        fh.write(memoryview(np.ascontiguousarray(scores)).cast("B"))
     meta = {"rows": int(scores.shape[0]), "cols": int(scores.shape[1]),
             "dtype": "float64", "order": "row-major"}
     meta.update(extra or {})

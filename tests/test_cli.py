@@ -396,6 +396,20 @@ class TestCubeValues:
         one_error_line(capsys, "cube contains non-finite values")
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("option,message", [
+        (["detect", "--threshold", "2"], "threshold must lie in (-1, 1), got 2.0"),
+        (["--threads", "0", "detect"], "threads must be >= 1, got 0"),
+    ], ids=["threshold", "threads"])
+    def test_detect_options_are_checked_before_the_cube(self, scene, tmp_path, capsys,
+                                                       option, message):
+        hdr = write_cube_with_nan(tmp_path, scene, (5, 7))
+        out = tmp_path / "out"
+        rc = main(["--output-dir", str(out)] + option + [
+            "--cube", hdr, "--target-lib", scene.target_csv, "--target", "ldpe_mean"])
+        assert rc == 2
+        one_error_line(capsys, message)
+        assert not out.exists()
+
     def test_identify_with_a_nan_in_the_roi_exits_2(self, scene, detect_dir, tmp_path,
                                                      capsys):
         hdr = write_cube_with_nan(tmp_path, scene, min(scene.implant))

@@ -351,7 +351,7 @@ class TestDetect:
         assert set(rois[0].pixels) == set(implant_pixels)
 
 
-# 5 columns by 124 bands at the real block size: blocks of 1,688 rows. Two
+# 5 columns by 124 bands at the real block size: blocks of 420 rows. Two
 # blocks and 1 row: alone, the last row would be a block of 5 pixels, which
 # OpenBLAS whitens with its small-matrix kernels, not the whole cube's.
 BLOCKS_MATCH_WHOLE_CUBE = """
@@ -360,7 +360,7 @@ from specid.core import BandGrid, ImageCube, block_rows
 from specid.detection import _score_block, background_stats, detect
 
 step = block_rows(5 * 124)
-assert step == 1688, step
+assert step == 420, step
 rng = np.random.default_rng(14)
 grid = BandGrid(np.linspace(0.4, 2.4, 124))
 cube = ImageCube(grid, rng.normal(0.5, 0.05, (2 * step + 1, 5, 124)))
@@ -373,54 +373,57 @@ for threads in (1, 3):
 """
 
 
-# 124 bands at the real block size: blocks of 6,144 pixels. 97 x 193 pixels
-# are 3 blocks and a tail of 289 that joins the last; the mask keeps about
-# 2.7 blocks of them.
+# 124 bands at the real block size: blocks of 3,072 pixels. 49 x 193 pixels
+# are 3 blocks and a tail of 241 that joins the last, and 3,072 is no
+# multiple of 193, so every block boundary falls inside a row; the mask keeps
+# about 2.8 blocks of them.
 BLOCKED_STATS_MATCH_WHOLE = """
 import numpy as np
 from specid.core import BandGrid, ImageCube, block_pixels
 from specid.detection import background_stats
 from test_detection import reference_background_stats, stats_bytes
 
-assert block_pixels(124) == 6144, block_pixels(124)
+assert block_pixels(124) == 3072, block_pixels(124)
 rng = np.random.default_rng(18)
 grid = BandGrid(np.linspace(0.4, 2.4, 124))
-cube = ImageCube(grid, rng.normal(0.5, 0.05, (97, 193, 124)))
-for mask in (None, rng.random((97, 193)) < 0.9):
+cube = ImageCube(grid, rng.normal(0.5, 0.05, (49, 193, 124)))
+for mask in (None, rng.random((49, 193)) < 0.9):
     got = stats_bytes(background_stats, cube, 0.01, mask)
     assert got == stats_bytes(reference_background_stats, cube, 0.01, mask)
 """
 
 
-# A 97 x 193 cube as an int16 BIL file whose one bad band leaves 124, opened
-# file-backed (and read once its directory is gone): 97 x 193 pixels are 3
-# pixel blocks of 6,144 and a tail, and 6,144 is no multiple of 193, so every
-# block boundary falls inside a row; row blocks of 40 rows
-# (block_rows(193 * 124)) make 2 scoring blocks, one per worker at 3 threads.
+# A 50 x 193 cube as an int16 BIL file whose one bad band leaves 63, opened
+# file-backed (and read once its directory is gone): 50 x 193 pixels are 3
+# pixel blocks of 3,072 and a tail, and 3,072 is no multiple of 193, so every
+# block boundary falls inside a row; row blocks of 20 rows
+# (block_rows(193 * 63)) make 2 scoring blocks, one per worker at 3 threads.
+# Above 85 bands a pixel block holds more values than a row block, so no
+# cube there has 3 pixel blocks in 2 row blocks: hence 63 bands.
 FILE_BACKED_MATCHES_WHOLE = """
 import tempfile
 import numpy as np
 from conftest import write_envi_cube
-from specid.core import BandGrid, ImageCube, average_pixels, block_rows
+from specid.core import BandGrid, ImageCube, average_pixels, block_pixels, block_rows
 from specid.detection import _score_block, background_stats, detect
 from specid.io_formats import read_envi
 from test_detection import reference_background_stats, stats_bytes
 from test_io_formats import reference_read_envi
 
-assert block_rows(193 * 124) == 40
+assert block_rows(193 * 63) == 20 and block_pixels(63) == 3072
 rng = np.random.default_rng(24)
-grid = BandGrid(np.linspace(0.4, 2.4, 125))
-source = ImageCube(grid, rng.normal(0.5, 0.05, (97, 193, 125)))
+grid = BandGrid(np.linspace(0.4, 2.4, 64))
+source = ImageCube(grid, rng.normal(0.5, 0.05, (50, 193, 64)))
 with tempfile.TemporaryDirectory() as tmp:
     hdr, _ = write_envi_cube(tmp, source, interleave="bil", data_type=2,
-                             bbl=[1] * 60 + [0] + [1] * 64)
+                             bbl=[1] * 30 + [0] + [1] * 33)
     cube = read_envi(str(hdr))
     whole = reference_read_envi(str(hdr))
-for mask in (None, rng.random((97, 193)) < 0.9):
+for mask in (None, rng.random((50, 193)) < 0.9):
     got = stats_bytes(background_stats, cube, 0.01, mask)
     assert got == stats_bytes(reference_background_stats, whole, 0.01, mask)
 stats = background_stats(cube)
-target = whole.data[50, 60]
+target = whole.data[25, 60]
 want = _score_block(whole.data, stats, stats.whiten(target))
 for threads in (1, 3):
     dmap, rois = detect(cube, target, stats, threshold=0.5, threads=threads)
@@ -628,6 +631,32 @@ class TestFileBackedMemory:
         scoring = threads * (4 * block + TestRowBlocks.ufunc_buffer)
         assert peak <= 8 * pixels + max(scoring, 6 * pixels) + TestRowBlocks.objects
         assert cube._data is None
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_detect_holds_8_mib_per_worker_at_the_real_block_size(self, tmp_path,
+                                                                  threads):
+        # 96 x 256 x 128 int16 values are 12 row blocks of 2 MiB as float64,
+        # 3 of 8 MiB at blocks of 2**20 values; the block size is not patched
+        rows, cols, bands = 96, 256, 128
+        rng = np.random.default_rng(21)
+        grid = BandGrid(np.linspace(0.4, 2.4, bands))
+        source = ImageCube(grid, rng.uniform(0.1, 0.6, (rows, cols, bands)))
+        hdr, _ = write_envi_cube(tmp_path, source, interleave="bil", data_type=2)
+        cube = read_envi(str(hdr))
+        stats = background_stats(cube)
+        target = cube.reader()(3, 4)[0, 4].copy()
+        _, rois = detect(cube, target, stats, threshold=0.9, threads=threads)
+        assert len(rois) == 1   # and the lazy imports are done
+        tracemalloc.start()
+        try:
+            detect(cube, target, stats, threshold=0.9, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the scores, the labels and the masks take 14 bytes a pixel; each
+        # worker holds a block's int16 bytes, its float64 values, and a
+        # centred and a whitened copy: 6.5 MiB
+        assert peak - 14 * rows * cols <= threads * 8 * 2 ** 20
 
 
 class TestBackgroundRemoval:

@@ -21,6 +21,11 @@ the same for both runs:
           several row blocks;
   scene13 synth scene 13 at 300 x 250, a float32 BIP cube with one bad
           band, so the finite check of every converted row runs;
+  scene17 synth scene 17 at 301 x 257, an int16 BIL cube with one bad band,
+          detect only: at 2**18 values per block, 9 scoring blocks of 32
+          rows and more; at an odd width the last (45 rows) holds an odd
+          count of pixels, so its split between BLAS threads falls off the
+          4-pixel grid of OpenBLAS's matrix-vector kernel;
   crime   tests/data/uscrime.csv with every column but So logged;
   names   synth table instance 5, its columns renamed so that the results
           writer must escape them: non-ASCII, a '"', a '\\', and one named
@@ -45,8 +50,9 @@ fourth level and about a hundred chunks. The mc3 run at max size 28 (the
 largest the 30 bands can fit) grows models large enough that its chain
 proposes flagged designs (134 of its 2,940 distinct proposals; its largest
 model holds 18 candidates), so it covers the rejection of degenerate moves.
-The printed object maps "<run>/<file>" to the file's sha256. Output files
-and inputs are kept under --work (default: a temporary directory).
+The printed object maps "<run>/<file>" to the file's sha256: 93 sums, and 9
+more for each --detect input. Output files and inputs are kept under --work
+(default: a temporary directory).
 """
 
 from __future__ import annotations
@@ -89,7 +95,9 @@ SCENES = ((1, {}, {}, IDENTIFY_RUNS + (EXHAUSTIVE_4, MC3_WIDE, MC3_SEEDED)),
            IDENTIFY_RUNS[:1]),
           (13, {"rows": 300, "cols": 250},
            {"interleave": "bip", "data_type": 4, "bad_bands": (20,)},
-           IDENTIFY_RUNS[:1] + (BACKGROUNDS,)))
+           IDENTIFY_RUNS[:1] + (BACKGROUNDS,)),
+          (17, {"rows": 301, "cols": 257},
+           {"interleave": "bil", "data_type": 2, "bad_bands": (11,)}, ()))
 BMA_RUNS = (
     ("occam", 3, ["--occam-strict"]),
     ("occam-window", 3, []),
