@@ -14,7 +14,7 @@ time. An absent term has w_i = +0.0, so p_i * w_i = +0.0 (p_i >= 0), and adding
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class ModelPosterior:
 
     models: ModelSet
     probabilities: np.ndarray
-    prior: ModelPrior = field(default_factory=ModelPrior.uniform)
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=np.float64).copy()
@@ -124,7 +123,7 @@ def normalize(models: ModelSet, prior: ModelPrior = None) -> ModelPosterior:
     weights -= weights.max()
     np.exp(weights, out=weights)
     weights /= weights.sum()
-    return ModelPosterior(models, weights, prior)
+    return ModelPosterior(models, weights)
 
 
 SUM_ROWS = 256  # models per block of _sums; a block's weights are SUM_ROWS x columns

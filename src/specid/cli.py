@@ -13,7 +13,8 @@ Cubes are read from their files a few rows at a time, never held whole. A
 cube value that is not finite exits 2: detect meets every pixel in its first
 pass, before it writes any file; identify --cube reads only the rows that
 hold the ROI's pixels and its background pixels, so a non-finite value in
-any other row does not stop it.
+any other row does not stop it. The output directory is made just before the
+first write, so a run that fails before it leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _outdir(args) -> str:
+    """The output directory, made here: called just before a subcommand's first write."""
     out = args.out if getattr(args, "out", None) else args.output_dir
     os.makedirs(out, exist_ok=True)
     return out
@@ -123,7 +125,6 @@ def _outdir(args) -> str:
 
 def cmd_detect(args) -> None:
     check_detect_options(args.threshold, args.threads)  # before any pass over the cube
-    out = _outdir(args)
     cube = read_envi(args.cube, args.data)
     library = read_library(args.target_lib)
     target = library.spectrum(args.target)
@@ -137,6 +138,7 @@ def cmd_detect(args) -> None:
                              % target.name)
     stats = background_stats(cube, shrinkage=args.shrinkage)
     dmap, rois = detect(cube, target, stats, args.threshold, threads=args.threads)
+    out = _outdir(args)
     write_scores(dmap.scores, os.path.join(out, "scores.bin"),
                  os.path.join(out, "scores.json"),
                  extra={"target": args.target, "threshold": args.threshold,
@@ -168,7 +170,6 @@ def _identify_pixel(args):
 
 
 def cmd_identify(args) -> None:
-    out = _outdir(args)
     pixel, cube, roi = _identify_pixel(args)
     library = read_library(args.library, args.hierarchy)
     if library.grid != pixel.grid:
@@ -192,7 +193,8 @@ def cmd_identify(args) -> None:
         pixel = removal.spectrum
         print("identify: background removed (target abundance %.4f over %d spectra)"
               % (removal.target_coefficient, len(backgrounds)))
-    models, _, tree = _aggregate(args, out, pixel, library, args.max_size, library.hierarchy)
+    models, _, tree = _aggregate(args, pixel, library, args.max_size, library.hierarchy)
+    out = _outdir(args)
     write_tree_dot(tree, os.path.join(out, "tree.dot"),
                    conditional=args.conditional_tree)
     best = models.index[0, :models.sizes[0]].tolist()
@@ -200,7 +202,7 @@ def cmd_identify(args) -> None:
           % (len(models), "+".join(models.candidates[j] for j in best), out))
 
 
-def _aggregate(args, out: str, y, library, max_size: int, hierarchy=None):
+def _aggregate(args, y, library, max_size: int, hierarchy=None):
     """Search (a stderr line if the beam cap cut it), average, write results.json."""
     config = SearchConfig(
         max_size=max_size, window_ratio=args.window_c, strategy=args.strategy,
@@ -213,7 +215,7 @@ def _aggregate(args, out: str, y, library, max_size: int, hierarchy=None):
     posterior = normalize(models)
     report = averaged_coefficients(posterior)
     tree = None if hierarchy is None else build_tree(posterior, hierarchy)
-    write_results_json(posterior, report, tree, os.path.join(out, "results.json"))
+    write_results_json(posterior, report, tree, os.path.join(_outdir(args), "results.json"))
     return models, report, tree
 
 
@@ -236,10 +238,10 @@ def _parse_coords(text: str):
 
 
 def cmd_bma_table(args) -> None:
-    out = _outdir(args)
     y, X, names = read_table(args.csv, args.response)
     workspace = Workspace(y, X, names, with_intercept=True)
-    models, report, _ = _aggregate(args, out, None, workspace, args.max_size or len(names))
+    models, report, _ = _aggregate(args, None, workspace, args.max_size or len(names))
+    out = _outdir(args)
     write_inclusion_csv(report, os.path.join(out, "inclusion.csv"))
     print("bma-table: %d models retained over %d predictors; wrote inclusion.csv, "
           "results.json to %s" % (len(models), len(names), out))

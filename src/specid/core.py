@@ -18,8 +18,8 @@ ROOT_LABEL = "Library"
 # (2 MiB as float64). detect holds each worker's block a few times over, so
 # larger blocks raise its peak RSS; smaller ones lowered it no further
 BLOCK_VALUES = 1 << 18
-# pixel blocks of the background sums are multiples of this many pixels: a
-# multiple of the 256, 384, 512 and 768-pixel panels OpenBLAS sums a Gram over
+# the background sums take blocks of this many pixels: a multiple of the
+# 256, 384, 512 and 768-pixel panels OpenBLAS sums a Gram over
 PIXEL_BLOCK_STEP = 3072
 
 
@@ -283,15 +283,6 @@ def block_rows(values_per_row: int) -> int:
     the pixel grouping of OpenBLAS's matrix-vector kernel.
     """
     return max(4, BLOCK_VALUES // values_per_row // 4 * 4)
-
-
-def block_pixels(bands: int) -> int:
-    """Pixels per block of a (pixels, bands) view: about BLOCK_VALUES values.
-
-    A multiple of PIXEL_BLOCK_STEP, and at least one step.
-    """
-    step = PIXEL_BLOCK_STEP
-    return max(step, BLOCK_VALUES // bands // step * step)
 
 
 def block_bounds(count: int, step: int) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ImageCube, Spectrum, average_pixels, block_bounds, block_pixels,
+from .core import (PIXEL_BLOCK_STEP, ImageCube, Spectrum, average_pixels, block_bounds,
                    block_rows)
 from .errors import AlignmentError, InputError, NumericalError
 from . import regression
@@ -102,12 +102,12 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
     `mask` selects the pixels to use (True = include); default all. Needs at
     least 2 pixels; the shrunk covariance must come out positive definite.
 
-    The selected pixels are summed in blocks of core.block_pixels(bands), a
-    multiple of core.PIXEL_BLOCK_STEP; a short last block joins the one
-    before it (core.block_bounds). Each pass reads a block's rows
-    (ImageCube.reader) into one buffer, or with a mask gathers its pixels
-    there from at most core.block_rows rows at a time; a row that two
-    blocks share is read for each. The bits equal the whole-array
+    The selected pixels are summed in blocks of core.PIXEL_BLOCK_STEP
+    (3,072) pixels on every cube; a short last block joins the one before
+    it (core.block_bounds). Each pass reads a block's rows (ImageCube.reader)
+    into one buffer, or with a mask gathers its pixels there from at most
+    core.block_rows rows at a time; a row that two blocks share is read for
+    each. The bits equal the whole-array
     `flat.mean(axis=0)` and `centred.T @ centred`:
     - numpy sums over axis 0 row by row, so each block's sum starts from the
       running total, added into the block's first pixel (IEEE addition is
@@ -135,7 +135,7 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
     if count < 2:
         raise InputError("need at least 2 pixels for background statistics, got %d"
                          % count)
-    bounds = block_bounds(count, block_pixels(bands))
+    bounds = block_bounds(count, PIXEL_BLOCK_STEP)
     read = cube.reader()
     # a block's whole rows: the block, and less than a row before and after it
     buffer = np.empty((max(hi - lo for lo, hi in bounds) + 2 * cols, bands))

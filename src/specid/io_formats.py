@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .aggregate import IdentificationTree, InclusionReport, ModelPosterior
-from .core import BandGrid, ImageCube, Spectrum, SpectralLibrary, block_rows
+from .core import BandGrid, ImageCube, Spectrum, SpectralLibrary, block_bounds, block_rows
 from .errors import InputError, ParseError
 
 DATA_TYPES = {2: np.dtype("int16"), 4: np.dtype("float32"),
@@ -183,17 +183,17 @@ def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
 class _EnviCube(ImageCube):
     """An ENVI cube whose values stay in its data file, converted to float64 when read.
 
-    A read converts its rows a row block at a time, about 2**18 values
-    (core.block_rows): the block's bytes go into one block-sized buffer, by
-    one positional read for BIL and BIP and one per band for BSQ, so threads
-    can read the file at once. Casting, band selection and division act
-    element by element, so the values equal a whole-cube conversion bit for
-    bit, whatever the rows read. Each row's values are checked to be finite
-    the first time it is converted (threads at once may check a row twice,
-    never skip it); integers divided by a factor that keeps the widest of
-    them finite need no check. A file that ends before the rows read raises
-    ParseError. `data` converts the whole cube once, on first use; readers
-    taken after that read views of it.
+    A read converts its rows in one pass: their bytes go into one buffer the
+    size of the read, by one positional read for BIL and BIP and one per band
+    for BSQ, so threads can read the file at once. Callers read a row block,
+    a pixel block's rows or one row. Casting, band selection and division
+    act element by element, so the values equal a whole-cube conversion bit
+    for bit, whatever the rows read. Each row's values are checked to be
+    finite the first time it is converted (threads at once may check a row
+    twice, never skip it); integers divided by a factor that keeps the
+    widest of them finite need no check. A file that ends before the rows
+    read raises ParseError. `data` converts the whole cube once, on first
+    use, a row block (core.block_rows) at a time; reads never become views.
     """
 
     def __init__(self, header: EnviHeader, path: str, dtype: np.dtype):
@@ -230,15 +230,16 @@ class _EnviCube(ImageCube):
     @property
     def data(self) -> np.ndarray:
         if self._data is None:
-            self._data = self.reader()(0, self.rows, out=np.empty(self.shape))
+            data, read = np.empty(self.shape), self.reader()
+            step = block_rows(self.header.samples * self.header.bands)
+            for lo, hi in block_bounds(self.rows, step):
+                read(lo, hi, out=data[lo:hi])
+            self._data = data
         return self._data
 
     def reader(self):
         """As ImageCube.reader; rows are converted into `out` or a reused buffer."""
-        if self._data is not None:
-            return super().reader()
-        raw = np.empty(0, dtype=np.uint8)
-        values = np.empty(0)
+        raw, values = np.empty(0, dtype=np.uint8), np.empty(0)
 
         def read(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
             nonlocal raw, values
@@ -249,14 +250,10 @@ class _EnviCube(ImageCube):
                     values = None  # drop the old buffer before taking the new one
                     values = np.empty(size)
                 out = values[:size].reshape(rows, *self.shape[1:])
-            step = block_rows(self.header.samples * self.header.bands)
-            size = min(rows, step) * self.row_bytes
-            if raw.size < size:
+            if raw.size < rows * self.row_bytes:
                 raw = None
-                raw = np.empty(size, dtype=np.uint8)
-            for start in range(lo, hi, step):
-                stop = min(start + step, hi)
-                self._convert(start, stop, raw, out[start - lo:stop - lo])
+                raw = np.empty(rows * self.row_bytes, dtype=np.uint8)
+            self._convert(lo, hi, raw, out)
             return out
 
         return read

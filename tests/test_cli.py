@@ -16,7 +16,7 @@ import pytest
 from conftest import write_envi_cube, write_library_csv
 import specid.cli
 from specid.cli import main
-from specid.core import Spectrum, SpectralLibrary
+from specid.core import BandGrid, Spectrum, SpectralLibrary
 from specid.detection import background_stats, detect
 from specid.search import SearchConfig
 from synth import make_scene, make_table_instance
@@ -394,7 +394,7 @@ class TestCubeValues:
                    "--target-lib", scene.target_csv, "--target", "ldpe_mean"])
         assert rc == 2
         one_error_line(capsys, "cube contains non-finite values")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("option,message", [
         (["detect", "--threshold", "2"], "threshold must lie in (-1, 1), got 2.0"),
@@ -631,3 +631,42 @@ class TestParsing:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("specid ")
+
+
+class TestFailedRuns:
+    """A run that fails writes nothing, not even its output directory."""
+
+    @pytest.mark.parametrize("command", [
+        ["--output-dir", "{out}", "detect", "--cube", "{tmp}/nothere.hdr",
+         "--target-lib", "{tmp}/nolib.csv", "--target", "t"],
+        ["--output-dir", "{out}", "identify", "--spectrum", "{tmp}/nothere.csv",
+         "--library", "{tmp}/nolib.csv"],
+        ["bma-table", "--csv", "{tmp}/nothere.csv", "--response", "y", "--out", "{out}"],
+    ], ids=["detect", "identify", "bma-table"])
+    def test_missing_input_exits_2_and_makes_no_directory(self, tmp_path, capsys,
+                                                          command):
+        out = tmp_path / "od" / "x"
+        rc = main([arg.format(tmp=tmp_path, out=out) for arg in command])
+        assert rc == 2
+        one_error_line(capsys, "nothere")
+        assert not (tmp_path / "od").exists()
+
+    @pytest.mark.parametrize("strategy,message", [
+        ("occam", "every single-regressor model is degenerate"),
+        ("exhaustive", "no usable models: every candidate design is degenerate"),
+    ])
+    def test_a_library_of_zero_spectra_exits_3(self, tmp_path, capsys, strategy,
+                                               message):
+        grid = BandGrid(np.linspace(0.4, 1.2, 6))
+        zeros = SpectralLibrary(grid, tuple(Spectrum("z%d" % i, grid, np.zeros(6), ("Zero",))
+                                            for i in range(3)))
+        lib_csv, _ = write_library_csv(tmp_path, zeros, "zeros")
+        pixel = SpectralLibrary(grid, (Spectrum("pixel", grid, np.linspace(0.2, 0.7, 6),
+                                                ("Pixel",)),))
+        spectrum_csv, _ = write_library_csv(tmp_path, pixel, "pixel")
+        out = tmp_path / "out"
+        rc = main(["--output-dir", str(out), "identify", "--spectrum", str(spectrum_csv),
+                   "--library", str(lib_csv), "--strategy", strategy])
+        assert rc == 3
+        one_error_line(capsys, "SearchError: " + message)
+        assert not out.exists()

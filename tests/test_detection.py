@@ -301,6 +301,13 @@ class TestDetect:
         ranks = [(-r.peak_score, r.pixels[0]) for r in rois]
         assert ranks == sorted(ranks)
 
+    def test_target_at_the_mean_is_a_numerical_error(self):
+        grid, data, _ = implant_cube(seed=11)
+        cube = ImageCube(grid, data)
+        stats = background_stats(cube)
+        with pytest.raises(NumericalError, match="whitened target has zero norm"):
+            detect(cube, stats.mean, stats, threshold=0.5)
+
     def test_mean_pixel_scores_zero(self):
         grid, data, target = implant_cube(seed=11)
         cube = ImageCube(grid, data)
@@ -379,11 +386,11 @@ for threads in (1, 3):
 # about 2.8 blocks of them.
 BLOCKED_STATS_MATCH_WHOLE = """
 import numpy as np
-from specid.core import BandGrid, ImageCube, block_pixels
+from specid.core import PIXEL_BLOCK_STEP, BandGrid, ImageCube
 from specid.detection import background_stats
 from test_detection import reference_background_stats, stats_bytes
 
-assert block_pixels(124) == 3072, block_pixels(124)
+assert PIXEL_BLOCK_STEP == 3072, PIXEL_BLOCK_STEP
 rng = np.random.default_rng(18)
 grid = BandGrid(np.linspace(0.4, 2.4, 124))
 cube = ImageCube(grid, rng.normal(0.5, 0.05, (49, 193, 124)))
@@ -404,13 +411,13 @@ FILE_BACKED_MATCHES_WHOLE = """
 import tempfile
 import numpy as np
 from conftest import write_envi_cube
-from specid.core import BandGrid, ImageCube, average_pixels, block_pixels, block_rows
+from specid.core import PIXEL_BLOCK_STEP, BandGrid, ImageCube, average_pixels, block_rows
 from specid.detection import _score_block, background_stats, detect
 from specid.io_formats import read_envi
 from test_detection import reference_background_stats, stats_bytes
 from test_io_formats import reference_read_envi
 
-assert block_rows(193 * 63) == 20 and block_pixels(63) == 3072
+assert block_rows(193 * 63) == 20 and PIXEL_BLOCK_STEP == 3072
 rng = np.random.default_rng(24)
 grid = BandGrid(np.linspace(0.4, 2.4, 64))
 source = ImageCube(grid, rng.normal(0.5, 0.05, (50, 193, 64)))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -628,6 +629,18 @@ class TestDegenerateCount:
         assert len(proposed) == out.strategy_metadata["unique_fits"]
         expected = self.flagged(Workspace(ws.y, ws.X, ws.names), proposed)
         assert out.strategy_metadata["degenerate"] == expected > 0
+
+
+@pytest.mark.parametrize("search,message", [
+    (occam_search, "every single-regressor model is degenerate"),
+    (exhaustive_search, "no usable models: every candidate design is degenerate"),
+], ids=["occam", "exhaustive"])
+def test_an_all_zero_pool_is_a_search_error(search, message):
+    # every design of zero columns is flagged, so no model is usable
+    ws = Workspace(np.random.default_rng(1).normal(0, 1, 20), np.zeros((20, 3)))
+    config = SearchConfig(max_size=2, strategy=search.__name__.split("_")[0])
+    with pytest.raises(SearchError, match="^%s$" % re.escape(message)):
+        search(None, ws, config)
 
 
 class TestMC3:
