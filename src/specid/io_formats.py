@@ -500,16 +500,15 @@ def write_results_json(posterior: ModelPosterior, report: InclusionReport,
     names = [encode_basestring_ascii(n) for n in candidates]
     inclusion = {name: float(p) for name, p in zip(report.names, report.probabilities)}
     averaged = {name: float(c) for name, c in zip(report.names, report.coefficients)}
-    probs = posterior.probabilities.tolist()
-    # json writes NaN and Infinity its own way, and an empty list as []
-    by_json = ((models.sizes == 0) | ~np.isfinite(models.bic)
-               | ~np.isfinite(models.coefficients).all(axis=1)).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{\n  "averaged_coefficients": %s,\n  "inclusion": %s,\n  "models": ['
                  % (_json_section(averaged), _json_section(inclusion)))
         sep = "\n"
-        for lo in range(0, len(probs), RESULTS_CHUNK):
+        for lo in range(0, len(models), RESULTS_CHUNK):
             hi = lo + RESULTS_CHUNK
+            # json writes NaN and Infinity its own way, and an empty list as []
+            by_json = ((models.sizes[lo:hi] == 0) | ~np.isfinite(models.bic[lo:hi])
+                       | ~np.isfinite(models.coefficients[lo:hi]).all(axis=1)).tolist()
             blocks = [
                 "    " + _json_section({"regressors": [candidates[j] for j in sel], "bic": bic,
                                         "probability": p, "coefficients": coefficients},
@@ -518,7 +517,8 @@ def write_results_json(posterior: ModelPosterior, report: InclusionReport,
                                 _ITEM_SEP.join(map(float.__repr__, coefficients)),
                                 float.__repr__(p), _ITEM_SEP.join(map(names.__getitem__, sel)))
                 for (sel, coefficients, bic), p, special in zip(
-                    _model_rows(models, lo, hi), probs[lo:hi], by_json[lo:hi])]
+                    _model_rows(models, lo, hi), posterior.probabilities[lo:hi].tolist(),
+                    by_json)]
             fh.write(sep + ",\n".join(blocks))
             sep = ",\n"
         fh.write('\n  ],\n  "tree": %s\n}\n'

@@ -185,9 +185,11 @@ class _Level:
     """The exact fits of one search level; row i fits the candidates sel[i].
 
     `beta` holds each fit's coefficients, the intercept first if there is
-    one, the rest in the order of sel's columns. `chol` and `zvec` list each
-    fit's factor (None for a fit without one), or are None when the level
-    is not extended.
+    one, the rest in the order of sel's columns. `chol[i]` holds fit i's
+    Cholesky factor transposed, so that chol[i].T is the factor in the
+    Fortran order LAPACK takes without a copy, and `zvec[i]` its z vector;
+    both are NaN for a fit without a factor, and None when the level is not
+    extended.
     """
 
     sel: np.ndarray
@@ -195,33 +197,37 @@ class _Level:
     rss: np.ndarray
     bic: np.ndarray
     condition: np.ndarray
-    chol: list | None
-    zvec: list | None
+    chol: np.ndarray | None
+    zvec: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.sel)
 
     def take(self, rows) -> "_Level":
         rows = np.asarray(rows, dtype=np.intp)
-        pick = rows.tolist()
-        return _Level(self.sel[rows], self.beta[rows], self.rss[rows], self.bic[rows],
-                      self.condition[rows],
-                      None if self.chol is None else [self.chol[i] for i in pick],
-                      None if self.zvec is None else [self.zvec[i] for i in pick])
+        return _Level(*(None if column is None else column[rows] for column in self._columns()))
 
-    def design(self, off: int) -> np.ndarray:
-        """Each row's Gram matrix indices, as Workspace._design_index gives them."""
+    def _columns(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def design(self, off: int, rows) -> np.ndarray:
+        """The Gram matrix indices of the given rows, as Workspace._design_index gives them."""
+        sel = self.sel[rows]
         if not off:
-            return self.sel
-        return np.column_stack([np.zeros(len(self), dtype=np.intp), self.sel + 1])
+            return sel
+        return np.column_stack([np.zeros(len(sel), dtype=np.intp), sel + 1])
 
 
 def _concat(levels: list) -> _Level:
-    keep = levels[0].chol is not None
-    return _Level(*(np.concatenate([getattr(lv, name) for lv in levels])
-                    for name in ("sel", "beta", "rss", "bic", "condition")),
-                  sum((lv.chol for lv in levels), []) if keep else None,
-                  sum((lv.zvec for lv in levels), []) if keep else None)
+    if len(levels) == 1:
+        return levels[0]
+    return _Level(*(None if columns[0] is None else np.concatenate(columns)
+                    for columns in zip(*(lv._columns() for lv in levels))))
+
+
+# fits made between two writes into a level's columns, so only this many are
+# ever held as Python objects
+_FIT_CHUNK = 1024
 
 
 def _fit(ws: Workspace, sel: np.ndarray, parents: _Level = None, parent=None,
@@ -232,36 +238,49 @@ def _fit(ws: Workspace, sel: np.ndarray, parents: _Level = None, parent=None,
     fits it. With them, row i is parents' row parent[i] plus sel's last
     column, fitted as extend fits it: the parent's factor grows by one
     column, unless the parent has none or the column is dependent, when the
-    row is fitted from the Gram matrix. `keep` keeps the factors.
+    row is fitted from the Gram matrix. `keep` keeps the factors. The fits
+    are written into the level's columns _FIT_CHUNK rows at a time.
     """
-    if parents is None:
-        fits = map(ws._factor, sel.tolist())
-    else:
-        dj = sel[:, -1] + ws._off
-        cross = ws.gram[parents.design(ws._off)[parent], dj[:, None]]
-        fits = _grown(ws, sel, parents, parent.tolist(), cross, ws.gram[dj, dj].tolist(),
-                      ws.xty[dj].tolist())
-    betas, rss, conds, chols, zvecs = [], [], [], [], []
-    for beta, r, cond, chol, zvec in fits:
-        betas.append(beta)
-        rss.append(r)
-        conds.append(cond)
+    rows, k = sel.shape
+    m = ws._off + k
+    level = _Level(sel, np.empty((rows, m)), np.empty(rows), np.empty(rows), np.empty(rows),
+                   np.empty((rows, m, m)) if keep else None, np.empty((rows, m)) if keep else None)
+    bare_chol, bare_zvec = np.full((m, m), math.nan), np.full(m, math.nan)
+    n, with_intercept = ws.n_obs, ws.with_intercept
+    for lo in range(0, rows, _FIT_CHUNK):
+        hi = lo + _FIT_CHUNK
+        fits = (map(ws._factor, sel[lo:hi].tolist()) if parents is None
+                else _grown(ws, sel[lo:hi], parents, parent[lo:hi]))
+        betas, rss, conds, chols, zvecs = [], [], [], [], []
+        for beta, r, cond, chol, zvec in fits:
+            betas.append(beta)
+            rss.append(r)
+            conds.append(cond)
+            if keep:  # a factor not kept is freed at once, for the next fit to reuse
+                chols.append(chol)
+                zvecs.append(zvec)
+        level.beta[lo:hi] = betas
+        level.rss[lo:hi] = rss
+        level.condition[lo:hi] = conds
+        level.bic[lo:hi] = [bic_from_parts(r, n, k, with_intercept) for r in rss]
         if keep:
-            chols.append(chol)
-            zvecs.append(zvec)
-    n, k = ws.n_obs, sel.shape[1]
-    bic = [bic_from_parts(r, n, k, ws.with_intercept) for r in rss]
-    return _Level(sel, np.array(betas).reshape(len(sel), ws._off + k), np.array(rss),
-                  np.array(bic), np.array(conds), chols if keep else None,
-                  zvecs if keep else None)
+            level.chol[lo:hi].transpose(0, 2, 1)[...] = [
+                bare_chol if chol is None else chol for chol in chols]
+            level.zvec[lo:hi] = [bare_zvec if z is None else z for z in zvecs]
+    return level
 
 
-def _grown(ws: Workspace, sel, parents: _Level, parent: list, cross, gjj: list, xty: list):
+def _grown(ws: Workspace, sel, parents: _Level, parent):
     """Row i of sel fitted by growing the factor of parents' row parent[i]."""
-    chols, zvecs, rss = parents.chol, parents.zvec, parents.rss.tolist()
-    for i, pi, c, g, x in zip(range(len(sel)), parent, cross, gjj, xty):
-        chol = chols[pi]
-        grown = None if chol is None else ws._grow(chol, zvecs[pi], rss[pi], c, g, x)
+    dj = sel[:, -1] + ws._off
+    cross = ws.gram[parents.design(ws._off, parent), dj[:, None]]
+    chols = parents.chol[parent]
+    bare = np.isnan(chols[:, 0, 0]).tolist()
+    for i, chol, zvec, r, c, g, x, b in zip(
+            range(len(sel)), chols.transpose(0, 2, 1), parents.zvec[parent],
+            parents.rss[parent].tolist(), cross, ws.gram[dj, dj].tolist(),
+            ws.xty[dj].tolist(), bare):
+        grown = None if b else ws._grow(chol, zvec, r, c, g, x)
         yield grown or ws._factor(sel[i].tolist())
 
 
@@ -271,25 +290,32 @@ def _children(level: _Level, parent, col) -> np.ndarray:
 
 
 def _finish_levels(levels: list, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
-    """The ModelSet of the rows of the given levels."""
-    levels = [lv for lv in levels if len(lv)]
+    """The ModelSet of the rows of the given levels, emptying the list.
+
+    Each level is copied into the set's columns and released before the
+    next, so a level the caller holds no other reference to is freed then.
+    """
+    levels[:] = [lv for lv in levels if len(lv)]
     if not levels:
         raise SearchError("no usable models: every candidate design is degenerate")
-    index = np.full((sum(map(len, levels)), max(lv.sel.shape[1] for lv in levels)), -1,
-                    dtype=np.intp)
+    rows = sum(map(len, levels))
+    index = np.full((rows, max(lv.sel.shape[1] for lv in levels)), -1, dtype=np.intp)
     coefficients = np.zeros(index.shape)
+    intercepts = np.full(rows, math.nan)
+    bic, rss, condition = np.empty(rows), np.empty(rows), np.empty(rows)
     lo = 0
-    for lv in levels:
-        k = lv.sel.shape[1]
-        index[lo:lo + len(lv), :k] = lv.sel
-        coefficients[lo:lo + len(lv), :k] = lv.beta[:, ws._off:]
-        lo += len(lv)
-    intercepts = (np.concatenate([lv.beta[:, 0] for lv in levels]) if ws._off
-                  else np.full(len(index), math.nan))
-    columns = (index, coefficients, intercepts,
-               *(np.concatenate([getattr(lv, name) for lv in levels])
-                 for name in ("bic", "rss", "condition")))
-    order = _ranked(columns[3], index, ws.names)
+    while levels:
+        lv = levels.pop(0)
+        hi, k = lo + len(lv), lv.sel.shape[1]
+        index[lo:hi, :k] = lv.sel
+        coefficients[lo:hi, :k] = lv.beta[:, ws._off:]
+        if ws._off:
+            intercepts[lo:hi] = lv.beta[:, 0]
+        bic[lo:hi], rss[lo:hi], condition[lo:hi] = lv.bic, lv.rss, lv.condition
+        lo = hi
+    del lv
+    columns = (index, coefficients, intercepts, bic, rss, condition)
+    order = _ranked(bic, index, ws.names)
     for column in columns:  # one column at a time, so one is copied at once
         column[:] = column[order]
     return ModelSet(*columns, ws.names, strategy, metadata)
@@ -301,13 +327,16 @@ def _first_level(ws: Workspace, keep: bool) -> _Level:
     return _fit(ws, np.arange(ws.n_candidates, dtype=np.intp)[:, None], keep=keep)
 
 
-def _prefix_children(sel: np.ndarray, p: int) -> tuple:
-    """Each row's children S + {j}, j after S's last column; parent and column arrays."""
-    last = sel[:, -1]
+def _prefix_children(level: _Level, p: int) -> tuple:
+    """_fit's sel, parents and parent arguments for the children of level's rows.
+
+    Row S has a child S + {j} for each candidate j after S's last column.
+    """
+    last = level.sel[:, -1]
     counts = p - 1 - last
-    parent = np.repeat(np.arange(len(sel)), counts)
+    parent = np.repeat(np.arange(len(level)), counts)
     col = np.arange(parent.size) + np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
-    return parent, col
+    return _children(level, parent, col), level, parent
 
 
 def exhaustive_search(y, library, config: SearchConfig = None) -> ModelSet:
@@ -330,16 +359,16 @@ def exhaustive_search(y, library, config: SearchConfig = None) -> ModelSet:
     levels = [_first_level(ws, keep=limit > 1)]
     for size in range(2, limit + 1):
         ws._check_size(size)
-        parents = levels[-1]
-        parent, col = _prefix_children(parents.sel, p)
-        levels.append(_fit(ws, _children(parents, parent, col), parents, parent,
-                           keep=size < limit))
-        parents.chol = parents.zvec = None  # only the level being extended keeps them
-    flags = [flagged(lv.condition) for lv in levels]
-    degenerate = sum(int(np.count_nonzero(f)) for f in flags)
-    kept = [lv.take(np.flatnonzero(~f)) for lv, f in zip(levels, flags)]
+        levels.append(_fit(ws, *_prefix_children(levels[-1], p), keep=size < limit))
+        levels[-2].chol = levels[-2].zvec = None  # only the level being extended keeps them
+    degenerate = 0
+    for i in range(len(levels)):
+        dropped = flagged(levels[i].condition)
+        if dropped.any():
+            degenerate += int(np.count_nonzero(dropped))
+            levels[i] = levels[i].take(np.flatnonzero(~dropped))
     meta = {"fits": total, "exact_fits": total, "degenerate": degenerate}
-    return _finish_levels(kept, ws, "exhaustive", meta)
+    return _finish_levels(levels, ws, "exhaustive", meta)
 
 
 # Occam screen: a child's BIC is first scored from its parent's factor in one
@@ -382,9 +411,8 @@ def _screen(ws: Workspace, survivors: _Level, parent, col) -> np.ndarray:
     m = survivors.sel.shape[1] + off
     n = ws.n_obs
     penalty = (m + 2) * math.log(n)  # the parent's terms, the new one, the variance
-    chols = np.stack(survivors.chol)
-    zvecs = np.stack(survivors.zvec)
-    rows = survivors.design(off)
+    chols = survivors.chol.transpose(0, 2, 1)
+    zvecs = survivors.zvec
     rss = survivors.rss
     # allowed relative rounding of w: a triangular solve's forward error grows
     # with the factor's size and condition
@@ -394,8 +422,8 @@ def _screen(ws: Workspace, survivors: _Level, parent, col) -> np.ndarray:
     for lo in range(0, parent.size, _SCREEN_CHUNK):
         pi = parent[lo:lo + _SCREEN_CHUNK]
         dj = col[lo:lo + _SCREEN_CHUNK] + off
-        chol = chols[pi]
-        cross = ws.gram[rows[pi], dj[:, None]]
+        chol = np.ascontiguousarray(chols[pi])  # the factors themselves, C-ordered
+        cross = ws.gram[survivors.design(off, pi), dj[:, None]]
         w = np.empty_like(cross)
         for r in range(m):
             dot = np.einsum("ij,ij->i", chol[:, r, :r], w[:, :r])
@@ -443,13 +471,13 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
     fits = exact_fits = p
     capped = False
 
-    level = _first_level(ws, keep=limit > 1)
-    usable = np.flatnonzero(~flagged(level.condition))
+    survivors = _first_level(ws, keep=limit > 1)
+    usable = np.flatnonzero(~flagged(survivors.condition))
     degenerate = p - usable.size
     if not usable.size:
         raise SearchError("every single-regressor model is degenerate")
-    best = min([math.inf] + level.bic[usable].tolist())
-    survivors = level.take(usable[level.bic[usable] - best <= window])
+    best = min([math.inf] + survivors.bic[usable].tolist())
+    survivors = survivors.take(usable[survivors.bic[usable] - best <= window])
     pool = [replace(survivors, chol=None, zvec=None)]  # the pool keeps no factor
 
     for size in range(2, limit + 1):
@@ -460,63 +488,78 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
         survivors = survivors.take(order)
         # a level whose screen rules out every child still needs its size
         ws._check_size(size)
-        parent, col = _first_parents(survivors.sel, p)
-        fits += parent.size
-        bound = _screen(ws, survivors, parent, col)
-        order = np.argsort(bound)
-        bound = bound[order]
-        # fit, lowest bound first, every child that can still enter the window;
-        # the first pass guesses the level's best from the bounds, later passes
-        # take it from the exact unflagged fits, until nothing more can enter
-        lowest = np.min(bound, where=np.isfinite(bound), initial=math.inf)
-        threshold = min(best, lowest) + window
-        passes, done = [], 0
-        while True:
-            stop = int(np.searchsorted(bound, threshold + _SCREEN_MARGIN, side="right"))
-            if stop <= done:
-                break
-            pick = order[done:stop]
-            fitted = _fit(ws, _children(survivors, parent[pick], col[pick]), survivors,
-                          parent[pick], keep=size < limit)
-            usable = np.flatnonzero(~flagged(fitted.condition))
-            degenerate += len(fitted) - usable.size
-            best = min([best] + fitted.bic[usable].tolist())
-            passes.append(fitted.take(usable))
-            exact_fits += stop - done
-            done = stop
-            threshold = best + window
-        if not passes:
+        survivors, best, (children, exact, dropped) = _fit_window(ws, survivors, best, window,
+                                                                  keep=size < limit)
+        fits += children
+        exact_fits += exact
+        degenerate += dropped
+        if survivors is None:
             break
-        level = _concat(passes)
-        survivors = level.take(np.flatnonzero(level.bic - best <= window))
+        survivors = survivors.take(np.flatnonzero(survivors.bic - best <= window))
         pool.append(replace(survivors, chol=None, zvec=None))
         if not len(survivors):
             break
 
-    retained = [lv.take(np.flatnonzero(lv.bic - best <= window)) for lv in pool]
-    dropped = 0
-    if config.submodel_exclusion:
-        retained, dropped = _exclude_submodels(retained)
+    del survivors  # the pool holds every row kept, without its factor
+    for i in range(len(pool)):  # in place, so one level at a time is copied
+        inside = pool[i].bic - best <= window
+        if not inside.all():
+            pool[i] = pool[i].take(np.flatnonzero(inside))
+    dropped = _exclude_submodels(pool) if config.submodel_exclusion else 0
     meta = {"fits": fits, "exact_fits": exact_fits, "beam_capped": capped,
             "window": window, "submodel_excluded": dropped, "degenerate": degenerate}
-    return _finish_levels(retained, ws, "occam", meta)
+    return _finish_levels(pool, ws, "occam", meta)
 
 
-def _exclude_submodels(levels: list) -> tuple:
-    """Drop every model that a strict sub-model among them beats on BIC.
+def _fit_window(ws: Workspace, survivors: _Level, best: float, window: float,
+                keep: bool) -> tuple:
+    """Screen the children of survivors and fit those that may enter the window.
 
-    Returns the levels' remaining rows and the number dropped.
+    Fits, lowest bound first, every child that can still enter the window;
+    the first pass guesses the level's best from the bounds, later passes
+    take it from the exact unflagged fits, until nothing more can enter.
+    Returns the unflagged fits (None when no child is fitted), the running
+    best BIC, and the counts of children, exact fits and flagged fits.
+    """
+    parent, col = _first_parents(survivors.sel, ws.n_candidates)
+    bound = _screen(ws, survivors, parent, col)
+    order = np.argsort(bound)
+    bound = bound[order]
+    lowest = np.min(bound, where=np.isfinite(bound), initial=math.inf)
+    threshold = min(best, lowest) + window
+    passes, done, degenerate = [], 0, 0
+    while True:
+        stop = int(np.searchsorted(bound, threshold + _SCREEN_MARGIN, side="right"))
+        if stop <= done:
+            break
+        pick = order[done:stop]
+        fitted = _fit(ws, _children(survivors, parent[pick], col[pick]), survivors,
+                      parent[pick], keep=keep)
+        usable = np.flatnonzero(~flagged(fitted.condition))
+        degenerate += len(fitted) - usable.size
+        best = min([best] + fitted.bic[usable].tolist())
+        passes.append(fitted if usable.size == len(fitted) else fitted.take(usable))
+        done = stop
+        threshold = best + window
+    return (_concat(passes) if passes else None), best, (parent.size, done, degenerate)
+
+
+def _exclude_submodels(levels: list) -> int:
+    """Drop, in place, every model that a strict sub-model among them beats on BIC.
+
+    Returns the number dropped.
     """
     sets = [(frozenset(row), b) for lv in levels
             for row, b in zip(lv.sel.tolist(), lv.bic.tolist())]
     beaten = [any(small < big and small_bic < big_bic
                   for small, small_bic in sets if len(small) < len(big))
               for big, big_bic in sets]
-    kept, lo = [], 0
-    for lv in levels:
-        kept.append(lv.take(np.flatnonzero(np.logical_not(beaten[lo:lo + len(lv)]))))
-        lo += len(lv)
-    return kept, sum(beaten)
+    lo = 0
+    for i in range(len(levels)):
+        hi = lo + len(levels[i])
+        levels[i] = levels[i].take(np.flatnonzero(np.logical_not(beaten[lo:hi])))
+        lo = hi
+    return sum(beaten)
 
 
 def _pcg64_draws(rng: np.random.Generator, block: int = 1024) -> tuple:

@@ -3,12 +3,14 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from specid import search
 from specid.aggregate import averaged_coefficients, inclusion_probability, normalize
 from specid.core import BandGrid, Spectrum, SpectralLibrary, extract_pixel
 from specid.errors import AlignmentError, InputError, SearchError
@@ -552,6 +554,17 @@ def exhaustive_problems(draw):
     return ws, SearchConfig(max_size=draw(st.integers(1, 4)), strategy="exhaustive")
 
 
+def fallback_workspace() -> Workspace:
+    """x2 copies x0, so {x0, x2} has no Cholesky factor and falls back to
+    lstsq; x3 is tiny, so {x1, x3} passes extend's scale-free pivot test and
+    is factored but flagged. Both are extended to size 3."""
+    rng = np.random.default_rng(40)
+    X = rng.normal(0, 1, (20, 5))
+    X[:, 2] = X[:, 0]
+    X[:, 3] *= 1e-11
+    return Workspace(X @ [1.0, -0.5, 0.0, 0.0, 0.3] + 0.1 * rng.normal(0, 1, 20), X)
+
+
 class TestExhaustiveReference:
     """The level-wise exhaustive search equals the depth-first one bit for bit."""
 
@@ -566,14 +579,7 @@ class TestExhaustiveReference:
                                    SearchConfig(max_size=4, strategy="exhaustive"))
 
     def test_fallback_parent_and_flagged_parent(self, monkeypatch):
-        # x2 copies x0, so {x0, x2} has no Cholesky factor and falls back to
-        # lstsq; x3 is tiny, so {x1, x3} passes extend's scale-free pivot test
-        # and is factored but flagged. Both are extended to size 3.
-        rng = np.random.default_rng(40)
-        X = rng.normal(0, 1, (20, 5))
-        X[:, 2] = X[:, 0]
-        X[:, 3] *= 1e-11
-        ws = Workspace(X @ [1.0, -0.5, 0.0, 0.0, 0.3] + 0.1 * rng.normal(0, 1, 20), X)
+        ws = fallback_workspace()
         copy = ws.extend(ws.fit_subset((0,)), 2)
         tiny = ws.extend(ws.fit_subset((1,)), 3)
         assert copy.condition_flag and copy._state[2] is None
@@ -588,6 +594,57 @@ class TestExhaustiveReference:
         monkeypatch.setattr(Workspace, "_fallback", counted)
         assert_same_exhaustive(ws, SearchConfig(max_size=3, strategy="exhaustive"))
         assert (0, 2) in fallbacks and (0, 2, 4) in fallbacks
+
+
+class TestFitChunkSeams:
+    """Levels written two fits at a time, so every level, fallback parents
+    included, crosses chunk seams, equal the reference searches bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def two_fit_chunks(self, monkeypatch):
+        monkeypatch.setattr(search, "_FIT_CHUNK", 2)
+
+    # the patch holds for every example, so the fixture need not run per example
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(exhaustive_problems())
+    def test_exhaustive(self, problem):
+        assert_same_exhaustive(*problem)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(search_problems())
+    def test_occam(self, problem):
+        assert_same_search(*problem)
+
+    def test_fallback_parent_and_flagged_parent(self):
+        assert_same_exhaustive(fallback_workspace(),
+                               SearchConfig(max_size=3, strategy="exhaustive"))
+
+    def test_table_instances(self):
+        for seed in range(3):
+            ws = table_workspace(seed)
+            assert_same_exhaustive(ws, SearchConfig(max_size=4, strategy="exhaustive"))
+            assert_same_search(ws, SearchConfig(max_size=4))
+
+
+def test_exhaustive_peak_is_a_small_multiple_of_its_models():
+    # 30 candidates up to size 4: 31,930 models, 104 bytes each in the set's columns
+    rng = np.random.default_rng(3)
+    X = rng.normal(0, 1, (40, 30))
+    ws = Workspace(X[:, :3] @ [1.0, -0.5, 0.3] + rng.normal(0, 1, 40), X)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        got = exhaustive_search(None, ws, SearchConfig(max_size=4, strategy="exhaustive"))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    own = sum(column.nbytes for column in (got.index, got.coefficients, got.intercepts,
+                                            got.bic, got.rss, got.condition, got.sizes))
+    assert len(got) == 31_930 and own == 104 * len(got)
+    assert peak <= 2.5 * own
 
 
 class TestDegenerateCount:

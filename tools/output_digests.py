@@ -39,10 +39,11 @@ Every command runs in process through specid.cli.main:
   scene 11's: occam; on scene 13's: occam, and background removal with
   explicit --backgrounds pixels spread over the cube, out of row order;
   bma-table on the crime table: occam --occam-strict, occam and mc3 at
-  --seed 3, and mc3 at the benchmark's size (100,000 iterations, no size
-  cap) at --seed 5 and --seed 4294967296 (2**32), whose chains start
-  without and with a kept 32-bit half of PCG64's output; on the names
-  table: occam.
+  --seed 3, occam at max size 6 with a window so wide (--window-c 1e300)
+  that it keeps all 9,948 models, and mc3 at the benchmark's size (100,000
+  iterations, no size cap) at --seed 5 and --seed 4294967296 (2**32), whose
+  chains start without and with a kept 32-bit half of PCG64's output; on the
+  names table: occam.
 The exhaustive runs at max size 3 keep 10,700 models each, so they cover
 several of the chunks in which io_formats.write_results_json writes
 results.json; the one at max size 4 keeps 102,090, so it covers the search's
@@ -50,7 +51,9 @@ fourth level and about a hundred chunks. The mc3 run at max size 28 (the
 largest the 30 bands can fit) grows models large enough that its chain
 proposes flagged designs (134 of its 2,940 distinct proposals; its largest
 model holds 18 candidates), so it covers the rejection of degenerate moves.
-The printed object maps "<run>/<file>" to the file's sha256: 93 sums, and 9
+The wide Occam run fits its levels of sizes 4 to 6 (1,365, 3,003 and 5,005
+children) in more than one of the chunks in which the search writes its fits.
+The printed object maps "<run>/<file>" to the file's sha256: 95 sums, and 9
 more for each --detect input. Output files and inputs are kept under --work
 (default: a temporary directory).
 """
@@ -102,6 +105,8 @@ BMA_RUNS = (
     ("occam", 3, ["--occam-strict"]),
     ("occam-window", 3, []),
     ("mc3", 3, ["--strategy", "mc3", "--iterations", "5000", "--max-size", "6"]),
+    # every model of up to 6 predictors: levels of more than one fit chunk
+    ("occam-wide", 3, ["--window-c", "1e300", "--max-size", "6"]),
     # the benchmark's chain: its first draw without, then with, a kept 32-bit half
     ("mc3-seed5", 5, ["--strategy", "mc3", "--iterations", "100000"]),
     ("mc3-seed4294967296", 2**32, ["--strategy", "mc3", "--iterations", "100000"]),
