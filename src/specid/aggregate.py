@@ -106,10 +106,12 @@ class IdentificationTree:
 
 
 def normalize(models: ModelSet, prior: ModelPrior = None) -> ModelPosterior:
-    """Posterior P(M) from BIC weights and the prior, in shifted-log form."""
+    """Posterior P(M) from BIC weights and the prior, in shifted-log form.
+
+    The prior is this argument, uniform when none is given, never the
+    SearchConfig.prior the search ran with (only MC3 reads that one).
+    """
     prior = prior or ModelPrior.uniform()
-    if not np.all(np.isfinite(models.bic)):
-        raise InputError("cannot normalize: non-finite BIC in model set")
     held = np.flatnonzero(np.bincount(models.sizes)).tolist()
     log_prior = np.zeros(held[-1] + 1)
     # by first occurrence, so the first bad size in model order raises; no sort

@@ -13,8 +13,9 @@ Cubes are read from their files a few rows at a time, never held whole. A
 cube value that is not finite exits 2: detect meets every pixel in its first
 pass, before it writes any file; identify --cube reads only the rows that
 hold the ROI's pixels and its background pixels, so a non-finite value in
-any other row does not stop it. The output directory is made just before the
-first write, so a run that fails before it leaves nothing behind.
+any other row does not stop it. identify and bma-table check their search
+options before they read any input. The output directory is made just
+before the first write, so a run that fails before it leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ def _identify_pixel(args):
 
 
 def cmd_identify(args) -> None:
+    config = _config(args, args.max_size)  # before any input is read
     pixel, cube, roi = _identify_pixel(args)
     library = read_library(args.library, args.hierarchy)
     if library.grid != pixel.grid:
@@ -193,7 +195,7 @@ def cmd_identify(args) -> None:
         pixel = removal.spectrum
         print("identify: background removed (target abundance %.4f over %d spectra)"
               % (removal.target_coefficient, len(backgrounds)))
-    models, _, tree = _aggregate(args, pixel, library, args.max_size, library.hierarchy)
+    models, _, tree = _aggregate(args, config, pixel, library, library.hierarchy)
     out = _outdir(args)
     write_tree_dot(tree, os.path.join(out, "tree.dot"),
                    conditional=args.conditional_tree)
@@ -202,12 +204,15 @@ def cmd_identify(args) -> None:
           % (len(models), "+".join(models.candidates[j] for j in best), out))
 
 
-def _aggregate(args, y, library, max_size: int, hierarchy=None):
-    """Search (a stderr line if the beam cap cut it), average, write results.json."""
-    config = SearchConfig(
+def _config(args, max_size: int) -> SearchConfig:
+    return SearchConfig(
         max_size=max_size, window_ratio=args.window_c, strategy=args.strategy,
         mc3_iterations=args.iterations, seed=args.seed,
         submodel_exclusion=args.occam_strict)
+
+
+def _aggregate(args, config, y, library, hierarchy=None):
+    """Search (a stderr line if the beam cap cut it), average, write results.json."""
     models = run_search(y, library, config)
     if models.strategy_metadata.get("beam_capped"):
         print("warning: the Occam search was cut to a beam of %d per level; the "
@@ -238,9 +243,11 @@ def _parse_coords(text: str):
 
 
 def cmd_bma_table(args) -> None:
+    # before the table is read; a limit above the predictor count means all of them
+    config = _config(args, args.max_size or sys.maxsize)
     y, X, names = read_table(args.csv, args.response)
     workspace = Workspace(y, X, names, with_intercept=True)
-    models, report, _ = _aggregate(args, None, workspace, args.max_size or len(names))
+    models, report, _ = _aggregate(args, config, None, workspace)
     out = _outdir(args)
     write_inclusion_csv(report, os.path.join(out, "inclusion.csv"))
     print("bma-table: %d models retained over %d predictors; wrote inclusion.csv, "

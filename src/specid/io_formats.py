@@ -490,14 +490,13 @@ def write_results_json(posterior: ModelPosterior, report: InclusionReport,
                        tree: IdentificationTree | None, path: str) -> None:
     """Write results_payload(...) as json.dump(..., sort_keys=True, indent=2).
 
-    The bytes are the same, but the models are formatted straight from the
-    ModelSet's columns (floats by float.__repr__, as json does), RESULTS_CHUNK
-    at a time, so neither the payload nor the whole text is held in memory. A
-    model with a non-finite number or no regressor goes through json itself.
+    The bytes are the same, but every model is formatted straight from the
+    ModelSet's columns by one template (floats by float.__repr__, as json
+    does), RESULTS_CHUNK at a time, so neither the payload nor the whole text
+    is held in memory. A ModelSet's rows are all strict JSON in it.
     """
     models = posterior.models
-    candidates = models.candidates
-    names = [encode_basestring_ascii(n) for n in candidates]
+    names = [encode_basestring_ascii(n) for n in models.candidates]
     inclusion = {name: float(p) for name, p in zip(report.names, report.probabilities)}
     averaged = {name: float(c) for name, c in zip(report.names, report.coefficients)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -506,19 +505,12 @@ def write_results_json(posterior: ModelPosterior, report: InclusionReport,
         sep = "\n"
         for lo in range(0, len(models), RESULTS_CHUNK):
             hi = lo + RESULTS_CHUNK
-            # json writes NaN and Infinity its own way, and an empty list as []
-            by_json = ((models.sizes[lo:hi] == 0) | ~np.isfinite(models.bic[lo:hi])
-                       | ~np.isfinite(models.coefficients[lo:hi]).all(axis=1)).tolist()
-            blocks = [
-                "    " + _json_section({"regressors": [candidates[j] for j in sel], "bic": bic,
-                                        "probability": p, "coefficients": coefficients},
-                                       depth=2) if special else
-                _MODEL_BLOCK % (float.__repr__(bic),
-                                _ITEM_SEP.join(map(float.__repr__, coefficients)),
-                                float.__repr__(p), _ITEM_SEP.join(map(names.__getitem__, sel)))
-                for (sel, coefficients, bic), p, special in zip(
-                    _model_rows(models, lo, hi), posterior.probabilities[lo:hi].tolist(),
-                    by_json)]
+            blocks = [_MODEL_BLOCK % (float.__repr__(bic),
+                                      _ITEM_SEP.join(map(float.__repr__, coefficients)),
+                                      float.__repr__(p),
+                                      _ITEM_SEP.join(map(names.__getitem__, sel)))
+                      for (sel, coefficients, bic), p in zip(
+                          _model_rows(models, lo, hi), posterior.probabilities[lo:hi].tolist())]
             fh.write(sep + ",\n".join(blocks))
             sep = ",\n"
         fh.write('\n  ],\n  "tree": %s\n}\n'

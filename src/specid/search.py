@@ -38,6 +38,11 @@ class SearchConfig:
     worse than the best by more than that are rejected. submodel_exclusion
     additionally drops any retained model when a strict sub-model of it is
     retained with lower BIC (the stricter classic rule; off by default).
+
+    `prior` is read only by the size-limit check and by MC3's acceptance
+    ratio; Occam and exhaustive search never weight by it. The posterior's
+    prior is normalize's own argument (uniform by default), so a caller who
+    steers MC3 with a prior must pass the same one to normalize.
     """
 
     max_size: int = 4
@@ -89,10 +94,12 @@ class ModelSet:
     Model i holds the names `candidates[j] for j in index[i, :sizes[i]]`.
     A search's rows are in (bic, sorted names) order; a set built by hand
     keeps the order given. `best_bic` is the lowest bic. The set keeps the
-    arrays given, in its dtypes, and makes them read-only.
+    arrays given, in its dtypes, and makes them read-only. It refuses a row
+    without a candidate, a bic or coefficient that is not finite, and an
+    infinite intercept, so its models are written to results.json as strict JSON.
 
-    `candidates` is the full pool the search drew from, so downstream code
-    can tell "never retained" apart from "not a known regressor".
+    `candidates` is the full pool the search drew from, distinct strings, so
+    downstream code can tell "never retained" from "not a known regressor".
     """
 
     def __init__(self, index, coefficients, intercepts, bic, rss, condition, candidates,
@@ -104,21 +111,26 @@ class ModelSet:
         self.candidates = tuple(candidates)
         self.strategy = strategy
         self.strategy_metadata = {} if strategy_metadata is None else strategy_metadata
+        if (not all(isinstance(name, str) for name in self.candidates)
+                or len(set(self.candidates)) != len(self.candidates)):
+            raise InputError("candidate names must be distinct strings")
         index = self.index
         if index.ndim != 2 or self.coefficients.shape != index.shape or any(
                 column.shape != (len(index),) for column in columns[2:]):
             raise InputError("index and coefficients must be (models, width), the rest (models,)")
         if not len(index):
             raise SearchError("a ModelSet needs at least one model")
+        if not (np.isfinite(self.bic).all() and np.isfinite(self.coefficients).all()
+                and not np.isinf(self.intercepts).any()):
+            raise InputError("bic and coefficients must be finite, intercepts finite or NaN")
         held = index >= 0
+        self.sizes = np.count_nonzero(held, axis=1)
         ranked = np.sort(index, axis=1)
-        if (np.any(index < -1) or np.any(index >= len(self.candidates))
+        if (not self.sizes.all() or np.any(index < -1) or np.any(index >= len(self.candidates))
                 or np.any(held[:, 1:] & ~held[:, :-1])
                 or np.any((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] >= 0))):
             raise InputError("each index row must hold distinct candidates, then only -1")
-        self.sizes = np.count_nonzero(held, axis=1)
-        # equal regressor sets sort to equal rows; sizes is a key even at width 0
-        ranked = ranked[np.lexsort([*ranked.T[::-1], self.sizes])]
+        ranked = ranked[np.lexsort(ranked.T[::-1])]  # equal sets sort to equal rows
         if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
             raise SearchError("ModelSet contains duplicate regressor sets")
         for column in (*columns, self.sizes):

@@ -410,6 +410,22 @@ class TestCubeValues:
         one_error_line(capsys, message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,message", [
+        (["identify", "--window-c", "0.5"], "window_ratio must be a number > 1, got 0.5"),
+        (["identify", "--max-size", "0"], "max_size must be >= 1, got 0"),
+        (["identify", "--iterations", "0"], "mc3_iterations must be >= 1"),
+        (["--seed", "-1", "identify"], "seed must be an integer >= 0, got -1"),
+    ], ids=["window-c", "max-size", "iterations", "seed"])
+    def test_identify_options_are_checked_before_the_cube(self, scene, detect_dir, tmp_path,
+                                                         capsys, option, message):
+        hdr = write_cube_with_nan(tmp_path, scene, min(scene.implant))
+        out = tmp_path / "out"
+        rc = main(["--output-dir", str(out)] + option + [
+            "--cube", hdr, "--roi", str(detect_dir / "rois.json"), "--library", scene.lib_csv])
+        assert rc == 2
+        one_error_line(capsys, message)
+        assert not out.exists()
+
     def test_identify_with_a_nan_in_the_roi_exits_2(self, scene, detect_dir, tmp_path,
                                                      capsys):
         hdr = write_cube_with_nan(tmp_path, scene, min(scene.implant))
@@ -569,6 +585,29 @@ class TestBmaTable:
                    "--csv", table_csv, "--response", "y"] + extra)
         assert rc == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,message", [
+        (["bma-table", "--window-c", "0.5"], "window_ratio must be a number > 1, got 0.5"),
+        (["bma-table", "--max-size", "-1"], "max_size must be >= 1, got -1"),
+        (["bma-table", "--iterations", "0"], "mc3_iterations must be >= 1"),
+        (["--seed", "-1", "bma-table"], "seed must be an integer >= 0, got -1"),
+    ], ids=["window-c", "max-size", "iterations", "seed"])
+    def test_options_are_checked_before_the_table(self, tmp_path, capsys, option, message):
+        out = tmp_path / "out"
+        rc = main(["--output-dir", str(out)] + option + [
+            "--csv", str(tmp_path / "nothere.csv"), "--response", "y"])
+        assert rc == 2
+        one_error_line(capsys, message)
+        assert not out.exists()
+
+    def test_max_size_0_means_every_predictor(self, table_csv, tmp_path):
+        runs = {}
+        for size in ("0", str(len(make_table_instance(2)[2]))):
+            out = tmp_path / size
+            assert main(["--output-dir", str(out), "bma-table", "--csv", table_csv,
+                         "--response", "y", "--max-size", size]) == 0
+            runs[size] = (out / "results.json").read_bytes()
+        assert len(set(runs.values())) == 1
 
     def test_negative_seed_exits_2_in_one_line(self, tmp_path):
         # numpy's generator would raise on it mid-run; the config refuses it first

@@ -209,12 +209,15 @@ def test_model_set_columns():
     assert mixed.sizes.tolist() == [2, 1, 2] and mixed.best_bic == 1.0
 
 
-def columns(index, width=None, rows=None):
-    """A model set's columns around index, the others of the given lengths."""
+def columns(index, /, width=None, rows=None, **given):
+    """A model set's columns around index, the others of the given lengths;
+    `given` replaces any of them, or the candidates ("a", "b", "c")."""
     index = np.array(index, dtype=np.intp).reshape(-1, 2)
     rows = len(index) if rows is None else rows
     coefficients = np.zeros((len(index), index.shape[1] if width is None else width))
-    return index, coefficients, np.zeros(rows), np.zeros(rows), np.ones(rows), np.ones(rows)
+    return {"index": index, "coefficients": coefficients, "intercepts": np.zeros(rows),
+            "bic": np.zeros(rows), "rss": np.ones(rows), "condition": np.ones(rows),
+            "candidates": ("a", "b", "c"), **given}
 
 
 @pytest.mark.parametrize("given, error", [
@@ -227,10 +230,25 @@ def columns(index, width=None, rows=None):
     pytest.param(columns([[-1, 1]]), InputError, id="padding-before-index"),
     pytest.param(columns([[0, 2], [2, 0]]), SearchError, id="set-reordered-in-two-rows"),
     pytest.param(columns([[0, -1], [1, 2], [0, -1]]), SearchError, id="set-in-two-rows"),
+    # every row must be writable as strict JSON: no NaN, no Infinity, no empty set
+    *(pytest.param(columns([[0, 1]], bic=[value]), InputError, id="bic-" + label)
+      for value, label in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "minus-inf"))),
+    *(pytest.param(columns([[0, 1]], coefficients=[[1.0, value]]), InputError,
+                   id="coefficient-" + label)
+      for value, label in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "minus-inf"))),
+    *(pytest.param(columns([[0, 1]], intercepts=[value]), InputError, id="intercept-" + label)
+      for value, label in ((math.inf, "inf"), (-math.inf, "minus-inf"))),
+    pytest.param(columns([[0, 1], [-1, -1]]), InputError, id="row-without-candidate"),
+    pytest.param(columns([], rows=1, index=np.empty((1, 0), np.intp),
+                         coefficients=np.empty((1, 0))), InputError, id="width-0-index"),
+    pytest.param(columns([[0, 1]], candidates=("a", "a", "c")), InputError,
+                 id="candidate-name-repeated"),
+    pytest.param(columns([[0, 1]], candidates=("a", "b", 7)), InputError,
+                 id="candidate-name-not-a-string"),
 ])
 def test_model_set_validation(given, error):
     with pytest.raises(error):
-        ModelSet(*given, candidates=("a", "b", "c"), strategy="occam")
+        ModelSet(**given, strategy="occam")
 
 
 class TestOccam:

@@ -1,5 +1,6 @@
 """The repository's tools run and report what they promise."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,3 +32,16 @@ def test_unreached_lines_lists_what_a_test_cannot_reach():
     assert not any(line.startswith("core.py:%d " % reached) for line in listed)
     assert not any(line.startswith("core.py:%d " % core_line("def resample(")) for line in listed)
     assert "1 passed" in proc.stdout
+
+
+def test_output_digests_refuses_json_that_is_not_strict(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "output_digests", os.path.join(ROOT, "tools", "output_digests.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for text, strict in [('{"p": 0.5, "c": [-0.0, 1e-310]}', True), ('{"p": NaN}', False),
+                         ('[Infinity]', False), ('{"a": {"b": -Infinity}}', False),
+                         ('{"p": 0.5', False)]:
+        path = tmp_path / "results.json"
+        path.write_text(text)
+        assert tool.strict_json(path) is strict, text

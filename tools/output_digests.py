@@ -56,6 +56,11 @@ children) in more than one of the chunks in which the search writes its fits.
 The printed object maps "<run>/<file>" to the file's sha256: 95 sums, and 9
 more for each --detect input. Output files and inputs are kept under --work
 (default: a temporary directory).
+
+Every hashed .json file must also be strict JSON (RFC 8259): it must parse
+with json's NaN, Infinity and -Infinity tokens refused. Each file that does
+not is printed on stderr as "<run>/<file>: not strict JSON", and the exit
+status is then 1, with or without --against.
 """
 
 from __future__ import annotations
@@ -124,6 +129,19 @@ def _run(main, argv) -> None:
 def _digests(directory: Path, run: str, digests: dict) -> None:
     for path in sorted(directory.iterdir()):
         digests["%s/%s" % (run, path.name)] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _refuse(token: str):
+    raise ValueError("%s is not JSON" % token)
+
+
+def strict_json(path: Path) -> bool:
+    """Whether the file parses as JSON with NaN, Infinity and -Infinity refused."""
+    try:
+        json.loads(path.read_bytes(), parse_constant=_refuse)
+    except ValueError:
+        return False
+    return True
 
 
 def _write_scene(work: Path, seed: int, size: dict, layout: dict):
@@ -232,18 +250,23 @@ def main() -> int:
         work = Path(args.work or stack.enter_context(tempfile.TemporaryDirectory()))
         work.mkdir(parents=True, exist_ok=True)
         digests = collect(work, args.detect)
+        # each key is its file's path under work
+        loose = [key for key in sorted(digests)
+                 if key.endswith(".json") and not strict_json(work / key)]
         if args.against is not None:
             other = _child_digests(args.against, work / "against", args.detect)
+    for key in loose:
+        print("%s: not strict JSON" % key, file=sys.stderr)
     if args.against is None:
         json.dump(digests, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
-        return 0
+        return 1 if loose else 0
     keys = digests.keys() | other.keys()
     differ = sorted(k for k in keys if digests.get(k) != other.get(k))
     for key in differ:
         print(key)
     print("%d of %d sums differ" % (len(differ), len(keys)), file=sys.stderr)
-    return 1 if differ else 0
+    return 1 if differ or loose else 0
 
 
 def _child_digests(src: str, work: Path, detect_inputs) -> dict:
