@@ -13,6 +13,8 @@ time. An absent term has w_i = +0.0, so p_i * w_i = +0.0 (p_i >= 0), and adding
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -55,7 +57,8 @@ class InclusionReport:
     Coefficients are averaged over all models with the model posterior as
     weights (a model not containing the regressor contributes zero), so a
     rarely included regressor has a small averaged coefficient; no division
-    by the inclusion probability is applied.
+    by the inclusion probability is applied. Probabilities and coefficients
+    must be finite, so results.json holds them as strict JSON.
     """
 
     names: tuple
@@ -68,6 +71,8 @@ class InclusionReport:
         coefs = np.asarray(self.coefficients, dtype=np.float64)
         if not (len(self.names) == probs.size == coefs.size):
             raise InputError("names, probabilities, and coefficients must align")
+        if not (np.isfinite(probs).all() and np.isfinite(coefs).all()):
+            raise InputError("inclusion probabilities and coefficients must be finite")
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "coefficients", coefs)
@@ -81,11 +86,16 @@ class InclusionReport:
 
 @dataclass(frozen=True, eq=False)
 class TreeNode:
+    """A class and its probability, a finite number (results.json is strict JSON)."""
+
     name: str
     probability: float
     children: tuple = ()
 
     def __post_init__(self):
+        if not (isinstance(self.probability, numbers.Real) and math.isfinite(self.probability)):
+            raise InputError("class probability must be a finite number, got %r"
+                             % (self.probability,))
         object.__setattr__(self, "children", tuple(self.children))
 
 

@@ -445,9 +445,16 @@ def write_tree_dot(tree: IdentificationTree, path: str,
 
 # results.json is written RESULTS_CHUNK models at a time
 RESULTS_CHUNK = 1024
-_ITEM_SEP = ",\n        "
-_MODEL_BLOCK = ('    {\n      "bic": %s,\n      "coefficients": [\n        %s\n      ],\n'
-                '      "probability": %s,\n      "regressors": [\n        %s\n      ]\n    }')
+
+
+def _model_template(size: int) -> str:
+    """One model of `size` candidates as json.dump(..., indent=2) writes it in the
+    models list: a %r for each float (float.__repr__, as json formats
+    floats) and a %s for each escaped name."""
+    items = ",\n        ".join
+    return ('    {\n      "bic": %%r,\n      "coefficients": [\n        %s\n      ],\n'
+            '      "probability": %%r,\n      "regressors": [\n        %s\n      ]\n    }'
+            % (items(["%r"] * size), items(["%s"] * size)))
 
 
 def _tree_payload(node) -> dict:
@@ -458,27 +465,20 @@ def _tree_payload(node) -> dict:
 def results_payload(posterior: ModelPosterior, report: InclusionReport,
                     tree: IdentificationTree | None) -> dict:
     """The results JSON structure (tree may be None in tabular mode)."""
-    names = posterior.models.candidates
-    models = [{"regressors": [names[j] for j in sel], "coefficients": coefficients,
-               "bic": bic, "probability": p}
-              for (sel, coefficients, bic), p in zip(
-                  _model_rows(posterior.models, 0, len(posterior.models)),
-                  posterior.probabilities.tolist())]
+    models, names = posterior.models, posterior.models.candidates
+    rows = [{"regressors": [names[j] for j in sel[:k]], "coefficients": coefficients[:k],
+             "bic": bic, "probability": p}
+            for sel, coefficients, k, bic, p in zip(
+                models.index.tolist(), models.coefficients.tolist(), models.sizes.tolist(),
+                models.bic.tolist(), posterior.probabilities.tolist())]
     return {
-        "models": models,
+        "models": rows,
         "inclusion": {name: float(p) for name, p in
                       zip(report.names, report.probabilities)},
         "averaged_coefficients": {name: float(c) for name, c in
                                   zip(report.names, report.coefficients)},
         "tree": _tree_payload(tree.root) if tree is not None else None,
     }
-
-
-def _model_rows(models, lo: int, hi: int) -> list:
-    """(candidate indices, coefficients, bic) of models lo:hi, as Python values."""
-    return [(sel[:k], coefficients[:k], bic) for sel, coefficients, k, bic in zip(
-        models.index[lo:hi].tolist(), models.coefficients[lo:hi].tolist(),
-        models.sizes[lo:hi].tolist(), models.bic[lo:hi].tolist())]
 
 
 def _json_section(value, depth: int = 1) -> str:
@@ -490,13 +490,20 @@ def write_results_json(posterior: ModelPosterior, report: InclusionReport,
                        tree: IdentificationTree | None, path: str) -> None:
     """Write results_payload(...) as json.dump(..., sort_keys=True, indent=2).
 
-    The bytes are the same, but every model is formatted straight from the
-    ModelSet's columns by one template (floats by float.__repr__, as json
-    does), RESULTS_CHUNK at a time, so neither the payload nor the whole text
-    is held in memory. A ModelSet's rows are all strict JSON in it.
+    The bytes are the same, but the models are formatted straight from the
+    ModelSet's columns, RESULTS_CHUNK at a time, so neither the payload nor
+    the whole text is held in memory. Each chunk is one % formatting call:
+    the template of each model's size, joined, filled from a cell array of
+    bic, coefficients, probability and escaped names, the cells past a
+    model's size masked out. A ModelSet's rows are all strict JSON in it.
     """
     models = posterior.models
-    names = [encode_basestring_ascii(n) for n in models.candidates]
+    width = models.index.shape[1]
+    # index -1 (past a model's size) picks the last, unused name
+    names = np.array([encode_basestring_ascii(n) for n in models.candidates] + [None],
+                     dtype=object)
+    templates = np.array([None] + [_model_template(k) for k in range(1, width + 1)],
+                         dtype=object)
     inclusion = {name: float(p) for name, p in zip(report.names, report.probabilities)}
     averaged = {name: float(c) for name, c in zip(report.names, report.coefficients)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -505,13 +512,16 @@ def write_results_json(posterior: ModelPosterior, report: InclusionReport,
         sep = "\n"
         for lo in range(0, len(models), RESULTS_CHUNK):
             hi = lo + RESULTS_CHUNK
-            blocks = [_MODEL_BLOCK % (float.__repr__(bic),
-                                      _ITEM_SEP.join(map(float.__repr__, coefficients)),
-                                      float.__repr__(p),
-                                      _ITEM_SEP.join(map(names.__getitem__, sel)))
-                      for (sel, coefficients, bic), p in zip(
-                          _model_rows(models, lo, hi), posterior.probabilities[lo:hi].tolist())]
-            fh.write(sep + ",\n".join(blocks))
+            index = models.index[lo:hi]
+            # per model: bic, coefficients, probability, names; floats as Python floats
+            cells = np.empty((len(index), 2 * width + 2), dtype=object)
+            cells[:, 0] = models.bic[lo:hi]
+            cells[:, 1:width + 1] = models.coefficients[lo:hi]
+            cells[:, width + 1] = posterior.probabilities[lo:hi]
+            cells[:, width + 2:] = names[index]
+            held = np.ones(cells.shape, dtype=bool)
+            held[:, 1:width + 1] = held[:, width + 2:] = index >= 0
+            fh.write(sep + ",\n".join(templates[models.sizes[lo:hi]]) % tuple(cells[held]))
             sep = ",\n"
         fh.write('\n  ],\n  "tree": %s\n}\n'
                  % _json_section(_tree_payload(tree.root) if tree is not None else None))

@@ -121,11 +121,16 @@ class Workspace:
     is set, a constant column is implicitly prepended to every design and its
     coefficient reported separately; the intercept is never a candidate.
 
-    One exact-fit kernel serves every caller: `_factor` fits a subset from
-    the Gram matrix and `_grow` adds one column to a fitted factor. Each
-    returns (beta, rss, condition, chol, zvec), beta holding the intercept
-    first when there is one; `fit_subset` and `extend` wrap the parts in a
-    RegressionModel, the searches keep them in arrays.
+    One exact-fit kernel serves every caller. `_factor` fits one subset
+    from the Gram matrix and returns (beta, rss, condition, chol, zvec),
+    beta holding the intercept first when there is one. `_fit_rows` fits a
+    chunk of subsets into arrays: each row grows its parent's factor by one
+    column, or goes through `_factor` when it has no parent, its parent no
+    factor, or its new column is dependent. Only the LAPACK calls and dot
+    products that set a fit's bits run once per row; the gathers and writes
+    around them run once per chunk. `fit_subset` and `extend` (a chunk of
+    one row) wrap the parts in a RegressionModel; the searches keep the
+    arrays.
     """
 
     def __init__(self, y, X, names=None, with_intercept: bool = False):
@@ -179,6 +184,12 @@ class Workspace:
         """Rows and columns of the Gram matrix that the design of `sel` spans."""
         return np.array(([0] + [j + 1 for j in sel]) if self._off else sel, dtype=np.intp)
 
+    def _design_rows(self, sel: np.ndarray) -> np.ndarray:
+        """_design_index of each row of the index matrix `sel`."""
+        if not self._off:
+            return sel
+        return np.column_stack([np.zeros(len(sel), dtype=np.intp), sel + 1])
+
     def _model(self, sel, beta, rss, cond, chol, zvec) -> RegressionModel:
         sel = tuple(sel)
         coefficients = beta[1:].copy() if self._off else beta  # one array per model
@@ -227,10 +238,13 @@ class Workspace:
         if pchol is None:
             return self.fit_subset(sel)
         self._check_size(len(sel))
-        dj = j + self._off
-        parts = self._grow(pchol, pzvec, parent.rss, self.gram[self._design_index(psel), dj],
-                           self.gram[dj, dj], self.xty[dj])
-        return self._model(sel, *(parts or self._factor(sel)))
+        m = len(sel) + self._off
+        out = (np.empty((1, m)), np.empty(1), np.empty(1), np.empty((1, m, m)), np.empty((1, m)))
+        self._fit_rows(np.array([sel]), out, (pchol.T[None], pzvec[None], np.array([parent.rss])))
+        beta, rss, cond, chol, zvec = (column[0] for column in out)
+        grown = not math.isnan(chol[0, 0])
+        return self._model(sel, beta, float(rss), float(cond),
+                           chol.T if grown else None, zvec if grown else None)
 
     def _factor(self, sel) -> tuple:
         """Fit the valid, size-checked indices `sel` from the Gram matrix."""
@@ -244,29 +258,67 @@ class Workspace:
         rss = max(self.yty - float(zvec @ zvec), 0.0)
         return beta, rss, _condition(chol), chol, zvec
 
-    @staticmethod
-    def _grow(chol, zvec, rss, cross, gjj, xty_j) -> tuple | None:
-        """Add one column to a fitted factor; None when the column is dependent.
+    def _fit_rows(self, sel, out, parents=None) -> None:
+        """Fit each row of the valid, size-checked index rows `sel` into `out`.
 
-        `cross` holds the new column's Gram entries against the fitted design,
-        `gjj` its own and `xty_j` its product with y; `rss` is the fitted one.
+        `out` is (beta, rss, condition, chol, zvec), arrays of len(sel) rows
+        written in place; chol[i] is row i's factor transposed, so chol[i].T
+        is the Fortran-ordered factor LAPACK takes uncopied, and chol[i] and
+        zvec[i] are NaN for a fit without a factor. Without `parents` every row
+        is fitted by _factor. `parents` is (chol, zvec, rss) of each row's
+        parent, sel[i] less its last column, in the same layout; row i then
+        grows that factor by the last column, as extend does, unless the
+        parent has none or the column is dependent.
         """
-        w, _ = lapack.dtrtrs(chol, cross, 1)
-        pivot = gjj - float(w.dot(w))
-        if pivot <= 0 or pivot <= PIVOT_TOL * gjj:
-            return None  # numerically dependent column
-        m = w.size
-        root = math.sqrt(pivot)
-        grown = np.zeros((m + 1, m + 1), order="F")  # as LAPACK takes it, uncopied
-        grown[:m, :m] = chol
-        grown[m, :m] = w
-        grown[m, m] = root
-        znew = (xty_j - float(w.dot(zvec))) / root
-        zgrown = np.empty(m + 1)
-        zgrown[:m] = zvec
-        zgrown[m] = znew
-        beta, _ = lapack.dtrtrs(grown, zgrown, 1, 1)
-        return beta, max(float(rss - znew * znew), 0.0), _condition(grown), grown, zgrown
+        beta, rss, condition, chol, zvec = out
+        refit = []
+        if parents is None:
+            refit = range(len(sel))
+        else:
+            pchol, pzvec, prss = parents
+            m = pchol.shape[1]
+            design = self._design_rows(sel)  # each row's Gram indices, its new column last
+            dj = design[:, -1]
+            # the new column's Gram entries against each parent's design, solved in place
+            cross = self.gram[design[:, :-1], dj[:, None]]
+            grown = []  # each row's new diagonal entry, z entry and rss; NaN when refitted
+            for i, w, factor, z, r, g, x, bare in zip(
+                    range(len(sel)), cross, pchol.transpose(0, 2, 1), pzvec, prss.tolist(),
+                    self.gram[dj, dj].tolist(), self.xty[dj].tolist(),
+                    np.isnan(pchol[:, 0, 0]).tolist()):
+                if not bare:
+                    lapack.dtrtrs(factor, w, 1, 0, 0, m, 1)
+                    pivot = g - float(w.dot(w))
+                    if not (pivot <= 0 or pivot <= PIVOT_TOL * g):
+                        root = math.sqrt(pivot)
+                        znew = (x - float(w.dot(z))) / root
+                        grown.append((root, znew, max(r - znew * znew, 0.0)))
+                        continue
+                refit.append(i)  # no parent factor, or a numerically dependent column
+                grown.append((math.nan,) * 3)
+            roots, znews, rss[:] = zip(*grown)
+            chol[:, :m, :m] = pchol
+            chol[:, :m, m] = cross
+            chol[:, m, :m] = 0.0
+            chol[:, m, m] = roots
+            zvec[:, :m] = pzvec
+            zvec[:, m] = znews
+            beta[:] = zvec
+            conds = []
+            for factor, b, root in zip(chol.transpose(0, 2, 1), beta, roots):
+                if root == root:  # not NaN: a grown row
+                    lapack.dtrtrs(factor, b, 1, 1, 0, m + 1, 1)
+                    conds.append(_condition(factor))
+                else:
+                    conds.append(math.nan)
+            condition[:] = conds
+        for i in refit:
+            beta[i], rss[i], condition[i], factor, z = self._factor(sel[i].tolist())
+            if factor is None:
+                chol[i] = zvec[i] = math.nan
+            else:
+                chol[i] = factor.T
+                zvec[i] = z
 
     def _fallback(self, sel) -> tuple:
         """Rank-deficient design: minimum-norm solution, flagged (no factor)."""

@@ -222,13 +222,6 @@ class _Level:
     def _columns(self) -> list:
         return [getattr(self, name) for name in self.__slots__]
 
-    def design(self, off: int, rows) -> np.ndarray:
-        """The Gram matrix indices of the given rows, as Workspace._design_index gives them."""
-        sel = self.sel[rows]
-        if not off:
-            return sel
-        return np.column_stack([np.zeros(len(sel), dtype=np.intp), sel + 1])
-
 
 def _concat(levels: list) -> _Level:
     if len(levels) == 1:
@@ -250,50 +243,33 @@ def _fit(ws: Workspace, sel: np.ndarray, parents: _Level = None, parent=None,
     fits it. With them, row i is parents' row parent[i] plus sel's last
     column, fitted as extend fits it: the parent's factor grows by one
     column, unless the parent has none or the column is dependent, when the
-    row is fitted from the Gram matrix. `keep` keeps the factors. The fits
-    are written into the level's columns _FIT_CHUNK rows at a time.
+    row is fitted from the Gram matrix. `keep` keeps the factors; without it
+    they go to one chunk buffer. The kernel writes the level's columns
+    _FIT_CHUNK rows at a time.
     """
     rows, k = sel.shape
     m = ws._off + k
     level = _Level(sel, np.empty((rows, m)), np.empty(rows), np.empty(rows), np.empty(rows),
                    np.empty((rows, m, m)) if keep else None, np.empty((rows, m)) if keep else None)
-    bare_chol, bare_zvec = np.full((m, m), math.nan), np.full(m, math.nan)
-    n, with_intercept = ws.n_obs, ws.with_intercept
+    if not keep:
+        chunk = min(rows, _FIT_CHUNK)
+        chol, zvec = np.empty((chunk, m, m)), np.empty((chunk, m))
+    n = ws.n_obs
+    penalty = (k + ws._off + 1) * math.log(n)  # bic_from_parts's, hoisted
     for lo in range(0, rows, _FIT_CHUNK):
-        hi = lo + _FIT_CHUNK
-        fits = (map(ws._factor, sel[lo:hi].tolist()) if parents is None
-                else _grown(ws, sel[lo:hi], parents, parent[lo:hi]))
-        betas, rss, conds, chols, zvecs = [], [], [], [], []
-        for beta, r, cond, chol, zvec in fits:
-            betas.append(beta)
-            rss.append(r)
-            conds.append(cond)
-            if keep:  # a factor not kept is freed at once, for the next fit to reuse
-                chols.append(chol)
-                zvecs.append(zvec)
-        level.beta[lo:hi] = betas
-        level.rss[lo:hi] = rss
-        level.condition[lo:hi] = conds
-        level.bic[lo:hi] = [bic_from_parts(r, n, k, with_intercept) for r in rss]
+        hi = min(lo + _FIT_CHUNK, rows)
         if keep:
-            level.chol[lo:hi].transpose(0, 2, 1)[...] = [
-                bare_chol if chol is None else chol for chol in chols]
-            level.zvec[lo:hi] = [bare_zvec if z is None else z for z in zvecs]
+            chol, zvec = level.chol[lo:hi], level.zvec[lo:hi]
+        rss = level.rss[lo:hi]
+        gathered = None
+        if parents is not None:
+            at = parent[lo:hi]
+            gathered = parents.chol[at], parents.zvec[at], parents.rss[at]
+        ws._fit_rows(sel[lo:hi], (level.beta[lo:hi], rss, level.condition[lo:hi],
+                                  chol[:hi - lo], zvec[:hi - lo]), gathered)
+        level.bic[lo:hi] = [n * math.log(max(r, RSS_FLOOR) / n) + penalty
+                            for r in rss.tolist()]
     return level
-
-
-def _grown(ws: Workspace, sel, parents: _Level, parent):
-    """Row i of sel fitted by growing the factor of parents' row parent[i]."""
-    dj = sel[:, -1] + ws._off
-    cross = ws.gram[parents.design(ws._off, parent), dj[:, None]]
-    chols = parents.chol[parent]
-    bare = np.isnan(chols[:, 0, 0]).tolist()
-    for i, chol, zvec, r, c, g, x, b in zip(
-            range(len(sel)), chols.transpose(0, 2, 1), parents.zvec[parent],
-            parents.rss[parent].tolist(), cross, ws.gram[dj, dj].tolist(),
-            ws.xty[dj].tolist(), bare):
-        grown = None if b else ws._grow(chol, zvec, r, c, g, x)
-        yield grown or ws._factor(sel[i].tolist())
 
 
 def _children(level: _Level, parent, col) -> np.ndarray:
@@ -435,7 +411,7 @@ def _screen(ws: Workspace, survivors: _Level, parent, col) -> np.ndarray:
         pi = parent[lo:lo + _SCREEN_CHUNK]
         dj = col[lo:lo + _SCREEN_CHUNK] + off
         chol = np.ascontiguousarray(chols[pi])  # the factors themselves, C-ordered
-        cross = ws.gram[survivors.design(off, pi), dj[:, None]]
+        cross = ws.gram[ws._design_rows(survivors.sel[pi]), dj[:, None]]
         w = np.empty_like(cross)
         for r in range(m):
             dot = np.einsum("ij,ij->i", chol[:, r, :r], w[:, :r])

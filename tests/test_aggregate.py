@@ -138,6 +138,15 @@ class TestInclusion:
         with pytest.raises(InputError):
             InclusionReport(("a", "b"), np.array([0.5]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["probabilities", "coefficients"])
+    def test_report_refuses_values_that_are_not_json(self, column, value):
+        # results.json writes these sections, and RFC 8259 has no NaN or Infinity
+        values = {"probabilities": [0.5, 1.0], "coefficients": [1.0, -2.0]}
+        values[column][1] = value
+        with pytest.raises(InputError, match="must be finite"):
+            InclusionReport(("a", "b"), **values)
+
     def test_matches_exhaustive_hand_sums(self):
         # independent oracle: recompute PIPs from raw BICs with plain numpy
         y, X, names = make_table_instance(3)
@@ -263,6 +272,12 @@ def test_tree_node_children_frozen():
     node = TreeNode("x", 0.5, children=[TreeNode("y", 0.2)])
     assert isinstance(node.children, tuple)
     assert isinstance(IdentificationTree(node).root, TreeNode)
+
+
+@pytest.mark.parametrize("probability", [math.nan, math.inf, -math.inf, None, "0.5"])
+def test_tree_node_refuses_a_probability_that_is_not_a_finite_number(probability):
+    with pytest.raises(InputError, match="finite number"):
+        TreeNode("x", probability)
 
 
 def test_response_scaling_leaves_posterior_unchanged():

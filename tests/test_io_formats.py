@@ -28,6 +28,7 @@ from specid.io_formats import (DATA_TYPES, INTEGER_SCALE_DEFAULT, EnviHeader,
                                render_tree_dot, results_payload,
                                write_inclusion_csv, write_results_json,
                                write_rois_json, write_scores, write_tree_dot)
+from specid.search import ModelSet
 
 HEADER = """ENVI
 description = {small test cube}
@@ -586,18 +587,16 @@ def small_posterior():
 WRITER_CHUNK = 3
 ESCAPED_NAMES = ["Größe", 'say "hi"', "back\\slash", "tab\tline\nend", "\x00\x1f\x7f",
                  "models", "tree", "inclusion", "ldpe_3", ""]
-SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310,
-                  1.7976931348623157e308, -1e300, 0.1, 1.0]
-json_floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
-# a ModelSet row holds finite numbers only
-finite_floats = (st.sampled_from([v for v in SPECIAL_FLOATS if math.isfinite(v)])
+# a ModelSet row, an InclusionReport and a TreeNode hold finite numbers only
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-310, 1.7976931348623157e308, -1e300, 0.1, 1.0]
+finite_floats = (st.sampled_from(SPECIAL_FLOATS)
                  | st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
 def results_inputs(draw):
-    """A posterior, report and tree (or None) holding every value that json
-    spells in its own way, as far as each section may hold it."""
+    """A posterior, report and tree (or None) holding every finite value that
+    json spells in its own way."""
     names = draw(st.lists(st.sampled_from(ESCAPED_NAMES) | st.text(max_size=6),
                           min_size=3, max_size=5, unique=True))
     subsets = [s for k in range(1, len(names) + 1)
@@ -616,11 +615,11 @@ def results_inputs(draw):
         weights[draw(st.integers(0, count - 1))] = 1.0
     models = make_model_set(models, names, "occam")
     posterior = ModelPosterior(models, weights / weights.sum())
-    report = InclusionReport(names, [draw(json_floats) for _ in names],
-                             [draw(json_floats) for _ in names])
+    report = InclusionReport(names, [draw(finite_floats) for _ in names],
+                             [draw(finite_floats) for _ in names])
     tree = None
     if draw(st.booleans()):
-        leaves = [TreeNode(draw(st.sampled_from(ESCAPED_NAMES)), draw(json_floats))
+        leaves = [TreeNode(draw(st.sampled_from(ESCAPED_NAMES)), draw(finite_floats))
                   for _ in range(draw(st.integers(0, 2)))]
         tree = IdentificationTree(TreeNode("Library", 1.0, children=leaves))
     return posterior, report, tree
@@ -673,6 +672,29 @@ class TestResultWriters:
             write_results_json(posterior, report, tree, path)
             with open(path, "rb") as fh:
                 assert fh.read() == want.encode("utf-8")
+
+    def test_index_wider_than_its_rows(self, tmp_path):
+        # width 6, rows of 1 to 4 candidates in one chunk: each row takes its
+        # own size's template, and the padding cells never reach the file
+        names = ("a", 'say "hi"', "c", "Größe", "e", "f")
+        index = np.full((7, 6), -1, dtype=np.intp)
+        coefficients = np.zeros(index.shape)
+        rows = [(0,), (1, 0), (3, 2, 5), (4, 0, 1, 2), (5,), (2, 3), (1, 5, 4, 3)]
+        for i, row in enumerate(rows):
+            index[i, :len(row)] = row
+            coefficients[i, :len(row)] = np.arange(1, len(row) + 1) * -0.1 - i
+        models = ModelSet(index, coefficients, np.full(7, math.nan),
+                          np.linspace(-3.0, 5e-324, 7), np.ones(7), np.ones(7), names,
+                          "exhaustive")
+        posterior = ModelPosterior(models, np.full(7, 1 / 7))
+        report = InclusionReport(names, np.linspace(0, 1, 6), np.linspace(-1, 1e300, 6))
+        assert max(models.sizes) == 4 and set(models.sizes.tolist()) == {1, 2, 3, 4}
+        assert len(models) < specid.io_formats.RESULTS_CHUNK
+        path = tmp_path / "results.json"
+        write_results_json(posterior, report, demo_tree(), str(path))
+        want = json.dumps(results_payload(posterior, report, demo_tree()),
+                          sort_keys=True, indent=2) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_inclusion_csv_exact_text(self, tmp_path):
         report = InclusionReport(("a", "b"), np.array([0.5, 0.25]),

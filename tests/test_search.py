@@ -646,6 +646,65 @@ class TestFitChunkSeams:
             assert_same_search(ws, SearchConfig(max_size=4))
 
 
+class TestFullFitChunks:
+    """At the real _FIT_CHUNK, levels of more than one full chunk, with rows
+    refitted from the Gram matrix in the middle of a chunk, equal the
+    reference searches bit for bit."""
+
+    @staticmethod
+    def workspace(with_intercept):
+        # "dup" is an exact copy of x3: growing a factor that holds one of
+        # them by the other meets a dependent column, so _fit_rows refits it
+        rng = np.random.default_rng(5)
+        X = rng.normal(0, 1, (40, 20))
+        X[:, 10] = X[:, 3]
+        y = X[:, [0, 3, 7]] @ [1.0, -0.5, 0.3] + 0.5 * rng.normal(0, 1, 40)
+        names = ["x%d" % j for j in range(20)]
+        names[10] = "dup"
+        return Workspace(y, X, names=names, with_intercept=with_intercept)
+
+    @staticmethod
+    def refits(monkeypatch) -> list:
+        """The candidate rows _factor fits from now on, in call order."""
+        calls = []
+        factor = Workspace._factor
+
+        def counted(self, sel):
+            calls.append(tuple(sel))
+            return factor(self, sel)
+
+        monkeypatch.setattr(Workspace, "_factor", counted)
+        return calls
+
+    @pytest.mark.parametrize("with_intercept", [False, True])
+    def test_exhaustive(self, monkeypatch, with_intercept):
+        ws = self.workspace(with_intercept)
+        config = SearchConfig(max_size=3, strategy="exhaustive")
+        calls = self.refits(monkeypatch)
+        exhaustive_search(None, ws, config)
+        monkeypatch.undo()
+        # the last level (not kept) is fitted in prefix order, one full chunk first
+        order = list(itertools.combinations(range(20), 3))
+        assert len(order) > search._FIT_CHUNK
+        at = [order.index(sel) for sel in calls if len(sel) == 3]
+        assert any(0 < i < search._FIT_CHUNK - 1 for i in at)
+        assert all(3 in order[i] and 10 in order[i] for i in at)
+        assert_same_exhaustive(ws, config)
+
+    @pytest.mark.parametrize("with_intercept", [False, True])
+    def test_occam(self, monkeypatch, with_intercept):
+        ws = self.workspace(with_intercept)
+        # a window this wide fits every child, so the kept third level holds
+        # all 1,140 three-candidate sets
+        config = SearchConfig(max_size=4, window_ratio=1e300)
+        calls = self.refits(monkeypatch)
+        occam_search(None, ws, config)
+        monkeypatch.undo()
+        assert math.comb(20, 3) > search._FIT_CHUNK
+        assert any(len(sel) == 3 for sel in calls) and any(len(sel) == 4 for sel in calls)
+        assert_same_search(ws, config)
+
+
 def test_exhaustive_peak_is_a_small_multiple_of_its_models():
     # 30 candidates up to size 4: 31,930 models, 104 bytes each in the set's columns
     rng = np.random.default_rng(3)

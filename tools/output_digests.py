@@ -35,7 +35,9 @@ Every command runs in process through specid.cli.main:
   identify --cube --roi on the top ROI of scenes 1 and 7: occam, occam
   --occam-strict, mc3, exhaustive at max size 3, occam with background
   removal, occam with --conditional-tree, all at --seed 0; on scene 1's
-  also exhaustive at max size 4, mc3 at max size 28 and mc3 at --seed 11; on
+  also exhaustive at max size 4, mc3 at max size 28, mc3 at --seed 11, and
+  exhaustive at max size 3 with a library that holds an exact copy of the
+  target spectrum ("ldpe_1.copy", its last column, of the same class); on
   scene 11's: occam; on scene 13's: occam, and background removal with
   explicit --backgrounds pixels spread over the cube, out of row order;
   bma-table on the crime table: occam --occam-strict, occam and mc3 at
@@ -53,7 +55,11 @@ proposes flagged designs (134 of its 2,940 distinct proposals; its largest
 model holds 18 candidates), so it covers the rejection of degenerate moves.
 The wide Occam run fits its levels of sizes 4 to 6 (1,365, 3,003 and 5,005
 children) in more than one of the chunks in which the search writes its fits.
-The printed object maps "<run>/<file>" to the file's sha256: 95 sums, and 9
+The copy run grows, in its third level (10,660 fits, ten full chunks of
+the search's fits and part of an eleventh), a factor holding ldpe_1 by its
+copy 39 times, all in the first chunk: each meets a dependent column and is
+refitted from the Gram matrix in the middle of a full-size chunk.
+The printed object maps "<run>/<file>" to the file's sha256: 97 sums, and 9
 more for each --detect input. Output files and inputs are kept under --work
 (default: a temporary directory).
 
@@ -163,6 +169,27 @@ def _write_scene(work: Path, seed: int, size: dict, layout: dict):
             "target": target_names[0]}
 
 
+def _with_copy(scene: dict) -> tuple:
+    """The scene's library and hierarchy with its target spectrum copied into a
+    last column, named "<target>.copy", of the same class; returns their paths."""
+    directory = Path(scene["library"]).parent
+    with open(scene["library"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    target = rows[0].index(scene["target"])
+    library = directory / "library_copy.csv"
+    with open(library, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rows[0] + [scene["target"] + ".copy"])
+        writer.writerows(row + [row[target]] for row in rows[1:])
+    with open(scene["hierarchy"]) as fh:
+        classes = json.load(fh)
+    classes[scene["target"] + ".copy"] = classes[scene["target"]]
+    hierarchy = directory / "library_copy_classes.json"
+    with open(hierarchy, "w") as fh:
+        json.dump(classes, fh)
+    return str(library), str(hierarchy)
+
+
 def _crime_table(work: Path) -> str:
     with open(REPO / "tests" / "data" / "uscrime.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -218,6 +245,18 @@ def collect(work: Path, detect_inputs) -> dict:
                         "--resample", "--out", str(out)]
                  + [arg.format(target=scene["target"]) for arg in extra])
             _digests(out, run, digests)
+    # exhaustive search with an exact copy of scene 1's target in its library:
+    # growing a factor that holds one of the two by the other meets a dependent
+    # column, and those rows are refitted inside full-size fit chunks
+    name, scene, _ = detects[0]
+    library, hierarchy = _with_copy(scene)
+    run = "%s/identify-exhaustive-copy" % name
+    out = work / run
+    _run(main, ["identify", "--cube", scene["hdr"], "--library", library,
+                "--roi", str(work / ("%s/detect-t%d" % (name, THREADS[0])) / "rois.json"),
+                "--hierarchy", hierarchy, "--resample", "--strategy", "exhaustive",
+                "--max-size", "3", "--out", str(out)])
+    _digests(out, run, digests)
     table = _crime_table(work)
     for label, seed, extra in BMA_RUNS:
         run = "crime/bma-%s" % label
