@@ -82,6 +82,41 @@ class SearchConfig:
         return 2.0 * math.log(self.window_ratio)
 
 
+def _packed_rows(index: np.ndarray, p: int) -> tuple:
+    """Each index row's candidates as a bitmask of ceil(p / 64) 64-bit words,
+    and its size.
+
+    Refuses, with InputError, a row that does not hold distinct candidates
+    0..p-1 and then only -1: a repeated candidate finds its bit already set
+    when its column is added in. The words are int64 (bit 63 is the sign),
+    worked by shifts, remainders and adds: numpy's bitwise and sort kernels,
+    which no other step of a run calls, would fault about 0.2 MiB of their
+    code into the process.
+    """
+    refused = "each index row must hold distinct candidates, then only -1"
+    masks = np.zeros((len(index), -(-p // 64)), np.int64)
+    sizes = np.zeros(len(index), np.intp)
+    shift, bit = np.empty(len(index), np.int64), np.empty(len(index), np.int64)
+    held = True
+    for column in index.T:
+        now = column >= 0
+        if column.min() < -1 or column.max() >= p or np.any(now > held):
+            raise InputError(refused)
+        np.remainder(column, 64, out=shift)
+        for w, word in enumerate(masks.T):
+            mine = now & (np.floor_divide(column, 64, out=bit) == w)
+            # a repeated candidate finds its bit already set
+            np.remainder(np.right_shift(word, shift, out=bit), 2, out=bit)
+            if np.any(mine & (bit == 1)):
+                raise InputError(refused)
+            word += np.left_shift(mine, shift, out=bit)  # the bit is clear: + is OR
+        sizes += now
+        held = now
+    if not sizes.all():
+        raise InputError(refused)
+    return masks, sizes
+
+
 class ModelSet:
     """Fitted models retained by one search run, held as columns.
 
@@ -97,6 +132,10 @@ class ModelSet:
     arrays given, in its dtypes, and makes them read-only. It refuses a row
     without a candidate, a bic or coefficient that is not finite, and an
     infinite intercept, so its models are written to results.json as strict JSON.
+
+    It checks the rows one index column at a time on their packed bitmasks
+    (`_packed_rows`); rows holding one set have equal masks, which a lexsort
+    of the masks puts side by side.
 
     `candidates` is the full pool the search drew from, distinct strings, so
     downstream code can tell "never retained" from "not a known regressor".
@@ -123,14 +162,8 @@ class ModelSet:
         if not (np.isfinite(self.bic).all() and np.isfinite(self.coefficients).all()
                 and not np.isinf(self.intercepts).any()):
             raise InputError("bic and coefficients must be finite, intercepts finite or NaN")
-        held = index >= 0
-        self.sizes = np.count_nonzero(held, axis=1)
-        ranked = np.sort(index, axis=1)
-        if (not self.sizes.all() or np.any(index < -1) or np.any(index >= len(self.candidates))
-                or np.any(held[:, 1:] & ~held[:, :-1])
-                or np.any((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] >= 0))):
-            raise InputError("each index row must hold distinct candidates, then only -1")
-        ranked = ranked[np.lexsort(ranked.T[::-1])]  # equal sets sort to equal rows
+        masks, self.sizes = _packed_rows(index, len(self.candidates))
+        ranked = masks[np.lexsort(masks.T[::-1])]  # equal sets sort to equal masks
         if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
             raise SearchError("ModelSet contains duplicate regressor sets")
         for column in (*columns, self.sizes):
@@ -196,18 +229,19 @@ def _ranked(bic: np.ndarray, index: np.ndarray, names: tuple) -> np.ndarray:
 class _Level:
     """The exact fits of one search level; row i fits the candidates sel[i].
 
-    `beta` holds each fit's coefficients, the intercept first if there is
-    one, the rest in the order of sel's columns. `chol[i]` holds fit i's
-    Cholesky factor transposed, so that chol[i].T is the factor in the
-    Fortran order LAPACK takes without a copy, and `zvec[i]` its z vector;
-    both are NaN for a fit without a factor, and None when the level is not
-    extended.
+    The first six columns are a ModelSet's, sel its index without padding,
+    and may be row views of a set's columns; a level of its own holds no
+    intercepts (None) without an intercept. `chol[i]` holds fit i's Cholesky
+    factor transposed, so that chol[i].T is the factor in the Fortran order
+    LAPACK takes without a copy, and `zvec[i]` its z vector; both are NaN for
+    a fit without a factor, and None when the level is not extended.
     """
 
     sel: np.ndarray
-    beta: np.ndarray
-    rss: np.ndarray
+    coefficients: np.ndarray
+    intercepts: np.ndarray
     bic: np.ndarray
+    rss: np.ndarray
     condition: np.ndarray
     chol: np.ndarray | None
     zvec: np.ndarray | None
@@ -230,13 +264,26 @@ def _concat(levels: list) -> _Level:
                     for columns in zip(*(lv._columns() for lv in levels))))
 
 
+def _columns(index: np.ndarray) -> list:
+    """A ModelSet's columns around `index`, the others unset: coefficients 0,
+    intercepts NaN."""
+    rows = len(index)
+    return [index, np.zeros(index.shape), np.full(rows, math.nan), np.empty(rows),
+            np.empty(rows), np.empty(rows)]
+
+
+def _views(columns: list, lo: int, hi: int, k: int) -> list:
+    """Rows lo:hi of each column, of a 2-D one its first k columns."""
+    return [column[lo:hi, :k] if column.ndim == 2 else column[lo:hi] for column in columns]
+
+
 # fits made between two writes into a level's columns, so only this many are
 # ever held as Python objects
 _FIT_CHUNK = 1024
 
 
 def _fit(ws: Workspace, sel: np.ndarray, parents: _Level = None, parent=None,
-         keep: bool = True) -> _Level:
+         keep: bool = True, out: list = None) -> _Level:
     """Fit every row of sel with the Workspace's exact-fit kernel.
 
     Without parents each row is fitted from the Gram matrix, as fit_subset
@@ -244,16 +291,23 @@ def _fit(ws: Workspace, sel: np.ndarray, parents: _Level = None, parent=None,
     column, fitted as extend fits it: the parent's factor grows by one
     column, unless the parent has none or the column is dependent, when the
     row is fitted from the Gram matrix. `keep` keeps the factors; without it
-    they go to one chunk buffer. The kernel writes the level's columns
-    _FIT_CHUNK rows at a time.
+    they go to one chunk buffer. The kernel writes the level's columns, new
+    ones or the `out` views (its coefficients, intercepts, bic, rss and
+    condition), _FIT_CHUNK rows at a time; with an intercept each chunk's
+    coefficients go through one buffer, the intercept first.
     """
     rows, k = sel.shape
     m = ws._off + k
-    level = _Level(sel, np.empty((rows, m)), np.empty(rows), np.empty(rows), np.empty(rows),
-                   np.empty((rows, m, m)) if keep else None, np.empty((rows, m)) if keep else None)
+    if out is None:  # columns of the level's own, with no intercepts without an intercept
+        out = [np.empty((rows, k)), np.empty(rows) if ws._off else None, np.empty(rows),
+               np.empty(rows), np.empty(rows)]
+    level = _Level(sel, *out, np.empty((rows, m, m)) if keep else None,
+                   np.empty((rows, m)) if keep else None)
+    chunk = min(rows, _FIT_CHUNK)
     if not keep:
-        chunk = min(rows, _FIT_CHUNK)
         chol, zvec = np.empty((chunk, m, m)), np.empty((chunk, m))
+    if ws._off:
+        beta = np.empty((chunk, m))
     n = ws.n_obs
     penalty = (k + ws._off + 1) * math.log(n)  # bic_from_parts's, hoisted
     for lo in range(0, rows, _FIT_CHUNK):
@@ -265,8 +319,12 @@ def _fit(ws: Workspace, sel: np.ndarray, parents: _Level = None, parent=None,
         if parents is not None:
             at = parent[lo:hi]
             gathered = parents.chol[at], parents.zvec[at], parents.rss[at]
-        ws._fit_rows(sel[lo:hi], (level.beta[lo:hi], rss, level.condition[lo:hi],
+        coefficients = beta[:hi - lo] if ws._off else level.coefficients[lo:hi]
+        ws._fit_rows(sel[lo:hi], (coefficients, rss, level.condition[lo:hi],
                                   chol[:hi - lo], zvec[:hi - lo]), gathered)
+        if ws._off:
+            level.intercepts[lo:hi] = coefficients[:, 0]
+            level.coefficients[lo:hi] = coefficients[:, 1:]
         level.bic[lo:hi] = [n * math.log(max(r, RSS_FLOOR) / n) + penalty
                             for r in rss.tolist()]
     return level
@@ -277,6 +335,25 @@ def _children(level: _Level, parent, col) -> np.ndarray:
     return np.column_stack([level.sel[parent], col])
 
 
+def _take_rows(columns: list, rows: np.ndarray) -> list:
+    """Each column's rows `rows`, written in place over its first len(rows) rows.
+
+    One 1-D slice is copied at a time, so the copy held is one row-length array.
+    """
+    for column in columns:
+        for line in (column.T if column.ndim == 2 else (column,)):
+            line[:rows.size] = line[rows]
+    return [column[:rows.size] for column in columns]
+
+
+def _finish(columns: list, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
+    """The ModelSet of a set's columns, their rows ranked in place."""
+    if not len(columns[0]):
+        raise SearchError("no usable models: every candidate design is degenerate")
+    columns = _take_rows(columns, _ranked(columns[3], columns[0], ws.names))
+    return ModelSet(*columns, ws.names, strategy, metadata)
+
+
 def _finish_levels(levels: list, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
     """The ModelSet of the rows of the given levels, emptying the list.
 
@@ -284,29 +361,18 @@ def _finish_levels(levels: list, ws: Workspace, strategy: str, metadata: dict) -
     next, so a level the caller holds no other reference to is freed then.
     """
     levels[:] = [lv for lv in levels if len(lv)]
-    if not levels:
-        raise SearchError("no usable models: every candidate design is degenerate")
-    rows = sum(map(len, levels))
-    index = np.full((rows, max(lv.sel.shape[1] for lv in levels)), -1, dtype=np.intp)
-    coefficients = np.zeros(index.shape)
-    intercepts = np.full(rows, math.nan)
-    bic, rss, condition = np.empty(rows), np.empty(rows), np.empty(rows)
+    width = max((lv.sel.shape[1] for lv in levels), default=0)
+    columns = _columns(np.full((sum(map(len, levels)), width), -1, dtype=np.intp))
     lo = 0
     while levels:
         lv = levels.pop(0)
-        hi, k = lo + len(lv), lv.sel.shape[1]
-        index[lo:hi, :k] = lv.sel
-        coefficients[lo:hi, :k] = lv.beta[:, ws._off:]
-        if ws._off:
-            intercepts[lo:hi] = lv.beta[:, 0]
-        bic[lo:hi], rss[lo:hi], condition[lo:hi] = lv.bic, lv.rss, lv.condition
+        hi = lo + len(lv)
+        for view, part in zip(_views(columns, lo, hi, lv.sel.shape[1]), lv._columns()):
+            if part is not None:
+                view[...] = part
         lo = hi
-    del lv
-    columns = (index, coefficients, intercepts, bic, rss, condition)
-    order = _ranked(bic, index, ws.names)
-    for column in columns:  # one column at a time, so one is copied at once
-        column[:] = column[order]
-    return ModelSet(*columns, ws.names, strategy, metadata)
+    lv = None  # so the last level is freed before the set is ranked
+    return _finish(columns, ws, strategy, metadata)
 
 
 def _first_level(ws: Workspace, keep: bool) -> _Level:
@@ -315,16 +381,20 @@ def _first_level(ws: Workspace, keep: bool) -> _Level:
     return _fit(ws, np.arange(ws.n_candidates, dtype=np.intp)[:, None], keep=keep)
 
 
-def _prefix_children(level: _Level, p: int) -> tuple:
-    """_fit's sel, parents and parent arguments for the children of level's rows.
+def _prefix_children(level: _Level, p: int, sel: np.ndarray) -> np.ndarray:
+    """Write the children of level's rows into sel; returns each child's parent row.
 
     Row S has a child S + {j} for each candidate j after S's last column.
+    sel is written one column at a time.
     """
     last = level.sel[:, -1]
     counts = p - 1 - last
     parent = np.repeat(np.arange(len(level)), counts)
-    col = np.arange(parent.size) + np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
-    return _children(level, parent, col), level, parent
+    for c, column in enumerate(level.sel.T):
+        sel[:, c] = np.repeat(column, counts)
+    sel[:, -1] = np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
+    sel[:, -1] += np.arange(parent.size)
+    return parent
 
 
 def exhaustive_search(y, library, config: SearchConfig = None) -> ModelSet:
@@ -333,7 +403,9 @@ def exhaustive_search(y, library, config: SearchConfig = None) -> ModelSet:
     Level by level: each subset S + {j} with j after S's last candidate
     grows the factor of S (flagged or not), so every fit is extend's.
     Refuses to run when the subset count exceeds config.enumeration_cap.
-    `degenerate` counts the flagged fits dropped.
+    The levels are fitted straight into the set's columns, allocated once
+    for every subset; the flagged rows are then dropped in place, and
+    `degenerate` counts them.
     """
     config = config or SearchConfig(strategy="exhaustive")
     ws = make_workspace(y, library)
@@ -344,19 +416,31 @@ def exhaustive_search(y, library, config: SearchConfig = None) -> ModelSet:
         raise SearchError(
             "exhaustive search over %d candidates up to size %d needs %d fits, "
             "above the cap of %d" % (p, limit, total, config.enumeration_cap))
-    levels = [_first_level(ws, keep=limit > 1)]
-    for size in range(2, limit + 1):
+    columns = _columns(np.full((total, limit), -1, dtype=np.intp))
+    level = parent = None
+    lo = 0
+    for size in range(1, limit + 1):
         ws._check_size(size)
-        levels.append(_fit(ws, *_prefix_children(levels[-1], p), keep=size < limit))
-        levels[-2].chol = levels[-2].zvec = None  # only the level being extended keeps them
-    degenerate = 0
-    for i in range(len(levels)):
-        dropped = flagged(levels[i].condition)
-        if dropped.any():
-            degenerate += int(np.count_nonzero(dropped))
-            levels[i] = levels[i].take(np.flatnonzero(~dropped))
+        hi = lo + math.comb(p, size)
+        sel, *out = _views(columns, lo, hi, size)
+        if level is None:
+            sel[:, 0] = np.arange(p)
+        else:
+            parent = _prefix_children(level, p, sel)
+        # only the level being extended keeps its factors
+        level = _fit(ws, sel, level, parent, keep=size < limit, out=out)
+        lo = hi
+    del level, parent
+    dropped = flagged(columns[5])
+    degenerate = int(np.count_nonzero(dropped))
+    if degenerate:
+        columns = _take_rows(columns, np.flatnonzero(~dropped))
+        # the rows are in level order, so the last one kept is the widest
+        width = np.count_nonzero(columns[0][-1:] >= 0)
+        columns[:2] = [column[:, :width] for column in columns[:2]]
+    del dropped
     meta = {"fits": total, "exact_fits": total, "degenerate": degenerate}
-    return _finish_levels(levels, ws, "exhaustive", meta)
+    return _finish(columns, ws, "exhaustive", meta)
 
 
 # Occam screen: a child's BIC is first scored from its parent's factor in one
@@ -689,9 +773,11 @@ def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
     levels = []
     for masks in by_size.values():
         bics, _, betas, rss, conds = zip(*map(cache.get, masks))
+        betas = np.array(betas)
         levels.append(_Level(np.array(list(map(_members, masks)), dtype=np.intp),
-                             np.array(betas), np.array(rss), np.array(bics), np.array(conds),
-                             None, None))
+                             betas[:, ws._off:],
+                             betas[:, 0] if ws._off else None,
+                             np.array(bics), np.array(rss), np.array(conds), None, None))
     meta = {"iterations": iterations, "accepted": accepted, "unique_fits": len(cache),
             "degenerate": sum(f[1] for f in cache.values())}
     return _finish_levels(levels, ws, "mc3", meta)

@@ -34,6 +34,22 @@ def test_band_grid_rejects(wl):
         BandGrid(np.asarray(wl, dtype=float))
 
 
+def test_band_grid_refuses_wavelengths_that_are_not_a_vector():
+    with pytest.raises(InputError, match="^wavelengths must be one-dimensional"):
+        BandGrid(np.array([[0.4, 0.5], [0.6, 0.7]]))
+
+
+def test_band_grid_equality_leaves_other_types_to_them():
+    g = grid(0.4, 0.5, 0.7)
+    assert g.__eq__((0.4, 0.5, 0.7)) is NotImplemented
+    assert g != (0.4, 0.5, 0.7) and not g == "grid"
+
+
+def test_spectrum_refuses_a_validity_mask_of_another_length():
+    with pytest.raises(InputError, match="^validity mask of 's' does not match band count$"):
+        Spectrum("s", grid(0.4, 0.5, 0.7), [1.0, 2.0, 3.0], valid=[True, False])
+
+
 def test_spectrum_validation():
     g = grid(0.4, 0.5, 0.7)
     with pytest.raises(InputError):
@@ -79,6 +95,12 @@ class TestClassHierarchy:
         with pytest.raises(InputError):
             h.members("Deep")
         assert h.members(("X", "Deep")) == {"a"}
+
+    def test_unknown_node_path(self):
+        h = ClassHierarchy(self.paths)
+        with pytest.raises(InputError, match=r"^unknown hierarchy node \('Fabric', 'Silk'\)$"):
+            h.members(("Fabric", "Silk"))
+        assert not h.has_node(("Fabric", "Silk"))
 
     def test_empty_path_rejected(self):
         with pytest.raises(InputError):
@@ -148,6 +170,10 @@ class TestSpectralLibrary:
         with pytest.raises(InputError):
             SpectralLibrary(self.g, self.specs, band_mask=[False] * 4)
 
+    def test_rejects_a_band_mask_of_another_length(self):
+        with pytest.raises(InputError, match="^band mask length 3 does not match 4 bands$"):
+            SpectralLibrary(self.g, self.specs, band_mask=[True] * 3)
+
     def test_hierarchy_is_derived_from_members(self):
         lib = SpectralLibrary(self.g, self.specs)
         assert lib.hierarchy.members(("X",)) == {"a"}
@@ -194,6 +220,11 @@ class TestResample:
         s = Spectrum("s", grid(0.4, 0.5), [1.0, 2.0])
         with pytest.raises(AlignmentError):
             resample(s, grid(1.0, 2.0))
+
+    def test_no_valid_band(self):
+        s = Spectrum("s", grid(0.4, 0.5), [1.0, 2.0], valid=[False, False])
+        with pytest.raises(AlignmentError, match="^spectrum 's' has no valid bands to resample$"):
+            resample(s, grid(0.4, 0.5))
 
     def test_source_mask_respected(self):
         # invalid source bands do not feed the interpolation

@@ -257,6 +257,18 @@ def implant_cube(seed=9, bands=4):
     return grid, data, target
 
 
+def test_detection_map_refuses_scores_that_are_not_a_map():
+    with pytest.raises(InputError, match=r"^scores must be \(rows, cols\)$"):
+        DetectionMap(np.zeros(6))
+
+
+def test_detection_map_refuses_non_finite_scores():
+    scores = np.zeros((2, 3))
+    scores[1, 2] = np.nan
+    with pytest.raises(NumericalError, match="^detection map contains non-finite scores$"):
+        DetectionMap(scores)
+
+
 class TestDetect:
     def test_threshold_validation(self):
         grid, data, target = implant_cube()

@@ -418,6 +418,14 @@ def test_coefficients_are_read_only_and_never_shared():
         model.coefficients[1] = 0.0
 
 
+def test_check_residual_needs_a_fitted_model():
+    # a model built by hand carries no workspace to recompute its residual from
+    model = RegressionModel(regressors=("a",), coefficients=[1.0], intercept=None, rss=1.0,
+                            n_obs=10, bic=0.0, condition=1.0, condition_flag=False)
+    with pytest.raises(InputError, match="^model carries no fit state$"):
+        check_residual(model)
+
+
 def test_flagged_on_floats_and_arrays():
     values = [0.0, 1.0, CONDITION_LIMIT, np.nextafter(CONDITION_LIMIT, math.inf),
               math.inf, math.nan]

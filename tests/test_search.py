@@ -251,6 +251,100 @@ def test_model_set_validation(given, error):
         ModelSet(**given, strategy="occam")
 
 
+def row_verdict(index: np.ndarray, p: int):
+    """The error class a model set's index earns, or None: the row check the
+    ModelSet constructor made before it packed rows into bitmasks, kept as
+    the reference. It sorts each row, then lexsorts the sorted rows."""
+    held = index >= 0
+    sizes = np.count_nonzero(held, axis=1)
+    ranked = np.sort(index, axis=1)
+    if (not sizes.all() or np.any(index < -1) or np.any(index >= p)
+            or np.any(held[:, 1:] & ~held[:, :-1])
+            or np.any((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] >= 0))):
+        return InputError
+    ranked = ranked[np.lexsort(ranked.T[::-1])]  # equal sets sort to equal rows
+    if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
+        return SearchError
+    return None
+
+
+def index_set(index, p: int) -> dict:
+    """A model set's columns around index, over p candidates named c0, c1, ..."""
+    index = np.asarray(index, dtype=np.intp)
+    rows = len(index)
+    return {"index": index, "coefficients": np.zeros(index.shape), "intercepts": np.zeros(rows),
+            "bic": np.zeros(rows), "rss": np.ones(rows), "condition": np.ones(rows),
+            "candidates": tuple("c%d" % j for j in range(p))}
+
+
+@pytest.mark.parametrize("p, index, error", [
+    # candidates 63 and 64 lie in the first and the second 64-bit word
+    (65, [[64, 3, 64]], InputError),
+    (65, [[63, 64], [64, 63]], SearchError),
+    (65, [[0, 64], [1, 64], [64, -1]], None),
+    (130, [[64, 129, 64]], InputError),
+    (130, [[129, 1, 63]], None),
+    (130, [[1, 70, 129], [129, 1, 70]], SearchError),
+    # equal in the first word, different in the third
+    (130, [[0, 128], [0, 129]], None),
+    (130, [[0, 130]], InputError),
+], ids=["65-repeat", "65-set-twice", "65-distinct", "130-repeat", "130-one-row",
+        "130-set-twice", "130-third-word", "130-past-candidates"])
+def test_model_set_rows_past_64_candidates(p, index, error):
+    assert row_verdict(np.array(index), p) is error
+    if error is None:
+        assert ModelSet(**index_set(index, p), strategy="occam").sizes.tolist() == [
+            np.count_nonzero(np.array(row) >= 0) for row in index]
+    else:
+        with pytest.raises(error) as caught:
+            ModelSet(**index_set(index, p), strategy="occam")
+        assert type(caught.value) is error
+
+
+@st.composite
+def index_matrices(draw):
+    """(index, p): rows of distinct candidates, then -1, with planted faults:
+    a repeated candidate, padding before a candidate, an index out of range,
+    and a set repeated in another order."""
+    p = draw(st.sampled_from([3, 64, 65, 130]))
+    width = draw(st.integers(1, min(5, p)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 8))
+    index = np.full((rows, width), -1, dtype=np.intp)
+    for row in index:
+        size = int(rng.integers(1, width + 1))
+        row[:size] = rng.choice(p, size, replace=False)
+    for fault in draw(st.lists(st.sampled_from(["repeat", "padding", "range", "twice"]),
+                               max_size=3)):
+        i = int(rng.integers(rows))
+        size = int(np.count_nonzero(index[i] >= 0))
+        if fault == "repeat" and size > 1:
+            index[i, size - 1] = index[i, int(rng.integers(size - 1))]
+        elif fault == "padding":
+            index[i, int(rng.integers(width))] = -1
+        elif fault == "range":
+            index[i, int(rng.integers(width))] = draw(st.sampled_from([-2, p, p + 64, 2**40]))
+        elif fault == "twice":
+            other = int(rng.integers(rows))
+            index[other] = -1
+            index[other, :size] = rng.permutation(index[i, :size])
+    return index, p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(index_matrices())
+def test_model_set_row_check_matches_the_sorted_check(problem):
+    index, p = problem
+    want = row_verdict(index, p)
+    if want is None:
+        models = ModelSet(**index_set(index, p), strategy="occam")
+        assert models.sizes.tolist() == np.count_nonzero(index >= 0, axis=1).tolist()
+    else:
+        with pytest.raises(want) as caught:
+            ModelSet(**index_set(index, p), strategy="occam")
+        assert type(caught.value) is want
+
+
 class TestOccam:
     config = SearchConfig(max_size=4, window_ratio=20.0)
 
@@ -705,23 +799,43 @@ class TestFullFitChunks:
         assert_same_search(ws, config)
 
 
+@pytest.mark.parametrize("with_intercept", [False, True])
+def test_exhaustive_past_64_candidates(with_intercept):
+    # 70 candidates up to size 2: 2,485 models, whose rows span two 64-bit words
+    rng = np.random.default_rng(70)
+    X = rng.normal(0, 1, (30, 70))
+    ws = Workspace(X[:, [2, 66]] @ [1.0, -0.5] + 0.1 * rng.normal(0, 1, 30), X,
+                   with_intercept=with_intercept)
+    config = SearchConfig(max_size=2, strategy="exhaustive")
+    assert len(exhaustive_search(None, ws, config)) == 2_485
+    assert_same_exhaustive(ws, config)
+
+
 def test_exhaustive_peak_is_a_small_multiple_of_its_models():
-    # 30 candidates up to size 4: 31,930 models, 104 bytes each in the set's columns
-    rng = np.random.default_rng(3)
-    X = rng.normal(0, 1, (40, 30))
-    ws = Workspace(X[:, :3] @ [1.0, -0.5, 0.3] + rng.normal(0, 1, 40), X)
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        got = exhaustive_search(None, ws, SearchConfig(max_size=4, strategy="exhaustive"))
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    own = sum(column.nbytes for column in (got.index, got.coefficients, got.intercepts,
-                                            got.bic, got.rss, got.condition, got.sizes))
-    assert len(got) == 31_930 and own == 104 * len(got)
-    assert peak <= 2.5 * own
+    # 30 candidates up to size 4: 31,930 models, 104 bytes each in the set's
+    # columns; "copy" makes the second candidate a copy of the first, and the
+    # designs holding both are flagged here and dropped from the columns in place
+    for design in ("plain", "intercept", "copy"):
+        rng = np.random.default_rng(3)
+        X = rng.normal(0, 1, (40, 30))
+        y = X[:, :3] @ [1.0, -0.5, 0.3] + rng.normal(0, 1, 40)
+        if design == "copy":
+            X[:, 1] = X[:, 0]
+        ws = Workspace(y, X, with_intercept=design == "intercept")
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            got = exhaustive_search(None, ws, SearchConfig(max_size=4, strategy="exhaustive"))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        own = sum(column.nbytes for column in (got.index, got.coefficients, got.intercepts,
+                                                got.bic, got.rss, got.condition, got.sizes))
+        dropped = got.strategy_metadata["degenerate"]
+        assert (dropped > 0) is (design == "copy"), design
+        assert len(got) == 31_930 - dropped and own == 104 * len(got), design
+        assert peak <= 150 * len(got), (design, peak / len(got))
 
 
 class TestDegenerateCount:

@@ -37,7 +37,10 @@ Every command runs in process through specid.cli.main:
   removal, occam with --conditional-tree, all at --seed 0; on scene 1's
   also exhaustive at max size 4, mc3 at max size 28, mc3 at --seed 11, and
   exhaustive at max size 3 with a library that holds an exact copy of the
-  target spectrum ("ldpe_1.copy", its last column, of the same class); on
+  target spectrum ("ldpe_1.copy", its last column, of the same class), and
+  exhaustive at max size 2 (3,240 fits) with scene 1's library followed by
+  scene 7's, each of its names ending in ".scene7": 80 candidates, so every
+  row of the model set is packed into two 64-bit words; on
   scene 11's: occam; on scene 13's: occam, and background removal with
   explicit --backgrounds pixels spread over the cube, out of row order;
   bma-table on the crime table: occam --occam-strict, occam and mc3 at
@@ -59,7 +62,7 @@ The copy run grows, in its third level (10,660 fits, ten full chunks of
 the search's fits and part of an eleventh), a factor holding ldpe_1 by its
 copy 39 times, all in the first chunk: each meets a dependent column and is
 refitted from the Gram matrix in the middle of a full-size chunk.
-The printed object maps "<run>/<file>" to the file's sha256: 97 sums, and 9
+The printed object maps "<run>/<file>" to the file's sha256: 99 sums, and 9
 more for each --detect input. Output files and inputs are kept under --work
 (default: a temporary directory).
 
@@ -169,25 +172,47 @@ def _write_scene(work: Path, seed: int, size: dict, layout: dict):
             "target": target_names[0]}
 
 
-def _with_copy(scene: dict) -> tuple:
-    """The scene's library and hierarchy with its target spectrum copied into a
-    last column, named "<target>.copy", of the same class; returns their paths."""
+def _library(scene: dict, stem: str, header: list, rows: list, classes: dict) -> tuple:
+    """A library CSV and hierarchy JSON beside the scene's; returns their paths."""
     directory = Path(scene["library"]).parent
-    with open(scene["library"], newline="") as fh:
-        rows = list(csv.reader(fh))
-    target = rows[0].index(scene["target"])
-    library = directory / "library_copy.csv"
+    library = directory / (stem + ".csv")
     with open(library, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(rows[0] + [scene["target"] + ".copy"])
-        writer.writerows(row + [row[target]] for row in rows[1:])
-    with open(scene["hierarchy"]) as fh:
-        classes = json.load(fh)
-    classes[scene["target"] + ".copy"] = classes[scene["target"]]
-    hierarchy = directory / "library_copy_classes.json"
+        writer.writerow(header)
+        writer.writerows(rows)
+    hierarchy = directory / (stem + "_classes.json")
     with open(hierarchy, "w") as fh:
         json.dump(classes, fh)
     return str(library), str(hierarchy)
+
+
+def _read_library(scene: dict) -> tuple:
+    with open(scene["library"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(scene["hierarchy"]) as fh:
+        return rows, json.load(fh)
+
+
+def _with_copy(scene: dict) -> tuple:
+    """The scene's library and hierarchy with its target spectrum copied into a
+    last column, named "<target>.copy", of the same class; returns their paths."""
+    rows, classes = _read_library(scene)
+    target = rows[0].index(scene["target"])
+    classes[scene["target"] + ".copy"] = classes[scene["target"]]
+    return _library(scene, "library_copy", rows[0] + [scene["target"] + ".copy"],
+                    [row + [row[target]] for row in rows[1:]], classes)
+
+
+def _joined(scene: dict, other: dict, suffix: str) -> tuple:
+    """The scene's library and hierarchy followed by other's, on the same
+    wavelengths, each of other's names followed by suffix; returns their paths."""
+    rows, classes = _read_library(scene)
+    more, more_classes = _read_library(other)
+    if [row[0] for row in rows[1:]] != [row[0] for row in more[1:]]:
+        raise SystemExit("%s and %s differ in wavelengths" % (scene["library"], other["library"]))
+    classes.update((name + suffix, path) for name, path in more_classes.items())
+    return _library(scene, "library_joined", rows[0] + [name + suffix for name in more[0][1:]],
+                    [row + extra[1:] for row, extra in zip(rows[1:], more[1:])], classes)
 
 
 def _crime_table(work: Path) -> str:
@@ -247,16 +272,20 @@ def collect(work: Path, detect_inputs) -> dict:
             _digests(out, run, digests)
     # exhaustive search with an exact copy of scene 1's target in its library:
     # growing a factor that holds one of the two by the other meets a dependent
-    # column, and those rows are refitted inside full-size fit chunks
+    # column, and those rows are refitted inside full-size fit chunks; and over
+    # scene 1's library joined by scene 7's, 80 candidates, so each model's
+    # candidates are packed into two 64-bit words
     name, scene, _ = detects[0]
-    library, hierarchy = _with_copy(scene)
-    run = "%s/identify-exhaustive-copy" % name
-    out = work / run
-    _run(main, ["identify", "--cube", scene["hdr"], "--library", library,
-                "--roi", str(work / ("%s/detect-t%d" % (name, THREADS[0])) / "rois.json"),
-                "--hierarchy", hierarchy, "--resample", "--strategy", "exhaustive",
-                "--max-size", "3", "--out", str(out)])
-    _digests(out, run, digests)
+    rois = str(work / ("%s/detect-t%d" % (name, THREADS[0])) / "rois.json")
+    for label, (library, hierarchy), size in (
+            ("exhaustive-copy", _with_copy(scene), "3"),
+            ("exhaustive-80", _joined(scene, detects[1][1], ".scene7"), "2")):
+        run = "%s/identify-%s" % (name, label)
+        out = work / run
+        _run(main, ["identify", "--cube", scene["hdr"], "--library", library, "--roi", rois,
+                    "--hierarchy", hierarchy, "--resample", "--strategy", "exhaustive",
+                    "--max-size", size, "--out", str(out)])
+        _digests(out, run, digests)
     table = _crime_table(work)
     for label, seed, extra in BMA_RUNS:
         run = "crime/bma-%s" % label
