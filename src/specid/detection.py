@@ -113,13 +113,14 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
       running total, added into the block's first pixel (IEEE addition is
       commutative, so total + pixel and pixel + total are the same bits);
     - numpy's `A.T @ A` is OpenBLAS's `dsyrk`, lower triangle, called here
-      once per block through scipy and accumulated in place. OpenBLAS sums
+      once per block from scipy.linalg's compiled `_fblas`
+      (regression.scipy_linalg_module) and accumulated in place. OpenBLAS sums
       over pixels in panels (256 to 768 pixels, by CPU) and halves a last
       stretch shorter than two panels; blocks of whole panels, with the tail
       joined, make the same additions in the same order.
     A one-band view would be summed pairwise, but a band grid has at least 2.
     """
-    from scipy.linalg.blas import dsyrk  # imported here, like ndimage in detect()
+    dsyrk = regression.scipy_linalg_module("_fblas").dsyrk
 
     if not 0.0 <= shrinkage <= 1.0:
         raise InputError("shrinkage must be in [0, 1], got %r" % shrinkage)

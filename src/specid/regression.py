@@ -15,13 +15,43 @@ variance. The model log likelihood used for averaging is -bic / 2.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InputError
+
+
+def scipy_linalg_module(name: str):
+    """scipy.linalg's compiled module `name` (`_flapack`, `_fblas`), loaded from its file.
+
+    scipy/linalg/__init__.py is not run: through scipy._lib it imports
+    numpy.f2py, numpy.testing and numpy.ma, which no fit uses, and doubles a
+    process's start-up. The module is loaded under its dotted name, so a later
+    `import scipy.linalg` reuses it, and its functions are the very objects
+    scipy.linalg.lapack and scipy.linalg.blas export.
+    """
+    dotted = "scipy.linalg." + name
+    if dotted in sys.modules:
+        return sys.modules[dotted]
+    scipy = importlib.util.find_spec("scipy")  # finds the folder; imports nothing
+    folder = os.path.join(scipy.submodule_search_locations[0], "linalg") if scipy else ""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, name + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(dotted, path)
+            module = sys.modules[dotted] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError("specid needs scipy: no compiled %s found" % dotted)
+
+
+lapack = scipy_linalg_module("_flapack")
 
 RSS_FLOOR = 1e-300
 CONDITION_LIMIT = 1e10

@@ -672,6 +672,46 @@ class TestParsing:
         assert proc.stdout.startswith("specid ")
 
 
+# `python -c LOADED_AT_EXIT ARGS...` runs `python -m specid ARGS...`, or with
+# no ARGS only imports specid.cli, and at exit writes the names of the loaded
+# modules to stderr as one JSON line.
+LOADED_AT_EXIT = """
+import atexit, json, runpy, sys
+atexit.register(lambda: sys.stderr.write(json.dumps(sorted(sys.modules)) + "\\n"))
+if len(sys.argv) > 1:
+    runpy.run_module("specid", run_name="__main__", alter_sys=True)
+else:
+    import specid.cli
+"""
+
+
+class TestImportFootprint:
+    """The fits use scipy.linalg's compiled LAPACK without its package import."""
+
+    @pytest.mark.parametrize("command", ["import", "version", "identify", "bma-table"])
+    def test_no_scipy_linalg_package_is_loaded(self, scene, table_csv, tmp_path, command):
+        spectrum = tmp_path / "pixel.csv"
+        with open(spectrum, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["wavelength_um", "pixel"])
+            for wl, value in zip(scene.cube.grid.wavelengths,
+                                 scene.library.spectrum("ldpe_1").values):
+                writer.writerow([repr(float(wl)), repr(float(value))])
+        args = {"import": [], "version": ["--version"],
+                "identify": ["--output-dir", str(tmp_path / "out"), "identify",
+                             "--spectrum", str(spectrum), "--library", scene.lib_csv],
+                "bma-table": ["bma-table", "--csv", table_csv, "--response", "y",
+                              "--out", str(tmp_path / "out")]}[command]
+        proc = subprocess.run([sys.executable, "-c", LOADED_AT_EXIT] + args,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert "scipy.linalg._flapack" in loaded
+        assert not loaded & {"scipy.linalg", "scipy._lib", "numpy.f2py"}
+        if command in ("identify", "bma-table"):
+            assert (tmp_path / "out" / "results.json").exists()
+
+
 class TestFailedRuns:
     """A run that fails writes nothing, not even its output directory."""
 

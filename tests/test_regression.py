@@ -1,6 +1,8 @@
 """Least-squares engine: oracle fits, BIC values, and factor-update identities."""
 
 import math
+import subprocess
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +13,8 @@ from scipy.linalg import lapack
 
 from specid.errors import InputError
 from specid.regression import (CONDITION_LIMIT, ModelPrior, RegressionModel,
-                               Workspace, bic_from_parts, check_residual, fit, flagged)
+                               Workspace, bic_from_parts, check_residual, fit, flagged,
+                               scipy_linalg_module)
 
 
 def random_instance(rng, n=24, p=6):
@@ -424,6 +427,51 @@ def test_check_residual_needs_a_fitted_model():
                             n_obs=10, bic=0.0, condition=1.0, condition_flag=False)
     with pytest.raises(InputError, match="^model carries no fit state$"):
         check_residual(model)
+
+
+# `python -c SAME_FORTRAN ORDER` imports specid and scipy.linalg's lapack and
+# blas in ORDER (specid-first or scipy-first), then checks that specid's
+# LAPACK and BLAS functions are the very objects scipy.linalg exports.
+SAME_FORTRAN = """
+import sys
+
+def specid_side():
+    from specid import regression
+    # background_stats takes dsyrk from _fblas the same way
+    return regression.lapack, regression.scipy_linalg_module("_fblas")
+
+def scipy_side():
+    from scipy.linalg import blas, lapack
+    return lapack, blas
+
+if sys.argv[1] == "specid-first":
+    ours = specid_side()
+    assert "scipy.linalg" not in sys.modules
+    lapack, blas = scipy_side()
+else:
+    lapack, blas = scipy_side()
+    ours = specid_side()
+for name in ("dpotrf", "dtrtrs", "dtrcon"):
+    assert getattr(ours[0], name) is getattr(lapack, name), name
+assert ours[1].dsyrk is blas.dsyrk
+print("same")
+"""
+
+
+@pytest.mark.parametrize("order", ["specid-first", "scipy-first"])
+def test_fortran_functions_are_scipy_linalgs_in_either_import_order(order):
+    proc = subprocess.run([sys.executable, "-c", SAME_FORTRAN, order],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "same\n"
+
+
+def test_a_missing_compiled_module_is_an_import_error_in_one_line():
+    with pytest.raises(ImportError) as err:
+        scipy_linalg_module("_no_such_module")
+    assert str(err.value) == \
+        "specid needs scipy: no compiled scipy.linalg._no_such_module found"
+    assert "scipy.linalg._no_such_module" not in sys.modules
 
 
 def test_flagged_on_floats_and_arrays():
