@@ -13,11 +13,11 @@ __version__ = "0.1.0"
 from .aggregate import (IdentificationTree, InclusionReport, ModelPosterior,
                         TreeNode, UnknownRegressorWarning, averaged_coefficients,
                         build_tree, class_probability, group_probability,
-                        inclusion_probability, member_probability_sum, normalize)
+                        inclusion_probability, normalize)
 from .core import (BandGrid, ClassHierarchy, ImageCube, Spectrum, SpectralLibrary,
                    average_pixels, extract_pixel, mix, resample, resample_library)
 from .detection import (BackgroundRemoval, BackgroundStats, DetectionMap,
-                        RegionOfInterest, ace_score, annulus_coordinates,
+                        RegionOfInterest, annulus_coordinates,
                         background_removal, background_stats, detect)
 from .errors import (AlignmentError, BoundsError, InputError, NumericalError,
                      ParseError, SearchError, SpecidError)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import ClassHierarchy
 from .errors import InputError
-from .regression import ModelPrior
 from .search import ModelSet
 
 
@@ -115,19 +114,10 @@ class IdentificationTree:
                 stack.append((path + (child.name,), child))
 
 
-def normalize(models: ModelSet, prior: ModelPrior = None) -> ModelPosterior:
-    """Posterior P(M) from BIC weights and the prior, in shifted-log form.
-
-    The prior is this argument, uniform when none is given, never the
-    SearchConfig.prior the search ran with (only MC3 reads that one).
-    """
-    prior = prior or ModelPrior.uniform()
-    held = np.flatnonzero(np.bincount(models.sizes)).tolist()
-    log_prior = np.zeros(held[-1] + 1)
-    # by first occurrence, so the first bad size in model order raises; no sort
-    # of the models, whose temporaries would outgrow the weights below
-    for k in sorted(held, key=lambda k: int(np.argmax(models.sizes == k))):
-        log_prior[k] = prior.log_weight(k)
+def normalize(models: ModelSet) -> ModelPosterior:
+    """Posterior P(M) from BIC weights and models.prior, in shifted-log form."""
+    log_prior = np.array([0.0] + [models.prior.log_weight(k)
+                                  for k in range(1, int(models.sizes.max()) + 1)])
     # -bic/2 + log prior, less its maximum, exponentiated and divided by its sum,
     # each step in place on one array
     weights = models.bic / -2.0
@@ -157,16 +147,14 @@ def _sums(posterior: ModelPosterior, weights) -> np.ndarray:
     return total
 
 
-def _group_sums(posterior: ModelPosterior, groups, counted: bool = False) -> np.ndarray:
-    """Per group of names, the summed posterior of the models holding any of
-    them, or with `counted` each model's posterior times how many it holds."""
+def _group_sums(posterior: ModelPosterior, groups) -> np.ndarray:
+    """Per group of names, the summed posterior of the models holding any of them."""
     candidates, index = posterior.models.candidates, posterior.models.index
     # row j marks the groups holding candidate j; the last, all False, is index
     # -1's; so does the last column, an empty group that gives _sums 2 columns
     member = np.array([[name in names for names in groups] + [False] for name in candidates]
                       + [[False] * (len(groups) + 1)])
-    hits = np.sum if counted else np.any
-    return _sums(posterior, lambda rows: hits(member[index[rows]], axis=1))[:-1]
+    return _sums(posterior, lambda rows: np.any(member[index[rows]], axis=1))[:-1]
 
 
 def inclusion_probability(posterior: ModelPosterior, regressor: str) -> float:
@@ -211,16 +199,6 @@ def class_probability(posterior: ModelPosterior, hierarchy: ClassHierarchy,
                       node) -> float:
     """Probability that the pixel contains a material of the given class."""
     return group_probability(posterior, hierarchy.members(node))
-
-
-def member_probability_sum(posterior: ModelPosterior, hierarchy: ClassHierarchy,
-                           node) -> float:
-    """Diagnostic: sum of member inclusion probabilities.
-
-    Equals class_probability when every model holds at most one member of the
-    class; exceeds it (and may pass 1) when models bundle same-class spectra.
-    """
-    return float(_group_sums(posterior, [hierarchy.members(node)], counted=True)[0])
 
 
 def build_tree(posterior: ModelPosterior, hierarchy: ClassHierarchy) -> IdentificationTree:

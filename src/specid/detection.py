@@ -188,17 +188,6 @@ def _values_on(stats: BackgroundStats, spec, what: str) -> np.ndarray:
     return values
 
 
-def ace_score(pixel, target, stats: BackgroundStats) -> float:
-    """Signed whitened cosine between pixel and target, in [-1, 1]."""
-    x = stats.whiten(_values_on(stats, pixel, "pixel"))
-    t = stats.whiten(_values_on(stats, target, "target"))
-    xn = float(np.linalg.norm(x))
-    tn = float(np.linalg.norm(t))
-    if xn == 0.0 or tn == 0.0:
-        raise NumericalError("whitened pixel or target has zero norm")
-    return float(np.clip((t @ x) / (tn * xn), -1.0, 1.0))
-
-
 def _score_block(block: np.ndarray, stats: BackgroundStats,
                  twhite: np.ndarray) -> np.ndarray:
     white = stats.whiten(block.reshape(-1, block.shape[-1]))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -124,7 +125,15 @@ class ModelPrior:
 
     def __post_init__(self):
         if self.size_weights is not None:
-            weights = tuple(float(w) for w in self.size_weights)
+            try:
+                weights = tuple(self.size_weights)
+            except TypeError:  # not iterable
+                weights = None
+            if weights is None or not all(isinstance(w, numbers.Real)
+                                          and not isinstance(w, bool) for w in weights):
+                raise InputError("size_weights must be real numbers, got %r"
+                                 % (self.size_weights,))
+            weights = tuple(map(float, weights))
             if not weights:
                 raise InputError("size_weights must not be empty")
             if any(not math.isfinite(w) or w <= 0 for w in weights):

@@ -39,10 +39,8 @@ class SearchConfig:
     additionally drops any retained model when a strict sub-model of it is
     retained with lower BIC (the stricter classic rule; off by default).
 
-    `prior` is read only by the size-limit check and by MC3's acceptance
-    ratio; Occam and exhaustive search never weight by it. The posterior's
-    prior is normalize's own argument (uniform by default), so a caller who
-    steers MC3 with a prior must pass the same one to normalize.
+    `prior` steers MC3's acceptance ratio and is recorded as the returned
+    ModelSet's prior, which normalize weights the posterior by.
     """
 
     max_size: int = 4
@@ -139,10 +137,13 @@ class ModelSet:
 
     `candidates` is the full pool the search drew from, distinct strings, so
     downstream code can tell "never retained" from "not a known regressor".
+    `prior` is the ModelPrior the search ran under, uniform for a set built
+    by hand; the set refuses one that does not cover its largest model.
     """
 
     def __init__(self, index, coefficients, intercepts, bic, rss, condition, candidates,
-                 strategy: str, strategy_metadata: dict | None = None):
+                 strategy: str, strategy_metadata: dict | None = None,
+                 prior: ModelPrior = ModelPrior()):
         columns = [np.asarray(index, np.intp)] + [
             np.asarray(c, np.float64) for c in (coefficients, intercepts, bic, rss, condition)]
         (self.index, self.coefficients, self.intercepts, self.bic, self.rss,
@@ -150,6 +151,9 @@ class ModelSet:
         self.candidates = tuple(candidates)
         self.strategy = strategy
         self.strategy_metadata = {} if strategy_metadata is None else strategy_metadata
+        self.prior = prior
+        if not isinstance(prior, ModelPrior):
+            raise InputError("prior must be a ModelPrior, got %r" % (prior,))
         if (not all(isinstance(name, str) for name in self.candidates)
                 or len(set(self.candidates)) != len(self.candidates)):
             raise InputError("candidate names must be distinct strings")
@@ -163,6 +167,7 @@ class ModelSet:
                 and not np.isinf(self.intercepts).any()):
             raise InputError("bic and coefficients must be finite, intercepts finite or NaN")
         masks, self.sizes = _packed_rows(index, len(self.candidates))
+        prior.log_weight(int(self.sizes.max()))  # refuses a size the prior does not cover
         ranked = masks[np.lexsort(masks.T[::-1])]  # equal sets sort to equal masks
         if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
             raise SearchError("ModelSet contains duplicate regressor sets")
@@ -346,15 +351,17 @@ def _take_rows(columns: list, rows: np.ndarray) -> list:
     return [column[:rows.size] for column in columns]
 
 
-def _finish(columns: list, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
+def _finish(columns: list, ws: Workspace, strategy: str, metadata: dict,
+            prior: ModelPrior) -> ModelSet:
     """The ModelSet of a set's columns, their rows ranked in place."""
     if not len(columns[0]):
         raise SearchError("no usable models: every candidate design is degenerate")
     columns = _take_rows(columns, _ranked(columns[3], columns[0], ws.names))
-    return ModelSet(*columns, ws.names, strategy, metadata)
+    return ModelSet(*columns, ws.names, strategy, metadata, prior)
 
 
-def _finish_levels(levels: list, ws: Workspace, strategy: str, metadata: dict) -> ModelSet:
+def _finish_levels(levels: list, ws: Workspace, strategy: str, metadata: dict,
+                   prior: ModelPrior) -> ModelSet:
     """The ModelSet of the rows of the given levels, emptying the list.
 
     Each level is copied into the set's columns and released before the
@@ -372,7 +379,7 @@ def _finish_levels(levels: list, ws: Workspace, strategy: str, metadata: dict) -
                 view[...] = part
         lo = hi
     lv = None  # so the last level is freed before the set is ranked
-    return _finish(columns, ws, strategy, metadata)
+    return _finish(columns, ws, strategy, metadata, prior)
 
 
 def _first_level(ws: Workspace, keep: bool) -> _Level:
@@ -440,7 +447,7 @@ def exhaustive_search(y, library, config: SearchConfig = None) -> ModelSet:
         columns[:2] = [column[:, :width] for column in columns[:2]]
     del dropped
     meta = {"fits": total, "exact_fits": total, "degenerate": degenerate}
-    return _finish(columns, ws, "exhaustive", meta)
+    return _finish(columns, ws, "exhaustive", meta, config.prior)
 
 
 # Occam screen: a child's BIC is first scored from its parent's factor in one
@@ -580,7 +587,7 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
     dropped = _exclude_submodels(pool) if config.submodel_exclusion else 0
     meta = {"fits": fits, "exact_fits": exact_fits, "beam_capped": capped,
             "window": window, "submodel_excluded": dropped, "degenerate": degenerate}
-    return _finish_levels(pool, ws, "occam", meta)
+    return _finish_levels(pool, ws, "occam", meta, config.prior)
 
 
 def _fit_window(ws: Workspace, survivors: _Level, best: float, window: float,
@@ -780,7 +787,7 @@ def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
                              np.array(bics), np.array(rss), np.array(conds), None, None))
     meta = {"iterations": iterations, "accepted": accepted, "unique_fits": len(cache),
             "degenerate": sum(f[1] for f in cache.values())}
-    return _finish_levels(levels, ws, "mc3", meta)
+    return _finish_levels(levels, ws, "mc3", meta, config.prior)
 
 
 def run_search(y, library, config: SearchConfig) -> ModelSet:

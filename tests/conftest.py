@@ -90,10 +90,12 @@ def write_library_csv(dirpath, library, stem="library"):
 ModelRow = namedtuple("ModelRow", "regressors coefficients intercept bic")
 
 
-def make_model_set(rows, candidates, strategy="exhaustive", metadata=None):
+def make_model_set(rows, candidates, strategy="exhaustive", metadata=None, prior=None):
     """A ModelSet of (regressors, coefficients, intercept, bic) rows, in the
-    order given; every rss and condition is 1.0."""
-    from specid.search import ModelSet  # imported here: perfbench imports this module
+    order given; every rss and condition is 1.0. The prior defaults to uniform."""
+    # imported here: perfbench imports this module
+    from specid.regression import ModelPrior
+    from specid.search import ModelSet
     rows, candidates = list(rows), tuple(candidates)
     index = np.full((len(rows), max((len(r[0]) for r in rows), default=0)), -1, dtype=np.intp)
     coefficients = np.zeros(index.shape)
@@ -103,7 +105,8 @@ def make_model_set(rows, candidates, strategy="exhaustive", metadata=None):
     intercepts = [math.nan if r[2] is None else r[2] for r in rows]
     ones = np.ones(len(rows))
     return ModelSet(index, coefficients, intercepts, [r[3] for r in rows], ones, ones,
-                    candidates, strategy, metadata)
+                    candidates, strategy, metadata,
+                    ModelPrior.uniform() if prior is None else prior)
 
 
 def model_rows(models) -> list:

@@ -15,12 +15,12 @@ from specid import aggregate
 from specid.aggregate import (IdentificationTree, InclusionReport, ModelPosterior,
                               TreeNode, UnknownRegressorWarning,
                               averaged_coefficients, build_tree, class_probability,
-                              group_probability, inclusion_probability,
-                              member_probability_sum, normalize)
+                              group_probability, inclusion_probability, normalize)
 from specid.core import ROOT_LABEL, ClassHierarchy
 from specid.errors import InputError
 from specid.regression import ModelPrior, Workspace
-from specid.search import ModelSet, SearchConfig, exhaustive_search
+from specid.search import ModelSet, SearchConfig, exhaustive_search, run_search
+from oracles import reference_member_probability_sum
 from synth import make_table_instance
 
 
@@ -58,16 +58,31 @@ class TestNormalize:
             assert abs(float(post.probabilities.sum()) - 1.0) <= 1e-12
 
     def test_size_prior_reweights(self):
-        ms = make_model_set([make_model(("a",), 3.0), make_model(("a", "b"), 3.0)], "ab")
-        post = normalize(ms, ModelPrior(size_weights=(1.0, 3.0)))
+        ms = make_model_set([make_model(("a",), 3.0), make_model(("a", "b"), 3.0)], "ab",
+                            prior=ModelPrior(size_weights=(1.0, 3.0)))
+        post = normalize(ms)
         assert post.probabilities[0] == pytest.approx(0.25, abs=1e-12)
         assert post.probabilities[1] == pytest.approx(0.75, abs=1e-12)
 
-    def test_prior_error_names_the_first_bad_size_in_model_order(self):
-        ms = make_model_set([make_model(("a", "b", "c", "d"), 1.0), make_model(("a",), 2.0),
-                             make_model(("a", "b", "c"), 3.0)], "abcd")
+    @pytest.mark.parametrize("strategy", ["exhaustive", "occam", "mc3"])
+    def test_posterior_weights_by_the_prior_the_search_ran_under(self, strategy):
+        y, X, names = make_table_instance(2)
+        weights = (1.0, 10.0, 100.0)
+        config = SearchConfig(max_size=3, strategy=strategy, mc3_iterations=2000,
+                              prior=ModelPrior(size_weights=weights))
+        models = run_search(None, Workspace(y, X, names=names), config)
+        w = np.exp(-(models.bic - models.bic.min()) / 2.0) * np.take(weights, models.sizes - 1)
+        np.testing.assert_allclose(normalize(models).probabilities, w / w.sum(), rtol=1e-12)
+        assert models.prior is config.prior
+
+    def test_set_refuses_a_prior_that_misses_a_size(self):
+        rows = [make_model(("a", "b", "c", "d"), 1.0), make_model(("a",), 2.0),
+                make_model(("a", "b", "c"), 3.0)]
         with pytest.raises(InputError, match="model size 4 "):
-            normalize(ms, ModelPrior(size_weights=(1.0, 2.0)))
+            make_model_set(rows, "abcd", prior=ModelPrior(size_weights=(1.0, 2.0, 3.0)))
+        for prior in ((1.0, 2.0, 3.0, 4.0), "uniform", ModelPrior):
+            with pytest.raises(InputError, match="must be a ModelPrior"):
+                make_model_set(rows, "abcd", prior=prior)
 
     def test_rejects_nonfinite_bic(self):
         # the ModelSet refuses the row, so normalize never meets it
@@ -234,11 +249,11 @@ class TestHierarchyProbabilities:
 
     def test_member_sum_counts_multiplicity(self):
         post, h = self.posterior()
-        assert member_probability_sum(post, h, ("Fabric", "Nylon")) == \
+        assert reference_member_probability_sum(post, h, ("Fabric", "Nylon")) == \
             pytest.approx(1.0)  # two members in one half-weight model
         # always at least the class probability
         for node in [(), ("Fabric",), ("Fabric", "Nylon"), ("Vegetation",)]:
-            assert member_probability_sum(post, h, node) >= \
+            assert reference_member_probability_sum(post, h, node) >= \
                 class_probability(post, h, node) - 1e-15
 
     def test_build_tree_order_and_walk(self):
@@ -330,13 +345,6 @@ def reference_group_probability(posterior, names):
                      if not group.isdisjoint(m.regressors)))
 
 
-def reference_member_probability_sum(posterior, hierarchy, node):
-    members = hierarchy.members(node)
-    return float(sum(p * len(members.intersection(m.regressors))
-                     for m, p in items(posterior)
-                     if not members.isdisjoint(m.regressors)))
-
-
 def reference_build_tree(posterior, hierarchy):
     def build(path):
         kids = [build(child) for child in hierarchy.children(path)]
@@ -404,8 +412,6 @@ class TestMatchesModelLoops:
         for node in hierarchy.nodes():
             assert bits(class_probability(posterior, hierarchy, node)) == \
                 bits(reference_group_probability(posterior, hierarchy.members(node)))
-            assert bits(member_probability_sum(posterior, hierarchy, node)) == \
-                bits(reference_member_probability_sum(posterior, hierarchy, node))
         for group in groups:
             assert bits(group_probability(posterior, group)) == \
                 bits(reference_group_probability(posterior, group))

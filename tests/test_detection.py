@@ -15,11 +15,11 @@ import specid.core
 from specid.core import (PIXEL_BLOCK_STEP, BandGrid, ImageCube, Spectrum,
                          average_pixels)
 from specid.detection import (BackgroundStats, DetectionMap, RegionOfInterest,
-                              _score_block,
-                              ace_score, annulus_coordinates, background_removal,
+                              _score_block, annulus_coordinates, background_removal,
                               background_stats, detect)
 from specid.errors import AlignmentError, InputError, NumericalError
 from specid.io_formats import read_envi
+from oracles import ace_score
 from synth import make_scene
 
 
@@ -198,9 +198,21 @@ class TestBlockedStats:
 
 
 class TestAceScore:
+    """The one-pixel oracle's properties, and the scores detect writes equal it."""
+
     def stats(self):
         rng = np.random.default_rng(6)
         return background_stats(noise_cube(rng, rows=15, cols=15))
+
+    def test_score_block_equals_the_oracle(self):
+        stats = self.stats()
+        rng = np.random.default_rng(11)
+        target = stats.mean + np.array([0.1, -0.05, 0.08, 0.02])
+        block = rng.normal(0.5, 0.2, (6, 7, 4))
+        scores = _score_block(block, stats, stats.whiten(target))
+        assert scores.shape == (6, 7)
+        want = [[ace_score(pixel, target, stats) for pixel in row] for row in block]
+        np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
 
     def test_target_scores_one_against_itself(self):
         stats = self.stats()

@@ -518,3 +518,7 @@ class TestModelPrior:
             ModelPrior(size_weights=(1.0, 0.0))
         with pytest.raises(InputError):
             ModelPrior(size_weights=(1.0, -2.0))
+        # anything but a collection of real numbers, bools included
+        for weights in ("ab", [1.0, "x"], 5, [None], [True], (1.0, False), 2.0):
+            with pytest.raises(InputError, match="size_weights must be real numbers"):
+                ModelPrior(size_weights=weights)

@@ -201,6 +201,7 @@ def test_model_set_columns():
     assert again.sizes.tobytes() == out.sizes.tobytes() and not again.sizes.flags.writeable
     assert again.best_bic == out.best_bic == out.bic[0]
     assert again.strategy == "occam" and again.strategy_metadata == {}
+    assert again.prior == ModelPrior.uniform()  # a set built by hand
     # lists take the set's dtypes; a row's set is the same in any order, and
     # no row need be full
     mixed = ModelSet([[0, 2], [1, -1], [2, 1]], [[1, 2], [3, 0], [4, 5]], [0, 0, 0],
