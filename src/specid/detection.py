@@ -19,8 +19,6 @@ from .core import (PIXEL_BLOCK_STEP, ImageCube, Spectrum, average_pixels, block_
 from .errors import AlignmentError, InputError, NumericalError
 from . import regression
 
-EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
-
 
 @dataclass(frozen=True, eq=False)
 class BackgroundStats:
@@ -207,13 +205,71 @@ def check_detect_options(threshold: float, threads: int) -> None:
         raise InputError("threads must be >= 1, got %r" % threads)
 
 
+def label_regions(mask: np.ndarray) -> list:
+    """The 8-connected regions of a boolean (rows, cols) mask.
+
+    Returns one (rows, cols) pair of index arrays per region, its pixels in
+    raster order, the regions in raster order of their first pixels.
+
+    A union-find over the mask's row runs (He, Chao & Suzuki 2008, IEEE TIP
+    17(5)): each row is padded with a False column at both ends, so in the
+    flattened mask runs are the stretches between value changes and no run
+    of one row can touch one of the next row's across the edge. A run of
+    row r+1 joins every run of row r that overlaps it once both are widened
+    by one column; those form one stretch of row r's runs, found by binary
+    search. Each round hooks the larger root of every edge that still joins
+    two trees onto the smaller, then points every run at its root, until no
+    edge joins two trees; a region's root is then its first run.
+    """
+    width = mask.shape[1] + 2
+    padded = np.zeros((mask.shape[0], width), dtype=bool)
+    padded[:, 1:-1] = mask
+    flat = padded.ravel()
+    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    del padded, flat
+    starts, ends = changes[0::2], changes[1::2]   # ends exclusive
+    # the runs of the row above that each run touches: first..last-1
+    first = np.searchsorted(ends, starts - width, side="left")
+    last = np.searchsorted(starts, ends - width, side="right")
+    counts = last - first
+    below = np.repeat(np.arange(starts.size), counts)
+    above = np.arange(below.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    root = np.arange(starts.size)
+    while True:
+        top, bottom = root[above], root[below]
+        apart = top != bottom
+        if not apart.any():
+            break
+        above, below = above[apart], below[apart]
+        top, bottom = top[apart], bottom[apart]
+        np.minimum.at(root, np.maximum(top, bottom), np.minimum(top, bottom))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    # a stable sort keeps each region's runs in raster order
+    order = np.argsort(root, kind="stable")
+    lengths = (ends - starts)[order]
+    offsets = np.cumsum(lengths) - lengths   # of each run's first pixel
+    index = np.arange(lengths.sum()) + np.repeat(starts[order] - offsets, lengths)
+    rows, cols = np.divmod(index, width)
+    cols -= 1
+    bounds = offsets[np.flatnonzero(np.diff(root[order], prepend=-1))].tolist()
+    bounds.append(index.size)
+    return [(rows[lo:hi], cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
            threads: int = 1):
     """Score every pixel and group above-threshold pixels into ROIs.
 
     Returns (DetectionMap, list of RegionOfInterest sorted by peak score,
-    descending). Connectivity is 8-neighbor; each ROI carries its pixel
-    coordinates and average spectrum. Pixels are scored in row blocks of
+    descending, then by first pixel). An ROI is one 8-connected region of
+    `scores > threshold`, labelled from row runs by label_regions; it
+    carries its pixels in raster order, its peak score, its mean score over
+    those pixels in that order, and their average spectrum
+    (core.average_pixels). Pixels are scored in row blocks of
     about 2**18 values (core.block_rows), each a C-contiguous
     (rows, cols, bands) array. The blocks are dealt in turn to up to
     `threads` workers, each reading its own through its own
@@ -226,8 +282,6 @@ def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
     remainder kernel, so a whole-cube call's bits already depend on the BLAS
     thread count, and the scores' bits on core.BLOCK_VALUES.
     """
-    from scipy import ndimage  # imported here: the other subcommands never label
-
     check_detect_options(threshold, threads)
     if isinstance(target, Spectrum) and target.grid != cube.grid:
         raise AlignmentError("target %r is not on the cube grid" % target.name)
@@ -246,12 +300,8 @@ def detect(cube: ImageCube, target, stats: BackgroundStats, threshold: float,
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, [bounds[i::workers] for i in range(workers)]))
     dmap = DetectionMap(scores)
-    labels, _ = ndimage.label(scores > threshold, structure=EIGHT_CONNECTED)
     rois = []
-    for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
-        rr, cc = np.nonzero(labels[rows, cols] == lab)
-        rr += rows.start
-        cc += cols.start
+    for rr, cc in label_regions(scores > threshold):
         pixels = tuple(zip(rr.tolist(), cc.tolist()))
         vals = scores[rr, cc]
         rois.append(RegionOfInterest(

@@ -1,8 +1,9 @@
 """One-value reference computations that the tests hold the pipeline's
-vectorized kernels to: ACE for one pixel, and the multiplicity-counting
-member sum of a class."""
+vectorized kernels to: ACE for one pixel, scipy.ndimage's 8-connected ROI
+labelling, and the multiplicity-counting member sum of a class."""
 
 import numpy as np
+from scipy import ndimage
 
 from conftest import model_rows
 from specid.detection import BackgroundStats, _values_on
@@ -18,6 +19,19 @@ def ace_score(pixel, target, stats: BackgroundStats) -> float:
     if xn == 0.0 or tn == 0.0:
         raise NumericalError("whitened pixel or target has zero norm")
     return float(np.clip((t @ x) / (tn * xn), -1.0, 1.0))
+
+
+def reference_rois(mask) -> list:
+    """The 8-connected regions of a boolean mask by scipy.ndimage, in label
+    order, each a raster-ordered tuple of (row, col) pairs."""
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    rois = []
+    for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        rr, cc = np.nonzero(labels[rows, cols] == lab)
+        rr += rows.start
+        cc += cols.start
+        rois.append(tuple(zip(rr.tolist(), cc.tolist())))
+    return rois
 
 
 def reference_member_probability_sum(posterior, hierarchy, node) -> float:

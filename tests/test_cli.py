@@ -686,9 +686,12 @@ else:
 
 
 class TestImportFootprint:
-    """The fits use scipy.linalg's compiled LAPACK without its package import."""
+    """The fits and the background sums use scipy.linalg's compiled LAPACK and
+    BLAS without its package import, and `detect` labels ROIs without
+    scipy.ndimage: no command imports the scipy package."""
 
-    @pytest.mark.parametrize("command", ["import", "version", "identify", "bma-table"])
+    @pytest.mark.parametrize("command", ["import", "version", "detect", "identify",
+                                         "bma-table"])
     def test_no_scipy_linalg_package_is_loaded(self, scene, table_csv, tmp_path, command):
         spectrum = tmp_path / "pixel.csv"
         with open(spectrum, "w", newline="") as fh:
@@ -698,6 +701,9 @@ class TestImportFootprint:
                                  scene.library.spectrum("ldpe_1").values):
                 writer.writerow([repr(float(wl)), repr(float(value))])
         args = {"import": [], "version": ["--version"],
+                "detect": ["--output-dir", str(tmp_path / "out"), "detect",
+                           "--cube", scene.hdr, "--target-lib", scene.target_csv,
+                           "--target", "ldpe_mean", "--threshold", repr(scene.cut)],
                 "identify": ["--output-dir", str(tmp_path / "out"), "identify",
                              "--spectrum", str(spectrum), "--library", scene.lib_csv],
                 "bma-table": ["bma-table", "--csv", table_csv, "--response", "y",
@@ -707,7 +713,11 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stderr.splitlines()[-1]))
         assert "scipy.linalg._flapack" in loaded
-        assert not loaded & {"scipy.linalg", "scipy._lib", "numpy.f2py"}
+        assert not loaded & {"scipy", "scipy._lib", "scipy.ndimage", "scipy.linalg",
+                             "numpy.f2py"}
+        if command == "detect":
+            assert "scipy.linalg._fblas" in loaded
+            assert (tmp_path / "out" / "rois.json").exists()
         if command in ("identify", "bma-table"):
             assert (tmp_path / "out" / "results.json").exists()
 

@@ -16,10 +16,10 @@ from specid.core import (PIXEL_BLOCK_STEP, BandGrid, ImageCube, Spectrum,
                          average_pixels)
 from specid.detection import (BackgroundStats, DetectionMap, RegionOfInterest,
                               _score_block, annulus_coordinates, background_removal,
-                              background_stats, detect)
+                              background_stats, detect, label_regions)
 from specid.errors import AlignmentError, InputError, NumericalError
 from specid.io_formats import read_envi
-from oracles import ace_score
+from oracles import ace_score, reference_rois
 from synth import make_scene
 
 
@@ -382,6 +382,53 @@ class TestDetect:
         assert set(rois[0].pixels) == set(implant_pixels)
 
 
+@st.composite
+def masks(draw):
+    """A boolean mask of 1x1 to 40x40: random at any density, empty, full,
+    or a checkerboard of blocks, whose one-row blocks touch only at corners."""
+    rows = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    cols = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    kind = draw(st.sampled_from(["random", "empty", "full", "checker", "thinned"]))
+    if kind in ("empty", "full"):
+        return np.full((rows, cols), kind == "full")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    noise = rng.random((rows, cols)) < density
+    if kind == "random":
+        return noise
+    high, wide = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    r, c = np.indices((rows, cols))
+    checker = (r // high + c // wide + draw(st.integers(0, 1))) % 2 == 0
+    return checker if kind == "checker" else checker & ~noise
+
+
+def regions(mask) -> list:
+    return [tuple(zip(rr.tolist(), cc.tolist())) for rr, cc in label_regions(mask)]
+
+
+class TestLabelRegions:
+    """label_regions finds scipy.ndimage's 8-connected regions from row runs."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(masks())
+    def test_regions_equal_the_oracle(self, mask):
+        assert regions(mask) == reference_rois(mask)
+
+    def test_dense_masks(self):
+        # 704 x 704, the benchmark scene's size: a checkerboard is 247,808
+        # one-pixel runs joined only at their corners into one region
+        r, c = np.indices((704, 704))
+        (rows, cols), = label_regions((r + c) % 2 == 0)
+        assert rows.size == 247_808
+        np.testing.assert_array_equal(rows, np.repeat(np.arange(704), 352))
+        np.testing.assert_array_equal((rows + cols) % 2, 0)
+        stripes = label_regions(c % 2 == 0)
+        assert len(stripes) == 352
+        for col, (rows, cols) in zip(range(0, 704, 2), stripes):
+            np.testing.assert_array_equal(rows, np.arange(704))
+            np.testing.assert_array_equal(cols, col)
+
+
 # 5 columns by 124 bands at the real block size: blocks of 420 rows. Two
 # blocks and 1 row: alone, the last row would be a block of 5 pixels, which
 # OpenBLAS whitens with its small-matrix kernels, not the whole cube's.
@@ -618,15 +665,15 @@ class TestRowBlocks:
         pixels = self.rows * self.cols
         # 240 rows are 30 whole blocks, so no block is longer than `block`;
         # while scoring, each worker holds a block's centred copy and its
-        # whitened copy; labelling then holds a boolean mask, int32 labels
-        # and one ROI's boolean mask, 6 bytes a pixel
+        # whitened copy; labelling then holds a boolean mask, a padded copy
+        # and the padded copy's value changes, 3 bytes a pixel (within 6)
         scoring = threads * (2 * block + self.ufunc_buffer)
         assert peak <= 8 * pixels + max(scoring, 6 * pixels) + self.objects
 
 
 class TestFileBackedMemory:
-    """detect() on a file-backed cube holds the scores, the labels and a few
-    blocks per worker, whatever the cube's rows and bands."""
+    """detect() on a file-backed cube holds the scores, the labelling masks and
+    a few blocks per worker, whatever the cube's rows and bands."""
 
     cols = 100
     block_values = 8 * 100 * 32          # blocks of 8 rows of 32 bands
@@ -658,7 +705,7 @@ class TestFileBackedMemory:
         # keeps a reader's buffers, a block's raw bytes and its float64
         # values, and scores through a centred and a whitened copy; while
         # converting, the kept bands as selected take the copies' place.
-        # Labelling then holds 6 bytes a pixel (see TestRowBlocks).
+        # Labelling then holds 3 bytes a pixel, within 6 (see TestRowBlocks).
         scoring = threads * (4 * block + TestRowBlocks.ufunc_buffer)
         assert peak <= 8 * pixels + max(scoring, 6 * pixels) + TestRowBlocks.objects
         assert cube._data is None
@@ -684,9 +731,9 @@ class TestFileBackedMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the scores, the labels and the masks take 14 bytes a pixel; each
-        # worker holds a block's int16 bytes, its float64 values, and a
-        # centred and a whitened copy: 6.5 MiB
+        # the scores and the labelling masks take 11 bytes a pixel, within
+        # 14; each worker holds a block's int16 bytes, its float64 values,
+        # and a centred and a whitened copy: 6.5 MiB
         assert peak - 14 * rows * cols <= threads * 8 * 2 ** 20
 
 

@@ -25,13 +25,16 @@ the same for both runs:
           detect only: at 2**18 values per block, 9 scoring blocks of 32
           rows and more; at an odd width the last (45 rows) holds an odd
           count of pixels, so its split between BLAS threads falls off the
-          4-pixel grid of OpenBLAS's matrix-vector kernel;
+          4-pixel grid of OpenBLAS's matrix-vector kernel; and once more,
+          at --threads 1 and --threshold 0.0, for 280 irregular ROIs, many
+          of several row runs, 35 joined only through corner-touching pixels;
   crime   tests/data/uscrime.csv with every column but So logged;
   names   synth table instance 5, its columns renamed so that the results
           writer must escape them: non-ASCII, a '"', a '\\', and one named
           "models" like a section of results.json.
 Every command runs in process through specid.cli.main:
-  detect on each scene (and on each --detect input) at --threads 1, 2 and 4;
+  detect on each scene (and on each --detect input) at --threads 1, 2 and 4,
+  at --threshold 0.9 (a --detect input's own threshold);
   identify --cube --roi on the top ROI of scenes 1 and 7: occam, occam
   --occam-strict, mc3, exhaustive at max size 3, occam with background
   removal, occam with --conditional-tree, all at --seed 0; on scene 1's
@@ -62,7 +65,7 @@ The copy run grows, in its third level (10,660 fits, ten full chunks of
 the search's fits and part of an eleventh), a factor holding ldpe_1 by its
 copy 39 times, all in the first chunk: each meets a dependent column and is
 refitted from the Gram matrix in the middle of a full-size chunk.
-The printed object maps "<run>/<file>" to the file's sha256: 99 sums, and 9
+The printed object maps "<run>/<file>" to the file's sha256: 102 sums, and 9
 more for each --detect input. Output files and inputs are kept under --work
 (default: a temporary directory).
 
@@ -252,15 +255,17 @@ def collect(work: Path, detect_inputs) -> dict:
     for i, (hdr, lib, target, threshold) in enumerate(detect_inputs):
         detects.append(("detect%d" % i, {"hdr": hdr, "library": lib, "target": target,
                                          "threshold": threshold}, ()))
+
+    def detect(scene, threshold, threads, run):
+        out = work / run
+        _run(main, ["--threads", str(threads), "detect", "--cube", scene["hdr"],
+                    "--target-lib", scene["library"], "--target", scene["target"],
+                    "--threshold", threshold, "--resample", "--out", str(out)])
+        _digests(out, run, digests)
+
     for name, scene, identify_runs in detects:
         for n in THREADS:
-            run = "%s/detect-t%d" % (name, n)
-            out = work / run
-            _run(main, ["--threads", str(n), "detect", "--cube", scene["hdr"],
-                        "--target-lib", scene["library"], "--target", scene["target"],
-                        "--threshold", scene.get("threshold", "0.9"), "--resample",
-                        "--out", str(out)])
-            _digests(out, run, digests)
+            detect(scene, scene.get("threshold", "0.9"), n, "%s/detect-t%d" % (name, n))
         rois = str(work / ("%s/detect-t%d" % (name, THREADS[0])) / "rois.json")
         for label, seed, extra in identify_runs:
             run = "%s/identify-%s" % (name, label)
@@ -270,6 +275,9 @@ def collect(work: Path, detect_inputs) -> dict:
                         "--resample", "--out", str(out)]
                  + [arg.format(target=scene["target"]) for arg in extra])
             _digests(out, run, digests)
+    # scene 17 at threshold 0: 280 ROIs of irregular shape, 86 of them over
+    # several rows, 35 held together only through pixels touching at a corner
+    detect(detects[4][1], "0.0", THREADS[0], "scene17/detect-low")
     # exhaustive search with an exact copy of scene 1's target in its library:
     # growing a factor that holds one of the two by the other meets a dependent
     # column, and those rows are refitted inside full-size fit chunks; and over
