@@ -13,9 +13,10 @@ Cubes are read from their files a few rows at a time, never held whole. A
 cube value that is not finite exits 2: detect meets every pixel in its first
 pass, before it writes any file; identify --cube reads only the rows that
 hold the ROI's pixels and its background pixels, so a non-finite value in
-any other row does not stop it. identify and bma-table check their search
-options before they read any input. The output directory is made just
-before the first write, so a run that fails before it leaves nothing behind.
+any other row does not stop it. --threads and --seed, and the search options
+of identify and bma-table, are checked before any input is read. The output
+directory is made just before the first write, so a run that fails before it
+leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -258,6 +259,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:  # the global options, before any subcommand reads input
+            raise InputError("threads must be >= 1, got %r" % args.threads)
+        if args.seed < 0:
+            raise InputError("seed must be an integer >= 0, got %r" % args.seed)
         args.handler(args)
     except NumericalError as exc:
         _report(exc)

@@ -577,6 +577,8 @@ def read_rois_json(path: str) -> list:
         pixels = entry["pixels"]
         if not isinstance(pixels, list) or not all(map(_is_pixel, pixels)):
             raise ParseError("ROI pixels must be [row, col] integer pairs in %r" % path)
+        if not pixels:
+            raise ParseError("ROI entry with no pixels in %r" % path)
     return payload
 
 

@@ -7,9 +7,10 @@ models are discarded: their likelihoods are numerically meaningless and
 duplicate-regressor designs double-count evidence.
 
 Exhaustive and Occam run one level-wise enumerator: every fit of a level goes
-through the Workspace's exact-fit kernel and is kept in arrays (a _Level), and
-a ModelSet holds the retained models as columns, not as objects. MC3 fits each
-distinct proposal with the same kernel and keeps the fits as rows.
+through the Workspace's exact-fit kernel and is kept as rows of a ModelSet's
+columns (a _Fits), not as objects. MC3 fits each distinct proposal with the
+same kernel and keeps the fits as rows. Every search ends in _finish, which
+turns the rows it keeps into the ModelSet.
 """
 
 from __future__ import annotations
@@ -230,56 +231,62 @@ def _ranked(bic: np.ndarray, index: np.ndarray, names: tuple) -> np.ndarray:
     return order
 
 
-@dataclass(eq=False, slots=True)
-class _Level:
-    """The exact fits of one search level; row i fits the candidates sel[i].
+_COLUMNS = ("index", "coefficients", "intercepts", "bic", "rss", "condition")
 
-    The first six columns are a ModelSet's, sel its index without padding,
-    and may be row views of a set's columns; a level of its own holds no
-    intercepts (None) without an intercept. `chol[i]` holds fit i's Cholesky
-    factor transposed, so that chol[i].T is the factor in the Fortran order
-    LAPACK takes without a copy, and `zvec[i]` its z vector; both are NaN for
-    a fit without a factor, and None when the level is not extended.
+
+@dataclass(eq=False, slots=True)
+class _Fits:
+    """Exact fits as a ModelSet's columns (`_COLUMNS`): row i fits the
+    candidates index[i], in fit order, then -1; intercepts are NaN without an
+    intercept. A _Fits may hold a whole set and hand out row views of it.
+    `chol[i]` holds fit i's Cholesky factor transposed, so that chol[i].T is
+    the factor in the Fortran order LAPACK takes without a copy, and `zvec[i]`
+    its z vector; both are NaN for a fit without a factor, and None when the
+    fits are not extended.
     """
 
-    sel: np.ndarray
+    index: np.ndarray
     coefficients: np.ndarray
     intercepts: np.ndarray
     bic: np.ndarray
     rss: np.ndarray
     condition: np.ndarray
-    chol: np.ndarray | None
-    zvec: np.ndarray | None
+    chol: np.ndarray | None = None
+    zvec: np.ndarray | None = None
+
+    @classmethod
+    def around(cls, index: np.ndarray) -> "_Fits":
+        """Unfitted rows for the candidates of index: coefficients 0, intercepts NaN."""
+        rows = len(index)
+        return cls(index, np.zeros(index.shape), np.full(rows, math.nan), np.empty(rows),
+                   np.empty(rows), np.empty(rows))
 
     def __len__(self) -> int:
-        return len(self.sel)
+        return len(self.index)
 
-    def take(self, rows) -> "_Level":
-        rows = np.asarray(rows, dtype=np.intp)
-        return _Level(*(None if column is None else column[rows] for column in self._columns()))
-
-    def _columns(self) -> list:
+    def parts(self) -> list:
+        """Its fields in order: the columns, then chol and zvec."""
         return [getattr(self, name) for name in self.__slots__]
 
+    def rows(self, lo: int, hi: int, width: int) -> "_Fits":  # without the factors
+        """Views of rows lo:hi, of index and coefficients their first `width` columns."""
+        return _Fits(self.index[lo:hi, :width], self.coefficients[lo:hi, :width],
+                     self.intercepts[lo:hi], self.bic[lo:hi], self.rss[lo:hi],
+                     self.condition[lo:hi])
 
-def _concat(levels: list) -> _Level:
-    if len(levels) == 1:
-        return levels[0]
-    return _Level(*(None if columns[0] is None else np.concatenate(columns)
-                    for columns in zip(*(lv._columns() for lv in levels))))
+    def take(self, rows) -> "_Fits":
+        """A copy of the given rows, factors included."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return _Fits(*[None if part is None else part[rows] for part in self.parts()])
 
-
-def _columns(index: np.ndarray) -> list:
-    """A ModelSet's columns around `index`, the others unset: coefficients 0,
-    intercepts NaN."""
-    rows = len(index)
-    return [index, np.zeros(index.shape), np.full(rows, math.nan), np.empty(rows),
-            np.empty(rows), np.empty(rows)]
-
-
-def _views(columns: list, lo: int, hi: int, k: int) -> list:
-    """Rows lo:hi of each column, of a 2-D one its first k columns."""
-    return [column[lo:hi, :k] if column.ndim == 2 else column[lo:hi] for column in columns]
+    def compact(self, rows: np.ndarray) -> None:
+        """Keep only the given rows, in that order, written in place over the
+        first len(rows) rows of each column, one 1-D slice at a time."""
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            for line in (column.T if column.ndim == 2 else (column,)):
+                line[:rows.size] = line[rows]
+            setattr(self, name, column[:rows.size])
 
 
 # fits made between two writes into a level's columns, so only this many are
@@ -287,8 +294,8 @@ def _views(columns: list, lo: int, hi: int, k: int) -> list:
 _FIT_CHUNK = 1024
 
 
-def _fit(ws: Workspace, sel: np.ndarray, parents: _Level = None, parent=None,
-         keep: bool = True, out: list = None) -> _Level:
+def _fit(ws: Workspace, sel: np.ndarray, parents: _Fits = None, parent=None,
+         keep: bool = True, out: _Fits = None) -> _Fits:
     """Fit every row of sel with the Workspace's exact-fit kernel.
 
     Without parents each row is fitted from the Gram matrix, as fit_subset
@@ -296,108 +303,99 @@ def _fit(ws: Workspace, sel: np.ndarray, parents: _Level = None, parent=None,
     column, fitted as extend fits it: the parent's factor grows by one
     column, unless the parent has none or the column is dependent, when the
     row is fitted from the Gram matrix. `keep` keeps the factors; without it
-    they go to one chunk buffer. The kernel writes the level's columns, new
-    ones or the `out` views (its coefficients, intercepts, bic, rss and
-    condition), _FIT_CHUNK rows at a time; with an intercept each chunk's
-    coefficients go through one buffer, the intercept first.
+    they go to one chunk buffer. The kernel writes the fits' columns, new
+    ones or those of `out` (row views around sel), _FIT_CHUNK rows at a time;
+    with an intercept each chunk's coefficients go through one buffer, the
+    intercept first.
     """
     rows, k = sel.shape
     m = ws._off + k
-    if out is None:  # columns of the level's own, with no intercepts without an intercept
-        out = [np.empty((rows, k)), np.empty(rows) if ws._off else None, np.empty(rows),
-               np.empty(rows), np.empty(rows)]
-    level = _Level(sel, *out, np.empty((rows, m, m)) if keep else None,
-                   np.empty((rows, m)) if keep else None)
+    fits = _Fits.around(sel) if out is None else out
     chunk = min(rows, _FIT_CHUNK)
-    if not keep:
-        chol, zvec = np.empty((chunk, m, m)), np.empty((chunk, m))
+    chol, zvec = np.empty((rows if keep else chunk, m, m)), np.empty((rows if keep else chunk, m))
+    if keep:
+        fits.chol, fits.zvec = chol, zvec
     if ws._off:
         beta = np.empty((chunk, m))
     n = ws.n_obs
     penalty = (k + ws._off + 1) * math.log(n)  # bic_from_parts's, hoisted
     for lo in range(0, rows, _FIT_CHUNK):
         hi = min(lo + _FIT_CHUNK, rows)
-        if keep:
-            chol, zvec = level.chol[lo:hi], level.zvec[lo:hi]
-        rss = level.rss[lo:hi]
+        held = slice(lo, hi) if keep else slice(0, hi - lo)  # this chunk's factors
+        rss = fits.rss[lo:hi]
         gathered = None
         if parents is not None:
             at = parent[lo:hi]
             gathered = parents.chol[at], parents.zvec[at], parents.rss[at]
-        coefficients = beta[:hi - lo] if ws._off else level.coefficients[lo:hi]
-        ws._fit_rows(sel[lo:hi], (coefficients, rss, level.condition[lo:hi],
-                                  chol[:hi - lo], zvec[:hi - lo]), gathered)
+        coefficients = beta[:hi - lo] if ws._off else fits.coefficients[lo:hi]
+        ws._fit_rows(sel[lo:hi], (coefficients, rss, fits.condition[lo:hi],
+                                  chol[held], zvec[held]), gathered)
         if ws._off:
-            level.intercepts[lo:hi] = coefficients[:, 0]
-            level.coefficients[lo:hi] = coefficients[:, 1:]
-        level.bic[lo:hi] = [n * math.log(max(r, RSS_FLOOR) / n) + penalty
-                            for r in rss.tolist()]
-    return level
+            fits.intercepts[lo:hi] = coefficients[:, 0]
+            fits.coefficients[lo:hi] = coefficients[:, 1:]
+        fits.bic[lo:hi] = [n * math.log(max(r, RSS_FLOOR) / n) + penalty
+                           for r in rss.tolist()]
+    return fits
 
 
-def _children(level: _Level, parent, col) -> np.ndarray:
+def _children(level: _Fits, parent, col) -> np.ndarray:
     """The candidate rows of level's row parent[i] followed by col[i]."""
-    return np.column_stack([level.sel[parent], col])
+    return np.column_stack([level.index[parent], col])
 
 
-def _take_rows(columns: list, rows: np.ndarray) -> list:
-    """Each column's rows `rows`, written in place over its first len(rows) rows.
-
-    One 1-D slice is copied at a time, so the copy held is one row-length array.
-    """
-    for column in columns:
-        for line in (column.T if column.ndim == 2 else (column,)):
-            line[:rows.size] = line[rows]
-    return [column[:rows.size] for column in columns]
-
-
-def _finish(columns: list, ws: Workspace, strategy: str, metadata: dict,
-            prior: ModelPrior) -> ModelSet:
-    """The ModelSet of a set's columns, their rows ranked in place."""
-    if not len(columns[0]):
-        raise SearchError("no usable models: every candidate design is degenerate")
-    columns = _take_rows(columns, _ranked(columns[3], columns[0], ws.names))
-    return ModelSet(*columns, ws.names, strategy, metadata, prior)
-
-
-def _finish_levels(levels: list, ws: Workspace, strategy: str, metadata: dict,
-                   prior: ModelPrior) -> ModelSet:
-    """The ModelSet of the rows of the given levels, emptying the list.
-
-    Each level is copied into the set's columns and released before the
-    next, so a level the caller holds no other reference to is freed then.
-    """
-    levels[:] = [lv for lv in levels if len(lv)]
-    width = max((lv.sel.shape[1] for lv in levels), default=0)
-    columns = _columns(np.full((sum(map(len, levels)), width), -1, dtype=np.intp))
+def _gathered(levels: list) -> _Fits:
+    """The rows of the given levels, in order. Each level is popped, copied in
+    and released before the next, so one the caller no longer holds is freed."""
+    width = max(lv.index.shape[1] for lv in levels)
+    fits = _Fits.around(np.full((sum(map(len, levels)), width), -1, dtype=np.intp))
     lo = 0
     while levels:
         lv = levels.pop(0)
         hi = lo + len(lv)
-        for view, part in zip(_views(columns, lo, hi, lv.sel.shape[1]), lv._columns()):
-            if part is not None:
-                view[...] = part
+        view = fits.rows(lo, hi, lv.index.shape[1])
+        for name in _COLUMNS:
+            getattr(view, name)[...] = getattr(lv, name)
         lo = hi
-    lv = None  # so the last level is freed before the set is ranked
-    return _finish(columns, ws, strategy, metadata, prior)
+    return fits
 
 
-def _first_level(ws: Workspace, keep: bool) -> _Level:
+def _finish(fits: _Fits, keep, ws: Workspace, strategy: str, metadata: dict,
+            prior: ModelPrior) -> ModelSet:
+    """The ModelSet of fits' rows `keep` (row indices, None for all), ranked in place.
+
+    Kept rows are compacted in place and narrowed to the widest of them; rows
+    given whole are as wide as their widest already.
+    """
+    if keep is not None:
+        fits.compact(keep)
+        keep = None  # a caller's temporary is freed before the set is checked
+        width = fits.index.shape[1]
+        while width and not np.any(fits.index[:, width - 1] >= 0):  # from the right
+            width -= 1
+        fits.index, fits.coefficients = fits.index[:, :width], fits.coefficients[:, :width]
+    if not len(fits):
+        raise SearchError("no usable models: every candidate design is degenerate")
+    fits.compact(_ranked(fits.bic, fits.index, ws.names))
+    return ModelSet(*(getattr(fits, name) for name in _COLUMNS), ws.names, strategy, metadata,
+                    prior)
+
+
+def _first_level(ws: Workspace, keep: bool) -> _Fits:
     """Every single-candidate model, fitted as fit_subset fits it."""
     ws._check_size(1)
     return _fit(ws, np.arange(ws.n_candidates, dtype=np.intp)[:, None], keep=keep)
 
 
-def _prefix_children(level: _Level, p: int, sel: np.ndarray) -> np.ndarray:
+def _prefix_children(level: _Fits, p: int, sel: np.ndarray) -> np.ndarray:
     """Write the children of level's rows into sel; returns each child's parent row.
 
     Row S has a child S + {j} for each candidate j after S's last column.
     sel is written one column at a time.
     """
-    last = level.sel[:, -1]
+    last = level.index[:, -1]
     counts = p - 1 - last
     parent = np.repeat(np.arange(len(level)), counts)
-    for c, column in enumerate(level.sel.T):
+    for c, column in enumerate(level.index.T):
         sel[:, c] = np.repeat(column, counts)
     sel[:, -1] = np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
     sel[:, -1] += np.arange(parent.size)
@@ -423,31 +421,26 @@ def exhaustive_search(y, library, config: SearchConfig = None) -> ModelSet:
         raise SearchError(
             "exhaustive search over %d candidates up to size %d needs %d fits, "
             "above the cap of %d" % (p, limit, total, config.enumeration_cap))
-    columns = _columns(np.full((total, limit), -1, dtype=np.intp))
+    fits = _Fits.around(np.full((total, limit), -1, dtype=np.intp))
     level = parent = None
     lo = 0
     for size in range(1, limit + 1):
         ws._check_size(size)
         hi = lo + math.comb(p, size)
-        sel, *out = _views(columns, lo, hi, size)
+        rows = fits.rows(lo, hi, size)
         if level is None:
-            sel[:, 0] = np.arange(p)
+            rows.index[:, 0] = np.arange(p)
         else:
-            parent = _prefix_children(level, p, sel)
+            parent = _prefix_children(level, p, rows.index)
         # only the level being extended keeps its factors
-        level = _fit(ws, sel, level, parent, keep=size < limit, out=out)
+        level = _fit(ws, rows.index, level, parent, keep=size < limit, out=rows)
         lo = hi
-    del level, parent
-    dropped = flagged(columns[5])
-    degenerate = int(np.count_nonzero(dropped))
-    if degenerate:
-        columns = _take_rows(columns, np.flatnonzero(~dropped))
-        # the rows are in level order, so the last one kept is the widest
-        width = np.count_nonzero(columns[0][-1:] >= 0)
-        columns[:2] = [column[:, :width] for column in columns[:2]]
-    del dropped
+    del level, parent, rows
+    degenerate = int(np.count_nonzero(flagged(fits.condition)))
     meta = {"fits": total, "exact_fits": total, "degenerate": degenerate}
-    return _finish(columns, ws, "exhaustive", meta, config.prior)
+    # the kept rows are a temporary, which _finish frees before the set's check
+    return _finish(fits, np.flatnonzero(~flagged(fits.condition)) if degenerate else None,
+                   ws, "exhaustive", meta, config.prior)
 
 
 # Occam screen: a child's BIC is first scored from its parent's factor in one
@@ -477,7 +470,7 @@ def _first_parents(sel: np.ndarray, p: int) -> tuple:
     return parent[keep], col[keep]
 
 
-def _screen(ws: Workspace, survivors: _Level, parent, col) -> np.ndarray:
+def _screen(ws: Workspace, survivors: _Fits, parent, col) -> np.ndarray:
     """Lower bounds on the BIC that Workspace.extend gives each (parent, col).
 
     The child's factor row is one batched forward substitution against the
@@ -487,7 +480,7 @@ def _screen(ws: Workspace, survivors: _Level, parent, col) -> np.ndarray:
     may send to fit_subset get -inf, so they are always fitted exactly.
     """
     off = ws._off
-    m = survivors.sel.shape[1] + off
+    m = survivors.index.shape[1] + off
     n = ws.n_obs
     penalty = (m + 2) * math.log(n)  # the parent's terms, the new one, the variance
     chols = survivors.chol.transpose(0, 2, 1)
@@ -502,7 +495,7 @@ def _screen(ws: Workspace, survivors: _Level, parent, col) -> np.ndarray:
         pi = parent[lo:lo + _SCREEN_CHUNK]
         dj = col[lo:lo + _SCREEN_CHUNK] + off
         chol = np.ascontiguousarray(chols[pi])  # the factors themselves, C-ordered
-        cross = ws.gram[ws._design_rows(survivors.sel[pi]), dj[:, None]]
+        cross = ws.gram[ws._design_rows(survivors.index[pi]), dj[:, None]]
         w = np.empty_like(cross)
         for r in range(m):
             dot = np.einsum("ij,ij->i", chol[:, r, :r], w[:, :r])
@@ -560,7 +553,7 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
     pool = [replace(survivors, chol=None, zvec=None)]  # the pool keeps no factor
 
     for size in range(2, limit + 1):
-        order = _ranked(survivors.bic, survivors.sel, ws.names)
+        order = _ranked(survivors.bic, survivors.index, ws.names)
         if order.size > config.beam_cap:
             order = order[:config.beam_cap]
             capped = True
@@ -580,17 +573,16 @@ def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
             break
 
     del survivors  # the pool holds every row kept, without its factor
-    for i in range(len(pool)):  # in place, so one level at a time is copied
-        inside = pool[i].bic - best <= window
-        if not inside.all():
-            pool[i] = pool[i].take(np.flatnonzero(inside))
-    dropped = _exclude_submodels(pool) if config.submodel_exclusion else 0
-    meta = {"fits": fits, "exact_fits": exact_fits, "beam_capped": capped,
-            "window": window, "submodel_excluded": dropped, "degenerate": degenerate}
-    return _finish_levels(pool, ws, "occam", meta, config.prior)
+    gathered = _gathered(pool)
+    inside = np.flatnonzero(gathered.bic - best <= window)
+    beaten = (_submodel_beaten(gathered.index[inside], gathered.bic[inside])
+              if config.submodel_exclusion else np.zeros(inside.size, dtype=bool))
+    meta = {"fits": fits, "exact_fits": exact_fits, "beam_capped": capped, "window": window,
+            "submodel_excluded": int(np.count_nonzero(beaten)), "degenerate": degenerate}
+    return _finish(gathered, inside[~beaten], ws, "occam", meta, config.prior)
 
 
-def _fit_window(ws: Workspace, survivors: _Level, best: float, window: float,
+def _fit_window(ws: Workspace, survivors: _Fits, best: float, window: float,
                 keep: bool) -> tuple:
     """Screen the children of survivors and fit those that may enter the window.
 
@@ -600,7 +592,7 @@ def _fit_window(ws: Workspace, survivors: _Level, best: float, window: float,
     Returns the unflagged fits (None when no child is fitted), the running
     best BIC, and the counts of children, exact fits and flagged fits.
     """
-    parent, col = _first_parents(survivors.sel, ws.n_candidates)
+    parent, col = _first_parents(survivors.index, ws.n_candidates)
     bound = _screen(ws, survivors, parent, col)
     order = np.argsort(bound)
     bound = bound[order]
@@ -620,25 +612,23 @@ def _fit_window(ws: Workspace, survivors: _Level, best: float, window: float,
         passes.append(fitted if usable.size == len(fitted) else fitted.take(usable))
         done = stop
         threshold = best + window
-    return (_concat(passes) if passes else None), best, (parent.size, done, degenerate)
+    if len(passes) > 1:  # one _Fits of the passes' rows
+        passes = [_Fits(*[None if parts[0] is None else np.concatenate(parts)
+                          for parts in zip(*(fitted.parts() for fitted in passes))])]
+    return (passes[0] if passes else None), best, (parent.size, done, degenerate)
 
 
-def _exclude_submodels(levels: list) -> int:
-    """Drop, in place, every model that a strict sub-model among them beats on BIC.
+def _submodel_beaten(index: np.ndarray, bic: np.ndarray) -> np.ndarray:
+    """Whether a strict sub-model among the rows has a lower BIC than each row.
 
-    Returns the number dropped.
+    Madigan & Raftery's (1994) second rule, every row against every smaller
+    one; a tie does not beat.
     """
-    sets = [(frozenset(row), b) for lv in levels
-            for row, b in zip(lv.sel.tolist(), lv.bic.tolist())]
-    beaten = [any(small < big and small_bic < big_bic
-                  for small, small_bic in sets if len(small) < len(big))
-              for big, big_bic in sets]
-    lo = 0
-    for i in range(len(levels)):
-        hi = lo + len(levels[i])
-        levels[i] = levels[i].take(np.flatnonzero(np.logical_not(beaten[lo:hi])))
-        lo = hi
-    return sum(beaten)
+    sets = [(frozenset(j for j in row if j >= 0), b)
+            for row, b in zip(index.tolist(), bic.tolist())]
+    return np.array([any(small < big and small_bic < big_bic
+                         for small, small_bic in sets if len(small) < len(big))
+                     for big, big_bic in sets], dtype=bool)
 
 
 def _pcg64_draws(rng: np.random.Generator, block: int = 1024) -> tuple:
@@ -774,20 +764,18 @@ def mc3_search(y, library, config: SearchConfig = None) -> ModelSet:
             inside = [b for b in bits if mask & b]
             outside = [b for b in bits if not mask & b]
 
-    by_size = {}
-    for mask in visited:
-        by_size.setdefault(mask.bit_count(), []).append(mask)
-    levels = []
-    for masks in by_size.values():
+    levels = []  # one per model size
+    for _, masks in itertools.groupby(sorted(visited, key=int.bit_count), int.bit_count):
+        masks = list(masks)
         bics, _, betas, rss, conds = zip(*map(cache.get, masks))
         betas = np.array(betas)
-        levels.append(_Level(np.array(list(map(_members, masks)), dtype=np.intp),
-                             betas[:, ws._off:],
-                             betas[:, 0] if ws._off else None,
-                             np.array(bics), np.array(rss), np.array(conds), None, None))
+        levels.append(_Fits(np.array(list(map(_members, masks)), dtype=np.intp),
+                            betas[:, ws._off:],
+                            betas[:, 0] if ws._off else np.full(len(masks), math.nan),
+                            np.array(bics), np.array(rss), np.array(conds)))
     meta = {"iterations": iterations, "accepted": accepted, "unique_fits": len(cache),
             "degenerate": sum(f[1] for f in cache.values())}
-    return _finish_levels(levels, ws, "mc3", meta, config.prior)
+    return _finish(_gathered(levels), None, ws, "mc3", meta, config.prior)
 
 
 def run_search(y, library, config: SearchConfig) -> ModelSet:

@@ -1,6 +1,7 @@
 """One-value reference computations that the tests hold the pipeline's
 vectorized kernels to: ACE for one pixel, scipy.ndimage's 8-connected ROI
-labelling, and the multiplicity-counting member sum of a class."""
+labelling, the multiplicity-counting member sum of a class, and the sub-model
+rule of a strict Occam search, one pair of models at a time."""
 
 import numpy as np
 from scipy import ndimage
@@ -45,3 +46,15 @@ def reference_member_probability_sum(posterior, hierarchy, node) -> float:
     return float(sum(p * len(members.intersection(m.regressors))
                      for m, p in zip(model_rows(posterior.models), posterior.probabilities)
                      if not members.isdisjoint(m.regressors)))
+
+
+def reference_submodel_beaten(rows, bics) -> list:
+    """Madigan & Raftery's (1994) second Occam rule: whether a strict sub-model
+    among the models has a lower BIC than each one, every model compared with
+    every smaller one. Model i holds the candidates rows[i] (no padding) and
+    has BIC bics[i]; a tie does not beat."""
+    sets = [(frozenset(row), b) for row, b in zip(rows, bics)]
+    beaten = [any(small < big and small_bic < big_bic
+                  for small, small_bic in sets if len(small) < len(big))
+              for big, big_bic in sets]
+    return beaten

@@ -740,6 +740,27 @@ class TestFailedRuns:
         one_error_line(capsys, "nothere")
         assert not (tmp_path / "od").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["detect", "--cube", "{tmp}/nothere.hdr", "--target-lib", "{tmp}/nolib.csv",
+         "--target", "t", "--out", "{out}"],
+        ["identify", "--spectrum", "{tmp}/nothere.csv", "--library", "{tmp}/nolib.csv",
+         "--out", "{out}"],
+        ["bma-table", "--csv", "{tmp}/nothere.csv", "--response", "y", "--out", "{out}"],
+    ], ids=["detect", "identify", "bma-table"])
+    @pytest.mark.parametrize("option,message", [
+        (["--threads", "0"], "threads must be >= 1, got 0"),
+        (["--threads", "-5"], "threads must be >= 1, got -5"),
+        (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ], ids=["threads-0", "threads-negative", "seed"])
+    def test_global_options_are_checked_before_any_input(self, tmp_path, capsys, command,
+                                                         option, message):
+        # the inputs do not exist: the message shows the option was checked first
+        out = tmp_path / "od" / "x"
+        rc = main(option + [arg.format(tmp=tmp_path, out=out) for arg in command])
+        assert rc == 2
+        one_error_line(capsys, message)
+        assert not (tmp_path / "od").exists()
+
     @pytest.mark.parametrize("strategy,message", [
         ("occam", "every single-regressor model is degenerate"),
         ("exhaustive", "no usable models: every candidate design is degenerate"),

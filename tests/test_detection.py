@@ -290,6 +290,15 @@ class TestDetect:
             with pytest.raises(InputError):
                 detect(cube, target, stats, threshold=bad)
 
+    def test_threads_validation(self):
+        # the library's own check; the CLI refuses --threads before any input
+        grid, data, target = implant_cube()
+        cube = ImageCube(grid, data)
+        stats = background_stats(cube)
+        for bad in (0, -5):
+            with pytest.raises(InputError, match="^threads must be >= 1, got %d$" % bad):
+                detect(cube, target, stats, threshold=0.5, threads=bad)
+
     def test_target_grid_mismatch(self):
         grid, data, target = implant_cube()
         cube = ImageCube(grid, data)

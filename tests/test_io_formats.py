@@ -744,6 +744,7 @@ class TestResultWriters:
         ('[5]', "pixel coordinates"),
         ('[{"pixels": [["a", 1]]}]', "integer pairs"),
         ('[{"pixels": [[1]]}]', "integer pairs"),
+        ('[{"pixels": [[1, 2]]}, {"pixels": []}]', "no pixels in '.*rois.json'"),
     ])
     def test_rois_rejects(self, tmp_path, payload, message):
         path = tmp_path / "rois.json"

@@ -15,6 +15,7 @@ from specid.aggregate import averaged_coefficients, inclusion_probability, norma
 from specid.core import BandGrid, Spectrum, SpectralLibrary, extract_pixel
 from specid.errors import AlignmentError, InputError, SearchError
 from conftest import model_rows
+from oracles import reference_submodel_beaten
 from specid.regression import ModelPrior, Workspace, flagged
 from specid.search import (ModelSet, SearchConfig, _checked, _children, _first_level,
                            _first_parents, _fit, _pcg64_draws, _screen, exhaustive_search,
@@ -411,6 +412,34 @@ class TestOccam:
                     assert small_bic >= big_bic
 
 
+@st.composite
+def submodel_pools(draw):
+    """Distinct sets of 1 to 5 of 6 candidates, each in some fit order, with
+    BICs drawn mostly from a few values, so that ties fall within and across
+    sizes; every other pool holds one size only."""
+    sizes = st.integers(1, 5)
+    if draw(st.booleans()):
+        sizes = st.just(draw(sizes))
+    rows = draw(st.lists(sizes.flatmap(lambda k: st.permutations(range(6)).map(
+        lambda order: order[:k])), min_size=1, max_size=40, unique_by=frozenset))
+    bics = draw(st.lists(st.sampled_from([-2.0, 0.0, 0.5, 3.0]) | st.floats(-5, 5),
+                         min_size=len(rows), max_size=len(rows)))
+    return rows, bics
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(submodel_pools())
+def test_submodel_rule_matches_the_oracle(pool):
+    # the strict Occam search's rule, on a pool's padded index rows
+    rows, bics = pool
+    index = np.full((len(rows), max(map(len, rows))), -1, dtype=np.intp)
+    for i, row in enumerate(rows):
+        index[i, :len(row)] = row
+    got = search._submodel_beaten(index, np.array(bics))
+    assert got.dtype == bool
+    assert got.tolist() == reference_submodel_beaten(rows, bics)
+
+
 def reference_occam(y, library, config):
     """Occam search fitting every child exactly, one extend call per child.
 
@@ -574,7 +603,7 @@ class TestOccamScreen:
             level = _first_level(ws, keep=True)
             for _ in range(3):
                 level = level.take(np.flatnonzero(~flagged(level.condition)))
-                parent, col = _first_parents(level.sel, 6)
+                parent, col = _first_parents(level.index, 6)
                 bound = _screen(ws, level, parent, col)
                 level = _fit(ws, _children(level, parent, col), level, parent)
                 for b, bic, flag in zip(bound, level.bic, flagged(level.condition)):

@@ -48,7 +48,9 @@ Every command runs in process through specid.cli.main:
   explicit --backgrounds pixels spread over the cube, out of row order;
   bma-table on the crime table: occam --occam-strict, occam and mc3 at
   --seed 3, occam at max size 6 with a window so wide (--window-c 1e300)
-  that it keeps all 9,948 models, and mc3 at the benchmark's size (100,000
+  that it keeps all 9,948 models, occam --occam-strict with an unbounded
+  window (--window-c inf), so that the sub-model rule runs on all 32,767
+  subsets and keeps 263, and mc3 at the benchmark's size (100,000
   iterations, no size cap) at --seed 5 and --seed 4294967296 (2**32), whose
   chains start without and with a kept 32-bit half of PCG64's output; on the
   names table: occam.
@@ -65,7 +67,7 @@ The copy run grows, in its third level (10,660 fits, ten full chunks of
 the search's fits and part of an eleventh), a factor holding ldpe_1 by its
 copy 39 times, all in the first chunk: each meets a dependent column and is
 refitted from the Gram matrix in the middle of a full-size chunk.
-The printed object maps "<run>/<file>" to the file's sha256: 102 sums, and 9
+The printed object maps "<run>/<file>" to the file's sha256: 104 sums, and 9
 more for each --detect input. Output files and inputs are kept under --work
 (default: a temporary directory).
 
@@ -124,6 +126,8 @@ BMA_RUNS = (
     ("mc3", 3, ["--strategy", "mc3", "--iterations", "5000", "--max-size", "6"]),
     # every model of up to 6 predictors: levels of more than one fit chunk
     ("occam-wide", 3, ["--window-c", "1e300", "--max-size", "6"]),
+    # the sub-model rule over every subset: an unbounded window keeps all 32,767
+    ("occam-strict-all", 3, ["--window-c", "inf", "--occam-strict"]),
     # the benchmark's chain: its first draw without, then with, a kept 32-bit half
     ("mc3-seed5", 5, ["--strategy", "mc3", "--iterations", "100000"]),
     ("mc3-seed4294967296", 2**32, ["--strategy", "mc3", "--iterations", "100000"]),
