@@ -102,11 +102,10 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
 
     The selected pixels are summed in blocks of core.PIXEL_BLOCK_STEP
     (3,072) pixels on every cube; a short last block joins the one before
-    it (core.block_bounds). Each pass reads a block's rows (ImageCube.reader)
-    into one buffer, or with a mask gathers its pixels there from at most
-    core.block_rows rows at a time; a row that two blocks share is read for
-    each. The bits equal the whole-array
-    `flat.mean(axis=0)` and `centred.T @ centred`:
+    it (core.block_bounds). Each pass converts each row holding a selected
+    pixel once (ImageCube.reader), into one buffer of a block plus less than
+    a row, and squeezes a mask's other pixels out in place. The bits equal
+    the whole-array `flat.mean(axis=0)` and `centred.T @ centred`:
     - numpy sums over axis 0 row by row, so each block's sum starts from the
       running total, added into the block's first pixel (IEEE addition is
       commutative, so total + pixel and pixel + total are the same bits);
@@ -123,51 +122,51 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
     if not 0.0 <= shrinkage <= 1.0:
         raise InputError("shrinkage must be in [0, 1], got %r" % shrinkage)
     cols, bands = cube.cols, cube.bands
-    index = None
+    index, per_row = None, np.full(cube.rows, cols)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (cube.rows, cols):
             raise InputError("pixel mask shape %r does not match cube %r"
                              % (mask.shape, (cube.rows, cols)))
-        index = np.flatnonzero(mask)
-    count = cube.rows * cols if index is None else index.size
+        index, per_row = np.flatnonzero(mask), mask.sum(axis=1)
+    count = int(per_row.sum())
     if count < 2:
         raise InputError("need at least 2 pixels for background statistics, got %d"
                          % count)
+    ends = np.cumsum(per_row)   # the selected pixels up to each row's end
+    gaps = np.append(np.flatnonzero(per_row == 0), cube.rows)   # the empty rows
     bounds = block_bounds(count, PIXEL_BLOCK_STEP)
     read = cube.reader()
-    # a block's whole rows: the block, and less than a row before and after it
-    buffer = np.empty((max(hi - lo for lo, hi in bounds) + 2 * cols, bands))
+    buffer = np.empty((max(hi - lo for lo, hi in bounds) + cols - 1, bands))
 
-    def pixels(lo, hi):
-        """The selected pixels lo:hi, a view into the buffer."""
-        if index is None:
-            top, skip = divmod(lo, cols)
-            rows = (hi - 1) // cols + 1 - top
-            read(top, top + rows, out=buffer[:rows * cols].reshape(rows, cols, bands))
-            return buffer[skip:skip + hi - lo]
-        where, done = index[lo:hi], 0
-        step = block_rows(cols * bands)
-        for top in range(where[0] // cols, where[-1] // cols + 1, step):
-            stop = int(np.searchsorted(where, (top + step) * cols))
-            if stop > done:
-                block = read(top, min(top + step, cube.rows)).reshape(-1, bands)
-                # in range by construction; the default mode="raise"
-                # would copy through a temporary as large as `out`
-                np.take(block, where[done:stop] - top * cols, axis=0, mode="clip",
-                        out=buffer[done:stop])
-                done = stop
-        return buffer[:hi - lo]
+    def blocks():
+        """Each block's start and pixels, in a buffer of a block plus less than a row."""
+        held = 0   # the selected pixels lo:lo + held, at the front of the buffer
+        for lo, hi in bounds:
+            last = int(np.searchsorted(ends, hi))   # the row of pixel hi - 1
+            while held < hi - lo:
+                # the next rows with selected pixels, up to an empty row, the
+                # block's last row or the end of the buffer
+                top = int(np.searchsorted(ends, lo + held, side="right"))
+                stop = min(last + 1, top + (len(buffer) - held) // cols,
+                           int(gaps[np.searchsorted(gaps, top)]))
+                rows = buffer[held:held + (stop - top) * cols]
+                read(top, stop, out=rows.reshape(stop - top, cols, bands))
+                got = int(ends[stop - 1]) - lo - held
+                if got < len(rows):   # squeeze out the unselected pixels
+                    rows[:got] = rows[index[lo + held:lo + held + got] - top * cols]
+                held += got
+            yield lo, buffer[:hi - lo]
+            held -= hi - lo
+            buffer[:held] = buffer[hi - lo:hi - lo + held]
 
-    for lo, hi in bounds:
-        block = pixels(lo, hi)
+    for lo, block in blocks():
         if lo:  # the first block's sum starts from its first pixel
             block[0] += total
         total = np.add.reduce(block, axis=0)
     mean = total / count
     gram = np.zeros((bands, bands), order="F")
-    for lo, hi in bounds:
-        centred = pixels(lo, hi)
+    for lo, centred in blocks():
         centred -= mean
         gram = dsyrk(1.0, centred.T, beta=0.0 if lo == 0 else 1.0,
                      c=gram, trans=0, lower=1, overwrite_c=1)

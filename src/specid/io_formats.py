@@ -186,14 +186,14 @@ class _EnviCube(ImageCube):
     A read converts its rows in one pass: their bytes go into one buffer the
     size of the read, by one positional read for BIL and BIP and one per band
     for BSQ, so threads can read the file at once. Callers read a row block,
-    a pixel block's rows or one row. Casting, band selection and division
-    act element by element, so the values equal a whole-cube conversion bit
-    for bit, whatever the rows read. Each row's values are checked to be
-    finite the first time it is converted (threads at once may check a row
-    twice, never skip it); integers divided by a factor that keeps the
-    widest of them finite need no check. A file that ends before the rows
-    read raises ParseError. `data` converts the whole cube once, on first
-    use, a row block (core.block_rows) at a time; reads never become views.
+    the rows a pixel block still needs or one row. Casting, band selection and
+    division act element by element, so the values equal a whole-cube
+    conversion bit for bit, whatever the rows read. Each row's values are
+    checked to be finite the first time it is converted (threads at once may
+    check a row twice, never skip it); integers divided by a factor that keeps
+    the widest of them finite need no check. A file that ends before the rows
+    read raises ParseError. `data` converts the whole cube once, on first use,
+    a row block (core.block_rows) at a time; reads never become views.
     """
 
     def __init__(self, header: EnviHeader, path: str, dtype: np.dtype):

@@ -671,6 +671,12 @@ class TestParsing:
         assert proc.returncode == 0
         assert proc.stdout.startswith("specid ")
 
+    def test_cli_module_runs_as_a_script(self):
+        proc = subprocess.run([sys.executable, "-m", "specid.cli", "--version"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "specid 0.1.0\n"
+
 
 # `python -c LOADED_AT_EXIT ARGS...` runs `python -m specid ARGS...`, or with
 # no ARGS only imports specid.cli, and at exit writes the names of the loaded

@@ -172,6 +172,41 @@ class TestBlockedStats:
                               cwd=os.path.dirname(__file__))
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_each_row_holding_a_selected_pixel_is_converted_once_a_pass(self, masked):
+        # 124 bands at the real block size: 49 x 193 pixels are 3 blocks, each
+        # boundary inside a row. The mask leaves rows empty at both ends and
+        # within, 5 of them in a row.
+        rows, cols = 49, 193
+        rng = np.random.default_rng(25)
+        cube = ImageCube(BandGrid(np.linspace(0.4, 2.4, 124)),
+                         rng.normal(0.5, 0.05, (rows, cols, 124)))
+        mask, want = None, list(range(rows))
+        if masked:
+            mask = rng.random((rows, cols)) < 0.9
+            mask[[0, 5, 6, 7, 8, 9, 30, 48]] = False
+            want = np.flatnonzero(mask.any(axis=1)).tolist()
+        calls, reader = [], cube.reader
+
+        def counting_reader():
+            read = reader()
+
+            def counted(lo, hi, out=None):
+                calls.append((lo, hi))
+                return read(lo, hi, out)
+            return counted
+
+        cube.reader = counting_reader
+        background_stats(cube, 0.01, mask)
+        # each pass reads in raster order, so a pass starts where `lo` drops
+        starts = [0] + [i for i in range(1, len(calls)) if calls[i][0] < calls[i - 1][0]]
+        passes = [calls[a:b] for a, b in zip(starts, starts[1:] + [len(calls)])]
+        assert len(passes) == 2
+        for reads in passes:
+            assert [row for lo, hi in reads for row in range(lo, hi)] == want
+            if not masked:
+                assert len(reads) <= 3   # at most one read a block
+
     def test_peak_is_two_blocks_and_the_band_matrices(self, monkeypatch):
         rows, cols, bands = 240, 100, 32
         monkeypatch.setattr(specid.core, "BLOCK_VALUES", PIXEL_BLOCK_STEP * bands)
@@ -462,8 +497,10 @@ for threads in (1, 3):
 
 # 124 bands at the real block size: blocks of 3,072 pixels. 49 x 193 pixels
 # are 3 blocks and a tail of 241 that joins the last, and 3,072 is no
-# multiple of 193, so every block boundary falls inside a row; the mask keeps
-# about 2.8 blocks of them.
+# multiple of 193, so every block boundary falls inside a row. The masks
+# keep about 2.8 blocks of them; 16 rows on either side of 17 empty ones,
+# more than a block's span (15.9 rows), for 2 blocks; and two pixels, both
+# in the last row.
 BLOCKED_STATS_MATCH_WHOLE = """
 import numpy as np
 from specid.core import PIXEL_BLOCK_STEP, BandGrid, ImageCube
@@ -474,7 +511,10 @@ assert PIXEL_BLOCK_STEP == 3072, PIXEL_BLOCK_STEP
 rng = np.random.default_rng(18)
 grid = BandGrid(np.linspace(0.4, 2.4, 124))
 cube = ImageCube(grid, rng.normal(0.5, 0.05, (49, 193, 124)))
-for mask in (None, rng.random((49, 193)) < 0.9):
+spaced, last_row = np.ones((49, 193), dtype=bool), np.zeros((49, 193), dtype=bool)
+spaced[16:33] = False
+last_row[48, [5, 150]] = True
+for mask in (None, rng.random((49, 193)) < 0.9, spaced, last_row):
     got = stats_bytes(background_stats, cube, 0.01, mask)
     assert got == stats_bytes(reference_background_stats, cube, 0.01, mask)
 """
