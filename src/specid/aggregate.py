@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassHierarchy
+from .core import ClassHierarchy, ordered_sum
 from .errors import InputError
 from .search import ModelSet
 
@@ -132,19 +132,10 @@ SUM_ROWS = 256  # models per block of _sums; a block's weights are SUM_ROWS x co
 
 
 def _sums(posterior: ModelPosterior, weights) -> np.ndarray:
-    """Column sums of p_i * weights(rows)[i], added in model order from +0.0.
-
-    numpy reduces a C-contiguous block over axis 0 a row at a time, so with
-    the running total added into its first row each block continues the
-    sums in order; it needs at least 2 columns, for numpy sums a single
-    column pairwise.
-    """
-    p, total = posterior.probabilities, 0.0
-    for rows in (slice(start, start + SUM_ROWS) for start in range(0, p.size, SUM_ROWS)):
-        terms = p[rows, None] * weights(rows)
-        terms[0] += total
-        total = np.add.reduce(terms, axis=0)
-    return total
+    """Column sums of p_i * weights(rows)[i], in model order from +0.0 (core.ordered_sum)."""
+    p = posterior.probabilities
+    spans = (slice(lo, lo + SUM_ROWS) for lo in range(0, p.size, SUM_ROWS))
+    return ordered_sum(p[rows, None] * weights(rows) for rows in spans)
 
 
 def _group_sums(posterior: ModelPosterior, groups) -> np.ndarray:

@@ -349,35 +349,47 @@ def mix(components, noise_sigma: float = 0.0, seed: int = 0) -> Spectrum:
     return Spectrum("mixture", grid, total, (), valid=None if valid.all() else valid)
 
 
+def ordered_sum(blocks) -> np.ndarray:
+    """Column sums of a stream of blocks, their rows added in order from +0.0.
+
+    Each block, a writable, C-contiguous (rows, columns) float64 array with
+    at least 2 columns, is overwritten: numpy reduces it over axis 0 from
+    +0.0 a row at a time (one column it sums pairwise), so with the running
+    total added into its first row it continues the sums, as a loop would.
+    """
+    total = 0.0
+    for block in blocks:
+        block[0] += total
+        total = np.add.reduce(block, axis=0)
+    return total
+
+
 def extract_pixel(cube: ImageCube, row: int, col: int) -> Spectrum:
     """Pixel (row, col) as a Spectrum with an empty class path."""
     values, = _pixel_values(cube, [(row, col)])
-    return Spectrum("pixel_%d_%d" % (row, col), cube.grid, values)
+    return Spectrum("pixel_%d_%d" % (row, col), cube.grid, values[0])
 
 
 def average_pixels(cube: ImageCube, coords) -> Spectrum:
-    """Mean spectrum over a set of (row, col) coordinates, summed in their order."""
+    """Mean spectrum over (row, col) coordinates, summed in their order by ordered_sum."""
     coords = list(coords)
     if not coords:
         raise InputError("average_pixels needs at least one coordinate")
-    acc = np.zeros(len(cube.grid))
-    for values in _pixel_values(cube, coords):
-        acc += values
-    return Spectrum("avg_%dpx" % len(coords), cube.grid, acc / len(coords))
+    total = ordered_sum(_pixel_values(cube, coords))
+    return Spectrum("avg_%dpx" % len(coords), cube.grid, total / len(coords))
 
 
 def _pixel_values(cube: ImageCube, coords):
-    """Each coordinate's values in turn, valid until the next is drawn.
-
-    A row is read once for each run of coordinates on it, so coordinates
-    in row-major order read each of their rows once.
-    """
-    read = cube.reader()
-    current = None
+    """Each run of coordinates on one row as a new (run, bands) array, gathered
+    in their order, repeats included, from one read of the row."""
+    runs = []   # (row, the run's columns)
     for row, col in coords:
         if not (0 <= row < cube.rows and 0 <= col < cube.cols):
             raise BoundsError("pixel (%d, %d) outside %dx%d cube"
                               % (row, col, cube.rows, cube.cols))
-        if row != current:
-            line, current = read(row, row + 1)[0], row
-        yield line[col]
+        if not runs or runs[-1][0] != row:
+            runs.append((row, []))
+        runs[-1][1].append(col)
+    read = cube.reader()
+    for row, cols in runs:
+        yield read(row, row + 1)[0][cols]

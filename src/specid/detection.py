@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (PIXEL_BLOCK_STEP, ImageCube, Spectrum, average_pixels, block_bounds,
-                   block_rows)
+                   block_rows, ordered_sum)
 from .errors import AlignmentError, InputError, NumericalError
 from . import regression
 
@@ -106,16 +106,13 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
     pixel once (ImageCube.reader), into one buffer of a block plus less than
     a row, and squeezes a mask's other pixels out in place. The bits equal
     the whole-array `flat.mean(axis=0)` and `centred.T @ centred`:
-    - numpy sums over axis 0 row by row, so each block's sum starts from the
-      running total, added into the block's first pixel (IEEE addition is
-      commutative, so total + pixel and pixel + total are the same bits);
+    - the blocks are summed in order by core.ordered_sum;
     - numpy's `A.T @ A` is OpenBLAS's `dsyrk`, lower triangle, called here
       once per block from scipy.linalg's compiled `_fblas`
       (regression.scipy_linalg_module) and accumulated in place. OpenBLAS sums
       over pixels in panels (256 to 768 pixels, by CPU) and halves a last
       stretch shorter than two panels; blocks of whole panels, with the tail
       joined, make the same additions in the same order.
-    A one-band view would be summed pairwise, but a band grid has at least 2.
     """
     dsyrk = regression.scipy_linalg_module("_fblas").dsyrk
 
@@ -160,11 +157,7 @@ def background_stats(cube: ImageCube, shrinkage: float = 0.01,
             held -= hi - lo
             buffer[:held] = buffer[hi - lo:hi - lo + held]
 
-    for lo, block in blocks():
-        if lo:  # the first block's sum starts from its first pixel
-            block[0] += total
-        total = np.add.reduce(block, axis=0)
-    mean = total / count
+    mean = ordered_sum(block for _, block in blocks()) / count
     gram = np.zeros((bands, bands), order="F")
     for lo, centred in blocks():
         centred -= mean

@@ -183,17 +183,18 @@ def read_envi(header_path: str, data_path: str | None = None) -> ImageCube:
 class _EnviCube(ImageCube):
     """An ENVI cube whose values stay in its data file, converted to float64 when read.
 
-    A read converts its rows in one pass: their bytes go into one buffer the
-    size of the read, by one positional read for BIL and BIP and one per band
-    for BSQ, so threads can read the file at once. Callers read a row block,
+    A read takes its rows' bytes into one buffer the size of the read, by one
+    positional read for BIL and BIP and one per band for BSQ, so threads can
+    read the file at once. Kept bands are gathered from it into a copy when
+    some are bad; one pass then casts (and divides). Callers read a row block,
     the rows a pixel block still needs or one row. Casting, band selection and
     division act element by element, so the values equal a whole-cube
-    conversion bit for bit, whatever the rows read. Each row's values are
-    checked to be finite the first time it is converted (threads at once may
-    check a row twice, never skip it); integers divided by a factor that keeps
-    the widest of them finite need no check. A file that ends before the rows
-    read raises ParseError. `data` converts the whole cube once, on first use,
-    a row block (core.block_rows) at a time; reads never become views.
+    conversion bit for bit, whatever the rows read. Each row is checked to be
+    finite the first time it is converted (threads at once may check a row
+    twice, never skip it); integers divided by a factor that keeps the widest
+    of them finite need no check. A file that ends before the rows read raises
+    ParseError. `data` converts the whole cube once, on first use, a row block
+    (core.block_rows) at a time; reads never become views.
     """
 
     def __init__(self, header: EnviHeader, path: str, dtype: np.dtype):
@@ -417,20 +418,18 @@ def render_tree_dot(tree: IdentificationTree, conditional: bool = False) -> str:
     child order.
     """
     lines = ["digraph identification {", "  node [shape=box];"]
-    edges = []
-
-    def emit(path, node, parent_prob):
+    edges, probability = [], {}
+    # pre-order: probability[path[:-1]] is the parent's, even with same-named siblings
+    for path, node in tree.walk():
         node_id = "/".join(("",) + path) or "/"
-        shown = node.probability
-        if conditional and parent_prob is not None:
-            shown = node.probability / parent_prob if parent_prob > 0 else 0.0
+        probability[path] = shown = node.probability
+        if path:
+            edges.append(("/".join(("",) + path[:-1]) or "/", node_id))
+            if conditional:
+                parent = probability[path[:-1]]
+                shown = node.probability / parent if parent > 0 else 0.0
         lines.append('  "%s" [label="%s\\np=%.4f"];'
                      % (_dot_escape(node_id), _dot_escape(node.name), shown))
-        for child in node.children:
-            edges.append((node_id, "/".join(("",) + path + (child.name,))))
-            emit(path + (child.name,), child, node.probability)
-
-    emit((), tree.root, None)
     for src, dst in edges:
         lines.append('  "%s" -> "%s";' % (_dot_escape(src), _dot_escape(dst)))
     lines.append("}")
@@ -579,6 +578,8 @@ def read_rois_json(path: str) -> list:
             raise ParseError("ROI pixels must be [row, col] integer pairs in %r" % path)
         if not pixels:
             raise ParseError("ROI entry with no pixels in %r" % path)
+        if len(set(map(tuple, pixels))) < len(pixels):
+            raise ParseError("ROI entry lists a pixel twice in %r" % path)
     return payload
 
 

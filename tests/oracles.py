@@ -1,14 +1,16 @@
 """One-value reference computations that the tests hold the pipeline's
 vectorized kernels to: ACE for one pixel, scipy.ndimage's 8-connected ROI
-labelling, the multiplicity-counting member sum of a class, and the sub-model
-rule of a strict Occam search, one pair of models at a time."""
+labelling, the multiplicity-counting member sum of a class, the sub-model
+rule of a strict Occam search, one pair of models at a time, a column sum one
+row at a time, and a pixel average one pixel at a time."""
 
 import numpy as np
 from scipy import ndimage
 
 from conftest import model_rows
+from specid.core import ImageCube, Spectrum
 from specid.detection import BackgroundStats, _values_on
-from specid.errors import NumericalError
+from specid.errors import BoundsError, InputError, NumericalError
 
 
 def ace_score(pixel, target, stats: BackgroundStats) -> float:
@@ -58,3 +60,40 @@ def reference_submodel_beaten(rows, bics) -> list:
                   for small, small_bic in sets if len(small) < len(big))
               for big, big_bic in sets]
     return beaten
+
+
+def reference_ordered_sum(blocks) -> np.ndarray:
+    """Column sums of the blocks' rows, added one row at a time in order to +0.0."""
+    acc = np.zeros(blocks[0].shape[1])
+    for block in blocks:
+        for row in block:
+            acc += row
+    return acc
+
+
+def reference_average_pixels(cube: ImageCube, coords) -> Spectrum:
+    """Mean spectrum over a set of (row, col) coordinates, summed in their order."""
+    coords = list(coords)
+    if not coords:
+        raise InputError("average_pixels needs at least one coordinate")
+    acc = np.zeros(len(cube.grid))
+    for values in reference_pixel_values(cube, coords):
+        acc += values
+    return Spectrum("avg_%dpx" % len(coords), cube.grid, acc / len(coords))
+
+
+def reference_pixel_values(cube: ImageCube, coords):
+    """Each coordinate's values in turn, valid until the next is drawn.
+
+    A row is read once for each run of coordinates on it, so coordinates
+    in row-major order read each of their rows once.
+    """
+    read = cube.reader()
+    current = None
+    for row, col in coords:
+        if not (0 <= row < cube.rows and 0 <= col < cube.cols):
+            raise BoundsError("pixel (%d, %d) outside %dx%d cube"
+                              % (row, col, cube.rows, cube.cols))
+        if row != current:
+            line, current = read(row, row + 1)[0], row
+        yield line[col]

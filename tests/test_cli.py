@@ -285,10 +285,12 @@ class TestIdentify:
         (["--library", "{tmp}/latin1.csv"], "latin1.csv' is not UTF-8 text: byte 0xff"),
         (["--hierarchy", "{tmp}/latin1.json"], "latin1.json' is not UTF-8 text: byte 0xff"),
         (["--roi", "{tmp}/latin1_rois.json"], "latin1_rois.json' is not UTF-8 text"),
+        (["--roi", "{tmp}/twice_rois.json"], "lists a pixel twice in"),
     ])
     def test_input_errors_exit_2(self, scene, detect_dir, tmp_path, capsys,
                                  extra, fragment):
         (tmp_path / "bad_rois.json").write_text('[{"pixels": [[1]]}]')
+        (tmp_path / "twice_rois.json").write_text('[{"pixels": [[40, 40], [40, 40]]}]')
         (tmp_path / "latin1.csv").write_bytes(b"wavelength_um,s\xff\n0.4,0.5\n0.5,0.6\n")
         (tmp_path / "latin1.json").write_bytes(b'{"s\xff": ["Fabric"]}')
         (tmp_path / "latin1_rois.json").write_bytes(b'[{"pixels": [[0, 0]], "n": "\xff"}]')

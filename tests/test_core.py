@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_ordered_sum
 from specid.core import (ROOT_LABEL, BandGrid, ClassHierarchy, ImageCube, Spectrum,
                          SpectralLibrary, average_pixels, extract_pixel, mix,
-                         resample, resample_library)
+                         ordered_sum, resample, resample_library)
 from specid.errors import AlignmentError, BoundsError, InputError
 
 
@@ -289,9 +292,35 @@ def test_extract_and_average_pixels():
         extract_pixel(cube, 2, 0)
     with pytest.raises(BoundsError):
         extract_pixel(cube, 0, -1)
+    with pytest.raises(BoundsError, match=r"^pixel \(0, %d\) outside" % 2**70):
+        extract_pixel(cube, 0, 2**70)   # past any index type
     avg = average_pixels(cube, [(0, 0), (1, 2)])
     np.testing.assert_allclose(avg.values, (data[0, 0] + data[1, 2]) / 2.0)
     with pytest.raises(InputError):
         average_pixels(cube, [])
     with pytest.raises(BoundsError):
         average_pixels(cube, [(0, 0), (5, 5)])
+
+
+# signed zeros, subnormals, and magnitudes far apart, so that any change in the
+# order of the additions shows in the bits
+SUM_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+                       st.floats(-1.0, 1.0), st.floats(-1e300, 1e300),
+                       st.floats(-1e-300, 1e-300))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(2, 6).flatmap(lambda columns: st.lists(
+    st.integers(1, 40).flatmap(lambda rows: st.lists(
+        st.lists(SUM_VALUES, min_size=columns, max_size=columns),
+        min_size=rows, max_size=rows)),
+    min_size=1, max_size=5)))
+@example(blocks=[[[0.0, -0.0]], [[-0.0, -0.0], [-0.0, 1e-300]]])
+def test_ordered_sum_is_a_loop_and_a_whole_array_sum(blocks):
+    """A loop from +0.0 is what average_pixels and aggregate._sums stand for;
+    numpy's sum over every row at once, what background_stats' mean does. Both
+    start from +0.0: a column of -0.0 alone sums to +0.0."""
+    blocks = [np.array(block) for block in blocks]
+    got = ordered_sum([block.copy() for block in blocks]).tobytes()
+    assert got == reference_ordered_sum(blocks).tobytes()
+    assert got == np.add.reduce(np.concatenate(blocks), axis=0).tobytes()

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_model_set, write_envi_cube, write_library_csv
+from oracles import reference_average_pixels, reference_pixel_values
 import specid.core
 from specid.aggregate import (IdentificationTree, InclusionReport, ModelPosterior,
                               TreeNode, normalize)
@@ -404,11 +405,13 @@ def test_file_backed_reads_match_whole_cube_read(files, data):
             coords = data.draw(st.lists(st.tuples(st.integers(0, rows - 1),
                                                   st.integers(0, cols - 1)),
                                         min_size=1, max_size=6))
-            assert average_pixels(cube, coords).values.tobytes() == \
-                average_pixels(want, coords).values.tobytes()
+            average = average_pixels(cube, coords).values.tobytes()
+            assert average == average_pixels(want, coords).values.tobytes()
+            assert average == reference_average_pixels(want, coords).values.tobytes()
             for row, col in coords:
-                assert extract_pixel(cube, row, col).values.tobytes() == \
-                    want.data[row, col].tobytes()
+                pixel = extract_pixel(cube, row, col).values.tobytes()
+                assert pixel == want.data[row, col].tobytes()
+                assert pixel == next(reference_pixel_values(want, [(row, col)])).tobytes()
             assert cube.data.tobytes() == want.data.tobytes()
 
 
@@ -745,6 +748,7 @@ class TestResultWriters:
         ('[{"pixels": [["a", 1]]}]', "integer pairs"),
         ('[{"pixels": [[1]]}]', "integer pairs"),
         ('[{"pixels": [[1, 2]]}, {"pixels": []}]', "no pixels in '.*rois.json'"),
+        ('[{"pixels": [[1, 2], [3, 4], [1, 2]]}]', "pixel twice in '.*rois.json'"),
     ])
     def test_rois_rejects(self, tmp_path, payload, message):
         path = tmp_path / "rois.json"

@@ -43,9 +43,11 @@ Every command runs in process through specid.cli.main:
   target spectrum ("ldpe_1.copy", its last column, of the same class), and
   exhaustive at max size 2 (3,240 fits) with scene 1's library followed by
   scene 7's, each of its names ending in ".scene7": 80 candidates, so every
-  row of the model set is packed into two 64-bit words; on
-  scene 11's: occam; on scene 13's: occam, and background removal with
-  explicit --backgrounds pixels spread over the cube, out of row order;
+  row of the model set is packed into two 64-bit words, and occam on an ROI
+  file that lists the top ROI's pixels in reverse raster order, so that the
+  ROI average gathers every row's pixels out of column order, bottom row
+  first; on scene 11's: occam; on scene 13's: occam, and background removal
+  with explicit --backgrounds pixels spread over the cube, out of row order;
   bma-table on the crime table: occam --occam-strict, occam and mc3 at
   --seed 3, occam at max size 6 with a window so wide (--window-c 1e300)
   that it keeps all 9,948 models, occam --occam-strict with an unbounded
@@ -67,7 +69,7 @@ The copy run grows, in its third level (10,660 fits, ten full chunks of
 the search's fits and part of an eleventh), a factor holding ldpe_1 by its
 copy 39 times, all in the first chunk: each meets a dependent column and is
 refitted from the Gram matrix in the middle of a full-size chunk.
-The printed object maps "<run>/<file>" to the file's sha256: 104 sums, and 9
+The printed object maps "<run>/<file>" to the file's sha256: 106 sums, and 9
 more for each --detect input. Output files and inputs are kept under --work
 (default: a temporary directory).
 
@@ -298,6 +300,17 @@ def collect(work: Path, detect_inputs) -> dict:
                     "--hierarchy", hierarchy, "--resample", "--strategy", "exhaustive",
                     "--max-size", size, "--out", str(out)])
         _digests(out, run, digests)
+    # scene 1's top ROI with its pixels in reverse raster order: each row's
+    # pixels are gathered out of column order, and the rows come bottom-up
+    with open(rois) as fh:
+        pixels = json.load(fh)[0]["pixels"]
+    reversed_rois = work / name / "rois_reversed.json"
+    reversed_rois.write_text(json.dumps([{"pixels": pixels[::-1]}]))
+    run = "%s/identify-reversed" % name
+    _run(main, ["identify", "--cube", scene["hdr"], "--roi", str(reversed_rois),
+                "--library", scene["library"], "--hierarchy", scene["hierarchy"],
+                "--resample", "--out", str(work / run)])
+    _digests(work / run, run, digests)
     table = _crime_table(work)
     for label, seed, extra in BMA_RUNS:
         run = "crime/bma-%s" % label
