@@ -220,7 +220,7 @@ def _checked(ws: Workspace, config: SearchConfig) -> int:
 
 
 def _ranked(bic: np.ndarray, index: np.ndarray, names: tuple) -> np.ndarray:
-    """Row order by (bic, sorted names), as models sort by (m.bic, m.key())."""
+    """Row order by bic, ties broken by the row's candidate names, sorted."""
     order = np.argsort(bic, kind="stable")
     ranked = bic[order]
     tied = np.concatenate(([False], ranked[1:] == ranked[:-1], [False]))
@@ -338,11 +338,6 @@ def _fit(ws: Workspace, sel: np.ndarray, parents: _Fits = None, parent=None,
     return fits
 
 
-def _children(level: _Fits, parent, col) -> np.ndarray:
-    """The candidate rows of level's row parent[i] followed by col[i]."""
-    return np.column_stack([level.index[parent], col])
-
-
 def _gathered(levels: list) -> _Fits:
     """The rows of the given levels, in order. Each level is popped, copied in
     and released before the next, so one the caller no longer holds is freed."""
@@ -378,12 +373,6 @@ def _finish(fits: _Fits, keep, ws: Workspace, strategy: str, metadata: dict,
     fits.compact(_ranked(fits.bic, fits.index, ws.names))
     return ModelSet(*(getattr(fits, name) for name in _COLUMNS), ws.names, strategy, metadata,
                     prior)
-
-
-def _first_level(ws: Workspace, keep: bool) -> _Fits:
-    """Every single-candidate model, fitted as fit_subset fits it."""
-    ws._check_size(1)
-    return _fit(ws, np.arange(ws.n_candidates, dtype=np.intp)[:, None], keep=keep)
 
 
 def _prefix_children(level: _Fits, p: int, sel: np.ndarray) -> np.ndarray:
@@ -471,13 +460,15 @@ def _first_parents(sel: np.ndarray, p: int) -> tuple:
 
 
 def _screen(ws: Workspace, survivors: _Fits, parent, col) -> np.ndarray:
-    """Lower bounds on the BIC that Workspace.extend gives each (parent, col).
+    """Lower bounds on the BIC that _fit gives each child: survivors' row
+    parent[i] grown by candidate col[i].
 
     The child's factor row is one batched forward substitution against the
     parent's Cholesky factor. The bound allows for rounding that grows with
     the parent's condition and the new pivot's cancellation, so an exactly
-    fitted child never scores below it; pairs that extend's dependence test
-    may send to fit_subset get -inf, so they are always fitted exactly.
+    fitted child never scores below it; children whose new column _fit's
+    dependence test may find dependent, and refit from the Gram matrix, get
+    -inf, so they are always fitted exactly.
     """
     off = ws._off
     m = survivors.index.shape[1] + off
@@ -520,54 +511,49 @@ def _screen(ws: Workspace, survivors: _Fits, parent, col) -> np.ndarray:
 def occam_search(y, library, config: SearchConfig = None) -> ModelSet:
     """Level-wise beam under a BIC window of 2*ln(window_ratio).
 
-    Fit all single-regressor models, keep those within the window of the best
-    BIC seen so far, extend every survivor by every absent candidate
-    (deduplicated by regressor set, each child taken from the first survivor
-    in (bic, key) order that generates it), re-prune against the running
-    best, and repeat up to max_size. A final prune against the global best is
-    applied; with submodel_exclusion, retained models beaten by one of their
-    own retained sub-models are then dropped.
+    Level 1 fits every single-regressor model; each later level extends every
+    survivor by every absent candidate (deduplicated by regressor set, each
+    child taken from the first survivor in (bic, names) order that generates
+    it), up to max_size. One step ends every level: it counts the flagged
+    fits as `degenerate`, updates the best unflagged BIC seen so far, and
+    keeps the unflagged fits within the window of it as the survivors. A
+    final prune against the global best is applied; with submodel_exclusion,
+    retained models beaten by one of their own retained sub-models are then
+    dropped.
 
-    Each level is screened before it is fitted: a batched solve bounds every
-    child's BIC from below, and the exact fit (extend's) runs only on children
-    whose bound lies inside the window of the level's best exact BIC, repeated
-    until no unfitted child can enter it. The result equals fitting every
-    child. `fits` counts the distinct models scored, `exact_fits` the exact
-    fits made, `degenerate` the flagged ones among them.
+    Each level past the first is screened before it is fitted: a batched
+    solve bounds every child's BIC from below, and the exact fit, grown from
+    the parent's factor, runs only on children whose bound lies inside the
+    window of the level's best exact BIC, repeated until no unfitted child
+    can enter it. The result equals fitting every child. `fits` counts the
+    distinct models scored, `exact_fits` the exact fits made.
     """
     config = config or SearchConfig(strategy="occam")
     ws = make_workspace(y, library)
     limit = _checked(ws, config)
     p = ws.n_candidates
     window = config.window
-    fits = exact_fits = p
-    capped = False
-
-    survivors = _first_level(ws, keep=limit > 1)
-    usable = np.flatnonzero(~flagged(survivors.condition))
-    degenerate = p - usable.size
-    if not usable.size:
-        raise SearchError("every single-regressor model is degenerate")
-    best = min([math.inf] + survivors.bic[usable].tolist())
-    survivors = survivors.take(usable[survivors.bic[usable] - best <= window])
-    pool = [replace(survivors, chol=None, zvec=None)]  # the pool keeps no factor
-
-    for size in range(2, limit + 1):
-        order = _ranked(survivors.bic, survivors.index, ws.names)
-        if order.size > config.beam_cap:
-            order = order[:config.beam_cap]
-            capped = True
-        survivors = survivors.take(order)
-        # a level whose screen rules out every child still needs its size
-        ws._check_size(size)
-        survivors, best, (children, exact, dropped) = _fit_window(ws, survivors, best, window,
-                                                                  keep=size < limit)
+    best, fits, exact_fits, degenerate, capped = math.inf, 0, 0, 0, False
+    pool = []  # each level's survivors, without their factors
+    for size in range(1, limit + 1):
+        ws._check_size(size)  # also for a level whose screen rules out every child
+        if size == 1:
+            survivors = _fit(ws, np.arange(p, dtype=np.intp)[:, None], keep=size < limit)
+            children = exact = p
+        else:
+            order = _ranked(survivors.bic, survivors.index, ws.names)
+            capped |= order.size > config.beam_cap
+            survivors = survivors.take(order[:config.beam_cap])
+            survivors, children, exact = _fit_window(ws, survivors, best, window,
+                                                     keep=size < limit)
         fits += children
         exact_fits += exact
-        degenerate += dropped
-        if survivors is None:
-            break
-        survivors = survivors.take(np.flatnonzero(survivors.bic - best <= window))
+        usable = ~flagged(survivors.condition)
+        degenerate += len(survivors) - int(np.count_nonzero(usable))
+        if size == 1 and not usable.any():
+            raise SearchError("every single-regressor model is degenerate")
+        best = min([best] + survivors.bic[usable].tolist())
+        survivors = survivors.take(np.flatnonzero(usable & (survivors.bic - best <= window)))
         pool.append(replace(survivors, chol=None, zvec=None))
         if not len(survivors):
             break
@@ -588,9 +574,10 @@ def _fit_window(ws: Workspace, survivors: _Fits, best: float, window: float,
 
     Fits, lowest bound first, every child that can still enter the window;
     the first pass guesses the level's best from the bounds, later passes
-    take it from the exact unflagged fits, until nothing more can enter.
-    Returns the unflagged fits (None when no child is fitted), the running
-    best BIC, and the counts of children, exact fits and flagged fits.
+    take it from the best unflagged fit so far, until nothing more can enter.
+    Returns every fit made, flagged ones included, in the order fitted (no
+    row when the screen rules out every child), and the counts of children
+    and of exact fits.
     """
     parent, col = _first_parents(survivors.index, ws.n_candidates)
     bound = _screen(ws, survivors, parent, col)
@@ -598,24 +585,24 @@ def _fit_window(ws: Workspace, survivors: _Fits, best: float, window: float,
     bound = bound[order]
     lowest = np.min(bound, where=np.isfinite(bound), initial=math.inf)
     threshold = min(best, lowest) + window
-    passes, done, degenerate = [], 0, 0
+    passes, done = [], 0
     while True:
         stop = int(np.searchsorted(bound, threshold + _SCREEN_MARGIN, side="right"))
         if stop <= done:
             break
         pick = order[done:stop]
-        fitted = _fit(ws, _children(survivors, parent[pick], col[pick]), survivors,
-                      parent[pick], keep=keep)
-        usable = np.flatnonzero(~flagged(fitted.condition))
-        degenerate += len(fitted) - usable.size
-        best = min([best] + fitted.bic[usable].tolist())
-        passes.append(fitted if usable.size == len(fitted) else fitted.take(usable))
+        fitted = _fit(ws, np.column_stack([survivors.index[parent[pick]], col[pick]]),
+                      survivors, parent[pick], keep=keep)
+        best = min([best] + fitted.bic[~flagged(fitted.condition)].tolist())
+        passes.append(fitted)
         done = stop
         threshold = best + window
+    if not passes:
+        return _Fits.around(np.empty((0, survivors.index.shape[1] + 1), np.intp)), parent.size, 0
     if len(passes) > 1:  # one _Fits of the passes' rows
         passes = [_Fits(*[None if parts[0] is None else np.concatenate(parts)
                           for parts in zip(*(fitted.parts() for fitted in passes))])]
-    return (passes[0] if passes else None), best, (parent.size, done, degenerate)
+    return passes[0], parent.size, done
 
 
 def _submodel_beaten(index: np.ndarray, bic: np.ndarray) -> np.ndarray:

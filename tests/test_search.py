@@ -3,6 +3,8 @@
 import itertools
 import math
 import re
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,14 +14,14 @@ from hypothesis import strategies as st
 
 from specid import search
 from specid.aggregate import averaged_coefficients, inclusion_probability, normalize
-from specid.core import BandGrid, Spectrum, SpectralLibrary, extract_pixel
+from specid.core import BandGrid, Spectrum, SpectralLibrary, average_pixels, extract_pixel
 from specid.errors import AlignmentError, InputError, SearchError
 from conftest import model_rows
 from oracles import reference_submodel_beaten
 from specid.regression import ModelPrior, Workspace, flagged
-from specid.search import (ModelSet, SearchConfig, _checked, _children, _first_level,
-                           _first_parents, _fit, _pcg64_draws, _screen, exhaustive_search,
-                           make_workspace, mc3_search, occam_search, run_search)
+from specid.search import (ModelSet, SearchConfig, _checked, _first_parents, _fit,
+                           _pcg64_draws, _screen, exhaustive_search, make_workspace,
+                           mc3_search, occam_search, run_search)
 from synth import make_scene, make_table_instance
 
 
@@ -440,6 +442,33 @@ def test_submodel_rule_matches_the_oracle(pool):
     assert got.tolist() == reference_submodel_beaten(rows, bics)
 
 
+def test_submodel_rule_on_models_of_twenty_candidates(monkeypatch):
+    # a 300 x 40 design with 20 true predictors, searched with no size limit
+    # (bma-table's default): the strict pool holds 51 models of 20 to 23
+    # candidates, so a rule that walks each model's subsets, or the sets below
+    # them, is exponential in model size; the pairwise rule takes under 1 ms
+    rng = np.random.default_rng(2)
+    X = rng.normal(0, 1, (300, 40))
+    beta = np.zeros(40)
+    beta[:20] = rng.uniform(0.3, 1, 20)
+    ws = Workspace(X @ beta + rng.normal(0, 1, 300), X, with_intercept=True)
+    rule, calls = search._submodel_beaten, []
+
+    def timed(index, bic):
+        start = time.perf_counter()
+        beaten = rule(index, bic)
+        calls.append((index, bic, beaten, time.perf_counter() - start))
+        return beaten
+    monkeypatch.setattr(search, "_submodel_beaten", timed)
+    out = occam_search(None, ws, SearchConfig(max_size=sys.maxsize, submodel_exclusion=True))
+    (index, bic, beaten, seconds), = calls
+    rows = [row[row >= 0].tolist() for row in index]
+    assert len(rows) == 51 and max(map(len, rows)) == 23
+    assert beaten.tolist() == reference_submodel_beaten(rows, bic.tolist())
+    assert out.strategy_metadata["submodel_excluded"] == 49 and len(out) == 2
+    assert seconds < 5.0
+
+
 def reference_occam(y, library, config):
     """Occam search fitting every child exactly, one extend call per child.
 
@@ -600,12 +629,12 @@ class TestOccamScreen:
             X[:, 4] = X[:, 0] + 1e-6 * rng.normal(0, 1, 10)
             y = 3.0 + X[:, 1] - X[:, 2] + noise * rng.normal(0, 1, 10)
             ws = Workspace(y, X, with_intercept=bool(seed % 2))
-            level = _first_level(ws, keep=True)
+            level = _fit(ws, np.arange(6)[:, None])
             for _ in range(3):
                 level = level.take(np.flatnonzero(~flagged(level.condition)))
                 parent, col = _first_parents(level.index, 6)
                 bound = _screen(ws, level, parent, col)
-                level = _fit(ws, _children(level, parent, col), level, parent)
+                level = _fit(ws, np.column_stack([level.index[parent], col]), level, parent)
                 for b, bic, flag in zip(bound, level.bic, flagged(level.condition)):
                     assert flag or b <= bic
 
@@ -907,6 +936,49 @@ class TestDegenerateCount:
         assert len(proposed) == out.strategy_metadata["unique_fits"]
         expected = self.flagged(Workspace(ws.y, ws.X, ws.names), proposed)
         assert out.strategy_metadata["degenerate"] == expected > 0
+
+    @staticmethod
+    def assert_only_the_flagged_fits_added(plain, dark):
+        # an all-zero last candidate is flagged alone and in every child: each
+        # is fitted, counted and dropped, and the kept rows do not move a bit
+        for name in ("index", "coefficients", "intercepts", "bic", "rss", "condition"):
+            mine, theirs = getattr(dark, name), getattr(plain, name)
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+        before, after = plain.strategy_metadata, dark.strategy_metadata
+        added = after["degenerate"] - before["degenerate"]
+        assert added > 0
+        for count in ("fits", "exact_fits"):
+            assert after[count] - before[count] == added, count
+        counts = ("fits", "exact_fits", "degenerate")
+        assert ({k: v for k, v in after.items() if k not in counts}
+                == {k: v for k, v in before.items() if k not in counts})
+
+    def test_flagged_single_candidate_in_a_library(self):
+        cube, library, _, _, pixels = make_scene(1)
+        average = average_pixels(cube, pixels)
+        dark = Spectrum("dark", library.grid, (0.0,) * len(library.grid), ("Dark",))
+        plain = occam_search(average, library)
+        got = occam_search(average, SpectralLibrary(library.grid, library.spectra + (dark,)))
+        self.assert_only_the_flagged_fits_added(plain, got)
+        assert plain.strategy_metadata["exact_fits"] == 484
+        assert got.strategy_metadata["exact_fits"] == 560
+        assert got.strategy_metadata["degenerate"] == 76
+
+    @pytest.mark.parametrize("exclusion", [False, True])
+    @pytest.mark.parametrize("ratio", [1.5, 20.0])
+    def test_flagged_single_candidate_in_a_table(self, ratio, exclusion):
+        # integer columns keep every Gram entry exact, so the zero column moves
+        # no other entry's bits, whatever order the BLAS sums them in
+        config = SearchConfig(max_size=4, window_ratio=ratio, submodel_exclusion=exclusion)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            X = rng.integers(-4, 5, (30, 7)).astype(float)
+            y = X[:, :3] @ [3.0, -2.0, 1.0] + rng.integers(-2, 3, 30) + 5.0
+            names = tuple("x%d" % j for j in range(7))
+            plain = occam_search(None, Workspace(y, X, names, with_intercept=True), config)
+            got = occam_search(None, Workspace(y, np.column_stack([X, np.zeros(30)]),
+                                               names + ("zero",), with_intercept=True), config)
+            self.assert_only_the_flagged_fits_added(plain, got)
 
 
 @pytest.mark.parametrize("search,message", [

@@ -46,7 +46,10 @@ Every command runs in process through specid.cli.main:
   row of the model set is packed into two 64-bit words, and occam on an ROI
   file that lists the top ROI's pixels in reverse raster order, so that the
   ROI average gathers every row's pixels out of column order, bottom row
-  first; on scene 11's: occam; on scene 13's: occam, and background removal
+  first, and occam with scene 1's library followed by an all-zero spectrum
+  ("dark", its last column, of its own class "Dark"), so that a single
+  candidate is flagged and dropped at the first level and in every later
+  one; on scene 11's: occam; on scene 13's: occam, and background removal
   with explicit --backgrounds pixels spread over the cube, out of row order;
   bma-table on the crime table: occam --occam-strict, occam and mc3 at
   --seed 3, occam at max size 6 with a window so wide (--window-c 1e300)
@@ -69,7 +72,7 @@ The copy run grows, in its third level (10,660 fits, ten full chunks of
 the search's fits and part of an eleventh), a factor holding ldpe_1 by its
 copy 39 times, all in the first chunk: each meets a dependent column and is
 refitted from the Gram matrix in the middle of a full-size chunk.
-The printed object maps "<run>/<file>" to the file's sha256: 106 sums, and 9
+The printed object maps "<run>/<file>" to the file's sha256: 108 sums, and 9
 more for each --detect input. Output files and inputs are kept under --work
 (default: a temporary directory).
 
@@ -212,6 +215,15 @@ def _with_copy(scene: dict) -> tuple:
                     [row + [row[target]] for row in rows[1:]], classes)
 
 
+def _with_dark(scene: dict) -> tuple:
+    """The scene's library and hierarchy with an all-zero spectrum in a last
+    column, named "dark", of its own class "Dark"; returns their paths."""
+    rows, classes = _read_library(scene)
+    classes["dark"] = ["Dark"]
+    return _library(scene, "library_dark", rows[0] + ["dark"],
+                    [row + ["0.0"] for row in rows[1:]], classes)
+
+
 def _joined(scene: dict, other: dict, suffix: str) -> tuple:
     """The scene's library and hierarchy followed by other's, on the same
     wavelengths, each of other's names followed by suffix; returns their paths."""
@@ -310,6 +322,13 @@ def collect(work: Path, detect_inputs) -> dict:
     _run(main, ["identify", "--cube", scene["hdr"], "--roi", str(reversed_rois),
                 "--library", scene["library"], "--hierarchy", scene["hierarchy"],
                 "--resample", "--out", str(work / run)])
+    _digests(work / run, run, digests)
+    # occam with an all-zero spectrum in the library: its single model and
+    # every survivor grown by it are flagged, fitted and dropped
+    library, hierarchy = _with_dark(scene)
+    run = "%s/identify-dark" % name
+    _run(main, ["identify", "--cube", scene["hdr"], "--roi", rois, "--library", library,
+                "--hierarchy", hierarchy, "--resample", "--out", str(work / run)])
     _digests(work / run, run, digests)
     table = _crime_table(work)
     for label, seed, extra in BMA_RUNS:
