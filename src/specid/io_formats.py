@@ -552,15 +552,46 @@ def write_scores(scores: np.ndarray, bin_path: str, json_path: str,
 
 
 def write_rois_json(rois, path: str) -> None:
-    payload = [{"rank": i + 1,
-                "pixels": [[int(r), int(c)] for r, c in roi.pixels],
-                "peak_score": roi.peak_score,
-                "mean_score": roi.mean_score,
-                "average": [float(v) for v in roi.average.values]}
-               for i, roi in enumerate(rois)]
+    """Write the ROIs as json.dump(payload, sort_keys=True, indent=2) and a
+    newline would: per ROI its rank from 1, its average spectrum's values,
+    its mean and peak scores, and its pixels as [row, col] pairs.
+
+    The text is formatted RESULTS_CHUNK ROIs at a time, each chunk by one %
+    formatting call on the joined templates of its ROIs' sizes: %r for each
+    float (float.__repr__, as json formats floats; a Spectrum's values and
+    the scores are finite) and %d for each integer.
+    """
+    rois = list(rois)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        sep = "[\n"
+        for lo in range(0, len(rois), RESULTS_CHUNK):
+            templates, cells = [], []
+            for rank, roi in enumerate(rois[lo:lo + RESULTS_CHUNK], start=lo + 1):
+                average = roi.average.values.tolist()
+                templates.append(_roi_template(len(average), len(roi.pixels)))
+                cells += average
+                cells += (float(roi.mean_score), float(roi.peak_score))
+                cells += [v for pixel in roi.pixels for v in pixel]
+                cells.append(rank)
+            fh.write(sep + ",\n".join(templates) % tuple(cells))
+            sep = ",\n"
+        fh.write("\n]\n" if rois else "[]\n")
+
+
+_PIXEL = "[\n        %d,\n        %d\n      ]"
+
+
+def _roi_template(bands: int, pixels: int) -> str:
+    """One ROI as json.dump(..., indent=2) writes it in the ROI list."""
+    return ('  {\n    "average": %s,\n    "mean_score": %%r,\n    "peak_score": %%r,\n'
+            '    "pixels": %s,\n    "rank": %%d\n  }'
+            % (_list_template(["%r"] * bands), _list_template([_PIXEL] * pixels)))
+
+
+def _list_template(items: list) -> str:
+    """A list of the item templates as json.dump(..., indent=2) writes it as
+    a value two levels into the ROI list."""
+    return "[\n      %s\n    ]" % ",\n      ".join(items) if items else "[]"
 
 
 def read_rois_json(path: str) -> list:

@@ -1,8 +1,9 @@
 """One-value reference computations that the tests hold the pipeline's
-vectorized kernels to: ACE for one pixel, scipy.ndimage's 8-connected ROI
-labelling, the multiplicity-counting member sum of a class, the sub-model
-rule of a strict Occam search, one pair of models at a time, a column sum one
-row at a time, and a pixel average one pixel at a time."""
+vectorized kernels to: ACE for one pixel, ACE through the symmetric
+whitener, scipy.ndimage's 8-connected ROI labelling, the
+multiplicity-counting member sum of a class, the sub-model rule of a strict
+Occam search, one pair of models at a time, a column sum one row at a time,
+and a pixel average one pixel at a time."""
 
 import numpy as np
 from scipy import ndimage
@@ -22,6 +23,18 @@ def ace_score(pixel, target, stats: BackgroundStats) -> float:
     if xn == 0.0 or tn == 0.0:
         raise NumericalError("whitened pixel or target has zero norm")
     return float(np.clip((t @ x) / (tn * xn), -1.0, 1.0))
+
+
+def symmetric_ace_scores(pixels, target, mean, covariance) -> np.ndarray:
+    """ACE scores of a (..., bands) stack through the symmetric inverse square
+    root of the covariance, by its eigendecomposition; 0 at the mean."""
+    evals, evecs = np.linalg.eigh(covariance)
+    whitener = (evecs / np.sqrt(evals)) @ evecs.T
+    white = (np.asarray(pixels) - mean) @ whitener
+    twhite = (np.asarray(target) - mean) @ whitener
+    norms = np.linalg.norm(white, axis=-1)
+    cosine = (white @ twhite) / np.where(norms == 0.0, 1.0, norms) / np.linalg.norm(twhite)
+    return np.clip(cosine, -1.0, 1.0)
 
 
 def reference_rois(mask) -> list:

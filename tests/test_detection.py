@@ -7,19 +7,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import write_envi_cube
 import specid.core
 from specid.core import (PIXEL_BLOCK_STEP, BandGrid, ImageCube, Spectrum,
-                         average_pixels)
+                         average_pixels, block_bounds)
 from specid.detection import (BackgroundStats, DetectionMap, RegionOfInterest,
                               _score_block, annulus_coordinates, background_removal,
                               background_stats, detect, label_regions)
 from specid.errors import AlignmentError, InputError, NumericalError
 from specid.io_formats import read_envi
-from oracles import ace_score, reference_rois
+from oracles import ace_score, reference_rois, symmetric_ace_scores
 from synth import make_scene
 
 
@@ -98,10 +98,8 @@ class TestBackgroundStats:
             BackgroundStats(np.zeros(3), np.zeros((3, 3)), 0.0)
 
 
-def reference_background_stats(cube, shrinkage=0.01, mask=None):
-    """background_stats as it was before it summed in pixel blocks: whole-array steps."""
-    if not 0.0 <= shrinkage <= 1.0:
-        raise InputError("shrinkage must be in [0, 1], got %r" % shrinkage)
+def selected_pixels(cube, mask=None):
+    """The pixels background_stats uses, as one (pixels, bands) array, in raster order."""
     flat = cube.data.reshape(-1, cube.data.shape[2])
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -112,11 +110,56 @@ def reference_background_stats(cube, shrinkage=0.01, mask=None):
     if flat.shape[0] < 2:
         raise InputError("need at least 2 pixels for background statistics, got %d"
                          % flat.shape[0])
-    mean = flat.mean(axis=0)
-    centered = flat - mean
-    cov = (centered.T @ centered) / (flat.shape[0] - 1)
+    return flat
+
+
+def shrunk_stats(mean, gram, count, shrinkage):
+    cov = gram / (count - 1)
     shrunk = (1.0 - shrinkage) * cov + shrinkage * np.diag(np.diag(cov))
     return BackgroundStats(mean, shrunk, shrinkage)
+
+
+def reference_background_stats(cube, shrinkage=0.01, mask=None):
+    """Two passes over the whole array: the mean, then the Gram matrix centred on it."""
+    if not 0.0 <= shrinkage <= 1.0:
+        raise InputError("shrinkage must be in [0, 1], got %r" % shrinkage)
+    flat = selected_pixels(cube, mask)
+    mean = flat.mean(axis=0)
+    centered = flat - mean
+    return shrunk_stats(mean, centered.T @ centered, flat.shape[0], shrinkage)
+
+
+def chan_background_stats(cube, shrinkage=0.01, mask=None):
+    """The whole-array mean, and the centred Gram matrices of the
+    block_bounds(count, PIXEL_BLOCK_STEP) slices, each centred on its own
+    mean, merged in order by Chan, Golub & LeVeque's pairwise update."""
+    if not 0.0 <= shrinkage <= 1.0:
+        raise InputError("shrinkage must be in [0, 1], got %r" % shrinkage)
+    flat = selected_pixels(cube, mask)
+    count, bands = flat.shape
+    gram, merged = np.zeros((bands, bands)), np.zeros(bands)
+    for lo, hi in block_bounds(count, PIXEL_BLOCK_STEP):
+        own = flat[lo:hi].mean(axis=0)
+        centred = flat[lo:hi] - own
+        delta = own - merged
+        gram = gram + (centred.T @ centred + np.outer(delta, delta) * (lo * (hi - lo) / hi))
+        merged = merged + delta * ((hi - lo) / hi)
+    return shrunk_stats(flat.mean(axis=0), gram, count, shrinkage)
+
+
+# The streamed covariance's largest difference from the two-pass one, over
+# the largest entry of the two-pass one, is at most this: it was at most
+# 8.6e-16 over the blocked-sums property's examples.
+TWO_PASS_RTOL = 1e-13
+
+
+def near_two_pass(stats, cube, shrinkage=0.01, mask=None) -> bool:
+    """Whether stats has the two-pass statistics' mean, bit for bit, and their
+    covariance within TWO_PASS_RTOL."""
+    want = reference_background_stats(cube, shrinkage, mask)
+    error = np.abs(stats.covariance - want.covariance).max()
+    return (stats.mean.tobytes() == want.mean.tobytes()
+            and error <= TWO_PASS_RTOL * np.abs(want.covariance).max())
 
 
 def stats_bytes(function, *args):
@@ -162,7 +205,12 @@ class TestBlockedStats:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(specid.core, "BLOCK_VALUES", 1)
             got = stats_bytes(background_stats, cube, shrinkage, mask)
-        assert got == stats_bytes(reference_background_stats, cube, shrinkage, mask)
+        assert got == stats_bytes(chan_background_stats, cube, shrinkage, mask)
+        if isinstance(got[0], type):   # the two-pass statistics raise it too
+            assert got == stats_bytes(reference_background_stats, cube, shrinkage, mask)
+        else:
+            assert near_two_pass(background_stats(cube, shrinkage, mask), cube, shrinkage,
+                                 mask)
 
     def test_real_size_blocks_on_one_blas_thread(self):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -201,11 +249,11 @@ class TestBlockedStats:
         # each pass reads in raster order, so a pass starts where `lo` drops
         starts = [0] + [i for i in range(1, len(calls)) if calls[i][0] < calls[i - 1][0]]
         passes = [calls[a:b] for a, b in zip(starts, starts[1:] + [len(calls)])]
-        assert len(passes) == 2
-        for reads in passes:
-            assert [row for lo, hi in reads for row in range(lo, hi)] == want
-            if not masked:
-                assert len(reads) <= 3   # at most one read a block
+        assert len(passes) == 1
+        reads, = passes
+        assert [row for lo, hi in reads for row in range(lo, hi)] == want
+        if not masked:
+            assert len(reads) <= 3   # at most one read a block
 
     def test_peak_is_two_blocks_and_the_band_matrices(self, monkeypatch):
         rows, cols, bands = 240, 100, 32
@@ -224,9 +272,9 @@ class TestBlockedStats:
         # 24,000 pixels are 6 blocks and a last one of 1.8: no block is 2
         # blocks long, and one block's centred copy, or its rows after the
         # running total, is all the pixel data held beside the cube. The
-        # bands² matrices: the Gram matrix, its triangle indices and the
-        # shrunk copy with two temporaries, then eigh's copy, eigenvectors
-        # and workspace.
+        # bands² matrices: the merged and one block's Gram matrices and the
+        # merge's outer product, then the triangle indices and the shrunk
+        # copy with two temporaries, then dpotrf's copy and factor.
         matrices = 8 * 8 * bands ** 2
         assert peak <= (2 * block + matrices + TestRowBlocks.ufunc_buffer
                         + TestRowBlocks.objects)
@@ -244,7 +292,7 @@ class TestAceScore:
         rng = np.random.default_rng(11)
         target = stats.mean + np.array([0.1, -0.05, 0.08, 0.02])
         block = rng.normal(0.5, 0.2, (6, 7, 4))
-        scores = _score_block(block, stats, stats.whiten(target))
+        scores = _score_block(block.copy(), stats, stats.whiten(target))
         assert scores.shape == (6, 7)
         want = [[ace_score(pixel, target, stats) for pixel in row] for row in block]
         np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
@@ -283,6 +331,34 @@ class TestAceScore:
         as_spec = ace_score(Spectrum("px", grid, pixel),
                             Spectrum("t", grid, target), stats)
         assert as_spec == ace_score(pixel, target, stats)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(2, 130), st.integers(0, 2**32 - 1), st.integers(-6, 6),
+           st.floats(0.0, 3.0))
+    @example(bands=2, seed=0, exponent=0, decades=0.0)        # a multiple of I
+    @example(bands=124, seed=3, exponent=-6, decades=3.0)     # detect_scene's bands
+    @example(bands=130, seed=7, exponent=6, decades=3.0)
+    def test_triangular_whitener_scores_as_the_symmetric_one(self, bands, seed,
+                                                              exponent, decades):
+        # a covariance of condition number 10**decades at scale 10**exponent,
+        # a pixel at the mean, and rows of 1 to 9 pixels
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(bands, bands)))
+        evals = 10.0 ** (exponent + rng.uniform(-decades, 0.0, bands))
+        cov = (q * evals) @ q.T
+        stats = BackgroundStats(rng.normal(0.0, 10.0 ** exponent, bands), cov, 0.0)
+        w = stats.whitener
+        assert not np.triu(w, 1).any()
+        np.testing.assert_allclose(w @ stats.covariance @ w.T, np.eye(bands), rtol=0,
+                                   atol=1e-10)
+        spread = np.linalg.cholesky(stats.covariance)
+        pixels = stats.mean + rng.normal(size=(3, rng.integers(1, 10), bands)) @ spread.T
+        pixels[1, 0] = stats.mean
+        target = stats.mean + rng.normal(size=bands) @ spread.T
+        want = symmetric_ace_scores(pixels, target, stats.mean, stats.covariance)
+        got = _score_block(pixels.copy(), stats, stats.whiten(target))
+        assert got[1, 0] == want[1, 0] == 0.0
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_zero_norm_and_alignment(self):
         stats = self.stats()
@@ -488,7 +564,7 @@ grid = BandGrid(np.linspace(0.4, 2.4, 124))
 cube = ImageCube(grid, rng.normal(0.5, 0.05, (2 * step + 1, 5, 124)))
 stats = background_stats(cube)
 target = rng.normal(0.5, 0.1, 124)
-whole = _score_block(cube.data, stats, stats.whiten(target))
+whole = _score_block(cube.data.copy(), stats, stats.whiten(target))
 for threads in (1, 3):
     dmap, _ = detect(cube, target, stats, threshold=0.5, threads=threads)
     assert dmap.scores.tobytes() == whole.tobytes(), threads
@@ -505,7 +581,7 @@ BLOCKED_STATS_MATCH_WHOLE = """
 import numpy as np
 from specid.core import PIXEL_BLOCK_STEP, BandGrid, ImageCube
 from specid.detection import background_stats
-from test_detection import reference_background_stats, stats_bytes
+from test_detection import chan_background_stats, near_two_pass, stats_bytes
 
 assert PIXEL_BLOCK_STEP == 3072, PIXEL_BLOCK_STEP
 rng = np.random.default_rng(18)
@@ -516,7 +592,8 @@ spaced[16:33] = False
 last_row[48, [5, 150]] = True
 for mask in (None, rng.random((49, 193)) < 0.9, spaced, last_row):
     got = stats_bytes(background_stats, cube, 0.01, mask)
-    assert got == stats_bytes(reference_background_stats, cube, 0.01, mask)
+    assert got == stats_bytes(chan_background_stats, cube, 0.01, mask)
+    assert near_two_pass(background_stats(cube, 0.01, mask), cube, 0.01, mask)
 """
 
 
@@ -534,7 +611,7 @@ from conftest import write_envi_cube
 from specid.core import PIXEL_BLOCK_STEP, BandGrid, ImageCube, average_pixels, block_rows
 from specid.detection import _score_block, background_stats, detect
 from specid.io_formats import read_envi
-from test_detection import reference_background_stats, stats_bytes
+from test_detection import chan_background_stats, near_two_pass, stats_bytes
 from test_io_formats import reference_read_envi
 
 assert block_rows(193 * 63) == 20 and PIXEL_BLOCK_STEP == 3072
@@ -548,10 +625,11 @@ with tempfile.TemporaryDirectory() as tmp:
     whole = reference_read_envi(str(hdr))
 for mask in (None, rng.random((50, 193)) < 0.9):
     got = stats_bytes(background_stats, cube, 0.01, mask)
-    assert got == stats_bytes(reference_background_stats, whole, 0.01, mask)
+    assert got == stats_bytes(chan_background_stats, whole, 0.01, mask)
+    assert near_two_pass(background_stats(cube, 0.01, mask), whole, 0.01, mask)
 stats = background_stats(cube)
 target = whole.data[25, 60]
-want = _score_block(whole.data, stats, stats.whiten(target))
+want = _score_block(whole.data.copy(), stats, stats.whiten(target))
 for threads in (1, 3):
     dmap, rois = detect(cube, target, stats, threshold=0.5, threads=threads)
     assert dmap.scores.tobytes() == want.tobytes(), threads
@@ -593,10 +671,11 @@ class TestFileBacked:
             cube = read_envi(str(hdr))
             array = ImageCube(cube.grid, read_envi(str(hdr)).data)
             got = stats_bytes(background_stats, cube, 0.01, mask)
-            assert got == stats_bytes(reference_background_stats, array, 0.01, mask)
+            assert got == stats_bytes(chan_background_stats, array, 0.01, mask)
             if isinstance(got[0], type):
                 return
             stats = background_stats(array, 0.01, mask)
+            assert near_two_pass(stats, array, 0.01, mask)
             target = array.data[-1, -1]
             want, _ = detect(array, target, stats, threshold=0.2)
             for threads in (1, 3):

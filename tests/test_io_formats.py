@@ -628,6 +628,34 @@ def results_inputs(draw):
     return posterior, report, tree
 
 
+def rois_payload(rois) -> list:
+    """The ROI list as json.dump wrote it before write_rois_json formatted it."""
+    return [{"rank": i + 1,
+             "pixels": [[int(r), int(c)] for r, c in roi.pixels],
+             "peak_score": roi.peak_score,
+             "mean_score": roi.mean_score,
+             "average": [float(v) for v in roi.average.values]}
+            for i, roi in enumerate(rois)]
+
+
+@st.composite
+def roi_lists(draw):
+    """Up to 2 chunks and one ROI more, of 1 to 6 pixels and 2 to 5 bands,
+    holding every finite value that json spells in its own way."""
+    count = draw(st.sampled_from([0, 1, WRITER_CHUNK - 1, WRITER_CHUNK, WRITER_CHUNK + 1,
+                                  2 * WRITER_CHUNK + 1]))
+    rois = []
+    for _ in range(count):
+        pixels = draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                               min_size=1, max_size=6, unique=True))
+        bands = draw(st.integers(2, 5))
+        average = Spectrum("avg", BandGrid(np.linspace(0.4, 2.4, bands)),
+                           [draw(finite_floats) for _ in range(bands)])
+        rois.append(RegionOfInterest(tuple(pixels), draw(finite_floats),
+                                     draw(finite_floats), average))
+    return rois
+
+
 class TestResultWriters:
     def test_results_json_round_trip(self, tmp_path):
         post = small_posterior()
@@ -739,6 +767,22 @@ class TestResultWriters:
         assert loaded[0]["pixels"] == [[1, 2], [1, 3]]
         assert loaded[0]["peak_score"] == 0.9
         assert loaded[0]["average"] == [0.1, 0.2, 0.3]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(rois=roi_lists())
+    def test_rois_json_bytes_equal_json_dump(self, rois):
+        want = json.dumps(rois_payload(rois), sort_keys=True, indent=2) + "\n"
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(specid.io_formats, "RESULTS_CHUNK", WRITER_CHUNK):
+            path = os.path.join(tmp, "rois.json")
+            write_rois_json(rois, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode("utf-8")
+
+    def test_rois_json_of_no_rois(self, tmp_path):
+        path = tmp_path / "rois.json"
+        write_rois_json([], str(path))
+        assert path.read_text() == json.dumps([], sort_keys=True, indent=2) + "\n" == "[]\n"
 
     @pytest.mark.parametrize("payload,message", [
         ("{broken", "not valid JSON"),
